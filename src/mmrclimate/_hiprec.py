@@ -1,20 +1,19 @@
-"""High-precision fallback for near-resonant optimal paths.
+"""High-precision construction of near-resonant optimal paths.
 
 When a baseline decay rate sits close to the stable characteristic root,
 the exact solution is a divided difference of two nearly equal
 exponentials: its ExpPoly coefficients grow like 1/gap^2 with opposite
-signs, and the closed-form discounted integral of the squared paths then
-cancels catastrophically in double precision (observed: cost errors of
-1e-2 at a gap of 1e-5).  The formulas themselves are fine, so the cure
-is arithmetic, not analysis: rebuild the solution coefficients and the
-cost sum with 60-digit decimals from the primary inputs.  Only policies
-whose root gap falls below the trigger in :mod:`mmrclimate.control` ever
-take this path.
+signs, and building them in double precision loses most of their
+digits.  The cure is arithmetic, not analysis: the coefficients are
+built with 60-digit decimals from the primary inputs and rounded once
+to float.  Only paths whose root gap falls below the trigger in
+:mod:`mmrclimate.control` take this route.  Costs never do: the
+closed-loop cost engine in :mod:`mmrclimate.control` stays well
+conditioned at any root gap.
 """
 
 from __future__ import annotations
 
-import math
 from decimal import Decimal, localcontext
 
 _PREC = 60
@@ -62,48 +61,6 @@ def _combine(terms):
         key = (n, mu)
         acc[key] = acc.get(key, Decimal(0)) + c
     return [(c, n, mu) for (n, mu), c in acc.items() if c != 0]
-
-
-def _square(terms):
-    prod = [
-        (ca * cb, na + nb, ra + rb)
-        for ca, na, ra in terms
-        for cb, nb, rb in terms
-    ]
-    return _combine(prod)
-
-
-def _discounted(terms, delta_eval):
-    d = Decimal(delta_eval)
-    total = Decimal(0)
-    for c, n, mu in terms:
-        total += c * math.factorial(n) / (d - mu) ** (n + 1)
-    return total
-
-
-def cost(baseline_terms, e0, delta_policy, k_policy,
-         delta_eval, alpha, beta, ccr_eval) -> float:
-    """Discounted total cost of the (delta_policy, k_policy) optimal path
-    evaluated in a state with discount ``delta_eval`` and response
-    ``ccr_eval``, carried out in 60-digit arithmetic end to end."""
-    with localcontext() as ctx:
-        ctx.prec = _PREC
-        e_terms = _solution_terms(baseline_terms, e0, delta_policy, k_policy)
-        # A = B - dE/dt
-        a_terms = [(Decimal(c), n, Decimal(mu)) for c, n, mu in baseline_terms]
-        for c, n, mu in e_terms:
-            if mu != 0:
-                a_terms.append((-c * mu, n, mu))
-            if n >= 1:
-                a_terms.append((-c * n, n - 1, mu))
-        a_terms = _combine(a_terms)
-        e_terms = _combine(e_terms)
-        j = (
-            Decimal(alpha) / 2 * _discounted(_square(a_terms), delta_eval)
-            + Decimal(beta) * Decimal(ccr_eval) ** 2 / 2
-            * _discounted(_square(e_terms), delta_eval)
-        )
-        return float(j)
 
 
 def solution_exppoly_terms(baseline_terms, e0, delta, k):

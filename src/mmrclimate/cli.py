@@ -17,7 +17,7 @@ from . import report
 from .baseline import FormVariant, fit_baseline, load_emissions
 from .config import RunConfig, bundled_data_path, load_config, save_config
 from .economy import EconParams
-from .errors import MmrClimateError, NoPeak, ParseError
+from .errors import MmrClimateError, NoPeak, ParseError, ValidationError
 from .regret import (
     Policy,
     build_policy_set,
@@ -129,6 +129,8 @@ def cmd_fit_baseline(args, config: RunConfig) -> int:
 
 
 def cmd_solve(args, config: RunConfig) -> int:
+    if args.horizon < 0:
+        raise ValidationError(f"--horizon must be >= 0, got {args.horizon}")
     outdir = _outdir(args, config)
     model = config.model(args.model)
     scenario = config.to_scenario()

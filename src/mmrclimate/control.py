@@ -15,6 +15,17 @@ initial stock E(0) = E0.  With an exponential-polynomial baseline the
 particular response is found by a finite downward recurrence, so the
 optimal paths are exact ExpPoly objects.
 
+Costs come from one state-space engine, :func:`closed_loop_costs`.  The
+baseline is written as B = c.w with dw/dt = G w (one Jordan block per
+baseline rate), and the optimal policy as the feedback
+A = -lam_minus E + s.w with (G - lam_plus I)^T s = lam_minus c.  On
+x = (E, w) the closed loop is dx/dt = F x, and each discounted quadratic
+cost integral is a quadratic form in the solution Y of one small
+Lyapunov equation (Van Loan 1978; Anderson & Moore 1990 for LQ tracking
+of an exogenous signal).  The Lyapunov operator stays well conditioned
+at and near resonance, so costs need neither high precision nor a
+discount-rate nudge; only the ExpPoly paths do.
+
 ``numeric_oracle`` solves the same problem by brute force (piecewise
 linear abatement on an annual grid, conjugate gradient on the discrete
 normal equations) and is used only to cross-check the closed form.
@@ -29,15 +40,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _hiprec
-from .economy import ClimateModel, EconParams, discounted_total_cost
+from .economy import ClimateModel, EconParams
 from .errors import InvalidDiscount, NonConvergence, ResonantForcing, ValidationError
 from .exppoly import ExpPoly
 
 # Below this root gap the discount rate is nudged outright: even exact
 # arithmetic would leave the float path representation useless.
 RESONANCE_TOL = 1e-7
-# Below this gap the float closed form still evaluates pointwise but its
-# discounted cost cancels catastrophically; costs go through _hiprec.
+# Below this gap the float path coefficients of the particular response
+# cancel catastrophically; the ExpPoly path is rebuilt through _hiprec.
 HIPREC_GAP = 3e-3
 
 
@@ -51,8 +62,9 @@ class ScenarioConfig:
     start_year: int = 2020
 
     def __post_init__(self):
-        if self.e0 < 0:
-            raise ValidationError("initial cumulative emissions must be >= 0")
+        if not (math.isfinite(self.e0) and self.e0 >= 0):
+            raise ValidationError(
+                f"initial cumulative emissions must be finite and >= 0, got {self.e0}")
         if not self.baseline.is_zero and self.baseline.max_rate() >= 0:
             raise ValidationError("baseline must decay (all rates < 0)")
 
@@ -71,10 +83,9 @@ class OptimalSolution:
     """Exact paths plus provenance.  ``delta``/``model`` record the pair
     the path was optimized for (``delta`` is None for no abatement, where
     the cost is computed per evaluation rate instead of stored).
-    ``delta_solved`` is the rate actually used, which differs from
-    ``delta`` only after an anti-resonance nudge.  ``ill_conditioned``
-    marks near-resonant solutions whose costs must be evaluated in high
-    precision; ``solution_cost`` handles the dispatch."""
+    ``delta_solved`` is the rate the ExpPoly paths were built with, which
+    differs from ``delta`` only after an anti-resonance nudge; ``j_star``
+    is always the cost at ``delta`` itself."""
 
     abatement: ExpPoly       # GtC/yr
     net_emissions: ExpPoly   # GtC
@@ -84,11 +95,13 @@ class OptimalSolution:
     j_star: float | None
     roots: CharRoots | None = None
     delta_solved: float | None = None
-    ill_conditioned: bool = False
 
 
 def char_roots(delta: float, m: float, alpha: float, beta: float) -> CharRoots:
     """Roots of lam^2 - delta lam - k = 0, ordered lam_plus >= lam_minus."""
+    for name, value in (("delta", delta), ("m", m), ("alpha", alpha), ("beta", beta)):
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
     if delta <= 0.0:
         raise InvalidDiscount(
             f"discount rate must be positive, got {delta}: transversality "
@@ -98,7 +111,10 @@ def char_roots(delta: float, m: float, alpha: float, beta: float) -> CharRoots:
         raise ValidationError("alpha must be positive")
     if beta < 0.0 or m < 0.0:
         raise ValidationError("beta and m must be nonnegative")
-    k = beta * m * m / alpha
+    return _roots(delta, beta * m * m / alpha)
+
+
+def _roots(delta: float, k: float) -> CharRoots:
     s = math.sqrt(delta * delta + 4.0 * k)
     return CharRoots(lam_plus=0.5 * (delta + s), lam_minus=0.5 * (delta - s),
                      stiffness=k)
@@ -145,7 +161,8 @@ def solve_optimal(delta: float, model: ClimateModel,
     RESONANCE_TOL) the discount rate is nudged with a warning until the
     resonance clears; this moves the answer by far less than any
     published tolerance.  Merely *near*-resonant solutions keep the
-    requested rate but are marked for high-precision costing.
+    requested rate.  ``j_star`` comes from :func:`closed_loop_costs` at
+    the requested rate, which needs no nudge.
     """
     econ = scenario.econ
     baseline = scenario.baseline
@@ -180,8 +197,7 @@ def solve_optimal(delta: float, model: ClimateModel,
             f"near delta = {delta}"
         )
 
-    ill_conditioned = gap < HIPREC_GAP
-    if ill_conditioned:
+    if gap < HIPREC_GAP:
         emissions = ExpPoly(_hiprec.solution_exppoly_terms(
             baseline.terms, scenario.e0, delta_used, roots.stiffness))
     else:
@@ -195,41 +211,110 @@ def solve_optimal(delta: float, model: ClimateModel,
             "optimal path violates the integrability bound; "
             "this indicates a resonance the perturbation missed"
         )
-    sol = OptimalSolution(
+    j_star = closed_loop_costs([(delta, roots.stiffness)],
+                               [(delta, model.ccr)], scenario)[0, 0]
+    return OptimalSolution(
         abatement=abatement,
         net_emissions=emissions,
         temperature=emissions * model.ccr,
         model=model,
         delta=delta,
-        j_star=None,
+        j_star=float(j_star),
         roots=roots,
         delta_solved=delta_used,
-        ill_conditioned=ill_conditioned,
     )
-    return replace(sol, j_star=solution_cost(sol, delta_used, scenario))
+
+
+def _forcing(baseline: ExpPoly):
+    """State-space form of the baseline: B(t) = c.w(t) with dw/dt = G w
+    and w(0) = w0.  Each rate mu gets one Jordan block over the basis
+    t^j e^{mu t} / j!, sized by its highest power."""
+    groups: dict[float, dict[int, float]] = {}
+    for c, n, mu in baseline.terms:
+        groups.setdefault(mu, {})[n] = c
+    size = sum(max(coeffs) + 1 for coeffs in groups.values())
+    g = np.zeros((size, size))
+    c = np.zeros(size)
+    w0 = np.zeros(size)
+    start = 0
+    for mu, coeffs in groups.items():
+        w0[start] = 1.0
+        for j in range(max(coeffs) + 1):
+            g[start + j, start + j] = mu
+            if j:
+                g[start + j, start + j - 1] = 1.0
+            c[start + j] = coeffs.get(j, 0.0) * math.factorial(j)
+        start += max(coeffs) + 1
+    return g, c, w0
+
+
+def closed_loop_costs(loops, evaluations, scenario: ScenarioConfig) -> np.ndarray:
+    """Discounted total cost of closed-loop policies in evaluation states.
+
+    ``loops`` holds (delta, k) pairs, each the optimal feedback for that
+    discount rate and stiffness k = beta m^2 / alpha, or None for no
+    abatement.  ``evaluations`` holds (delta_eval, ccr_eval) pairs.
+    Returns an array of shape (len(evaluations), len(loops)) of
+    alpha/2 I_A + beta ccr_eval^2 / 2 I_E, where I_A and I_E integrate
+    A^2 and E^2 against e^{-delta_eval t} along the loop.
+
+    On x = (E, w) each loop is dx/dt = F x, A = q.x, x(0) = (e0, w0), and
+    Y = integral of x x^T e^{-delta_eval t} solves the Lyapunov equation
+    (F - delta_eval/2) Y + Y (F - delta_eval/2)^T = -x0 x0^T, so
+    I_A = q.Y q and I_E = Y[0, 0].  Every loop and every distinct
+    evaluation rate goes through one batched Kronecker solve.
+    """
+    rates = sorted({d for d, _ in evaluations})
+    if not all(math.isfinite(d) and d > 0.0 for d in rates):
+        raise InvalidDiscount(
+            f"evaluation discount rates must be positive and finite, got {rates}")
+    g, c, w0 = _forcing(scenario.baseline)
+    nw = len(c)
+    n = nw + 1
+    # no abatement is the k = 0 loop: lam_minus = 0 makes s = 0 and A = 0
+    lam_plus = np.ones(len(loops))
+    lam_minus = np.zeros(len(loops))
+    for i, loop in enumerate(loops):
+        if loop is not None:
+            roots = _roots(*loop)
+            lam_plus[i], lam_minus[i] = roots.lam_plus, roots.lam_minus
+    # bounded feedback term s.w: (G - lam_plus I)^T s = lam_minus c
+    g_shift = g.T - lam_plus[:, None, None] * np.eye(nw)
+    s = np.linalg.solve(g_shift, (lam_minus[:, None] * c)[..., None])[..., 0]
+    f = np.zeros((len(loops), n, n))
+    f[:, 0, 0] = lam_minus
+    f[:, 0, 1:] = c - s
+    f[:, 1:, 1:] = g
+    q = np.concatenate((-lam_minus[:, None], s), axis=1)
+
+    eye = np.eye(n)
+    # one M = F - delta_eval/2 per (loop, rate); row-major
+    # vec(M Y + Y M^T) = (M (x) I + I (x) M) vec(Y)
+    f_shift = f[:, None] - 0.5 * np.asarray(rates)[None, :, None, None] * eye
+    kron = (np.einsum("...ik,jl->...ijkl", f_shift, eye)
+            + np.einsum("ik,...jl->...ijkl", eye, f_shift)).reshape(
+                f_shift.shape[:2] + (n * n, n * n))
+    x0 = np.concatenate(([scenario.e0], w0))
+    y = np.linalg.solve(kron, -np.outer(x0, x0).reshape(n * n, 1))
+    y = y.reshape(f_shift.shape)
+    i_a = np.einsum("li,ldij,lj->ld", q, y, q)
+    i_e = y[..., 0, 0]
+
+    col = [rates.index(d) for d, _ in evaluations]
+    ccr = np.array([m for _, m in evaluations], dtype=float)
+    econ = scenario.econ
+    return (0.5 * econ.alpha * i_a[:, col]
+            + 0.5 * econ.beta * ccr ** 2 * i_e[:, col]).T
 
 
 def solution_cost(sol: OptimalSolution, delta_eval: float,
                   scenario: ScenarioConfig, ccr_eval: float | None = None) -> float:
-    """Discounted total cost of a solved path under an evaluation state.
-
-    Well-conditioned paths use the ordinary closed form; near-resonant
-    ones are rebuilt and integrated in high precision, since their float
-    coefficients cancel catastrophically inside the cost sum.
-    """
+    """Discounted total cost of a solved policy under an evaluation state
+    (its own climate response unless ``ccr_eval`` is given)."""
     if ccr_eval is None:
         ccr_eval = sol.model.ccr
-    if sol.ill_conditioned:
-        return _hiprec.cost(
-            scenario.baseline.terms, scenario.e0,
-            sol.delta_solved, sol.roots.stiffness,
-            delta_eval, scenario.econ.alpha, scenario.econ.beta, ccr_eval,
-        )
-    return discounted_total_cost(
-        sol.abatement, scenario.econ,
-        ClimateModel(sol.model.name, ccr_eval), delta_eval,
-        scenario.baseline, scenario.e0,
-    )
+    loop = None if sol.delta is None else (sol.delta, sol.roots.stiffness)
+    return float(closed_loop_costs([loop], [(delta_eval, ccr_eval)], scenario)[0, 0])
 
 
 def no_abatement_solution(model: ClimateModel,

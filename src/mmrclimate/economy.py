@@ -6,10 +6,17 @@ the discounted total J = integral of (C + D) e^{-delta t} lands directly
 in the units of the published regret tables (percent of the present
 discounted value of output).  A reporting scale is exposed for safety
 but defaults to 1 and should stay there.
+
+:func:`discounted_total_cost` integrates any ExpPoly abatement path in
+closed form.  The solver and the regret matrix do not use it: they cost
+optimal policies through the closed-loop engine in
+:mod:`mmrclimate.control`, and this function stays as the independent
+method the tests compare that engine against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import InvalidDiscount, ValidationError
@@ -25,8 +32,10 @@ class EconParams:
     beta: float
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValidationError("alpha and beta must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.alpha, self.beta)):
+            raise ValidationError(
+                f"alpha and beta must be positive and finite, got "
+                f"alpha={self.alpha}, beta={self.beta}")
 
 
 @dataclass(frozen=True)
@@ -52,8 +61,9 @@ class ClimateModel:
     ccr: float
 
     def __post_init__(self):
-        if self.ccr < 0:
-            raise ValidationError("ccr must be nonnegative")
+        if not (math.isfinite(self.ccr) and self.ccr >= 0):
+            raise ValidationError(
+                f"ccr must be nonnegative and finite, got {self.ccr}")
 
 
 def ramsey_rate(inputs: RamseyInputs) -> float:

@@ -22,11 +22,12 @@ import numpy as np
 from .control import (
     OptimalSolution,
     ScenarioConfig,
-    solution_cost,
+    char_roots,
+    closed_loop_costs,
     solve_optimal,
 )
-from .economy import ClimateModel, discounted_total_cost, net_cumulative_emissions
-from .errors import NoPeak, ValidationError
+from .economy import ClimateModel, net_cumulative_emissions
+from .errors import MmrClimateError, NoPeak, ValidationError
 from .exppoly import ExpPoly
 
 NONNEG_TOL = 1e-9
@@ -44,14 +45,14 @@ class StateOfWorld:
 @dataclass(frozen=True)
 class Policy:
     """An abatement path with provenance: the {delta, model} pair it was
-    optimized for, or the no-abatement benchmark (both None).  The
-    originating solution is kept so near-resonant paths can be costed
-    through the high-precision route."""
+    optimized for, or the no-abatement benchmark (both None).  Costs are
+    computed from the provenance, as the optimal feedback for that pair
+    under the scenario's weights; the path serves peak-temperature
+    search."""
 
     path: ExpPoly
     delta: float | None
     model: ClimateModel | None
-    solution: OptimalSolution | None = None
 
     @property
     def is_no_abatement(self) -> bool:
@@ -64,8 +65,7 @@ class Policy:
 
     @staticmethod
     def from_solution(sol: OptimalSolution) -> "Policy":
-        return Policy(path=sol.abatement, delta=sol.delta, model=sol.model,
-                      solution=sol)
+        return Policy(path=sol.abatement, delta=sol.delta, model=sol.model)
 
     @staticmethod
     def no_abatement() -> "Policy":
@@ -75,8 +75,8 @@ class Policy:
 def _check_ensemble(deltas, ensemble):
     if not deltas or not ensemble:
         raise ValidationError("need at least one discount rate and one model")
-    if any(d <= 0 for d in deltas):
-        raise ValidationError("all discount rates must be positive")
+    if not all(math.isfinite(d) and d > 0 for d in deltas):
+        raise ValidationError("all discount rates must be positive and finite")
     if len(set(deltas)) != len(deltas):
         raise ValidationError("duplicate discount rate in ensemble")
     ccrs = [m.ccr for m in ensemble]
@@ -99,34 +99,18 @@ def build_policy_set(deltas, ensemble, scenario: ScenarioConfig) -> list:
         for d in deltas:
             try:
                 policies.append(Policy.from_solution(solve_optimal(d, m, scenario)))
-            except Exception as exc:
-                raise type(exc)(
-                    f"solver failed for policy pair (delta={d}, model={m.name}): {exc}"
-                ) from exc
+            except MmrClimateError as exc:
+                # keep the type, its attributes and its exit code
+                exc.args = (f"solver failed for policy pair "
+                            f"(delta={d}, model={m.name}): {exc}",) + exc.args[1:]
+                raise
     policies.append(Policy.no_abatement())
     return policies
 
 
-def _policy_cost(policy: Policy, state: StateOfWorld,
-                 scenario: ScenarioConfig) -> float:
-    if policy.solution is not None:
-        return solution_cost(policy.solution, state.delta, scenario,
-                             ccr_eval=state.model.ccr)
-    return discounted_total_cost(policy.path, scenario.econ, state.model,
-                                 state.delta, scenario.baseline, scenario.e0)
-
-
-def _state_optimal_cost(state: StateOfWorld, scenario: ScenarioConfig) -> float:
-    sol = solve_optimal(state.delta, state.model, scenario)
-    return solution_cost(sol, state.delta, scenario)
-
-
-def regret(policy: Policy, state: StateOfWorld, scenario: ScenarioConfig,
-           j_opt: float | None = None) -> float:
+def regret(policy: Policy, state: StateOfWorld, scenario: ScenarioConfig) -> float:
     """Cost of the policy in the state minus the state's optimal cost."""
-    if j_opt is None:
-        j_opt = _state_optimal_cost(state, scenario)
-    return _policy_cost(policy, state, scenario) - j_opt
+    return float(regret_matrix([policy], [state], scenario).values[0, 0])
 
 
 @dataclass(frozen=True)
@@ -185,14 +169,27 @@ class RegretMatrix:
 def regret_matrix(policies, states, scenario: ScenarioConfig) -> RegretMatrix:
     """Evaluate every policy in every state.
 
-    Cells are independent; the loop order (row-major) only fixes the
-    deterministic assembly of the array.
+    Each policy, and each state's own optimal policy, is a closed loop
+    keyed by its (delta, k) provenance; every distinct loop is costed
+    once, at every distinct state discount rate, in one
+    :func:`closed_loop_costs` call.  A state's optimal cost is the cost
+    of its own loop, so wherever that loop is also a column the regret
+    is exactly zero.
     """
-    j_opt = np.array([_state_optimal_cost(s, scenario) for s in states])
-    values = np.empty((len(states), len(policies)))
-    for i, state in enumerate(states):
-        for j, policy in enumerate(policies):
-            values[i, j] = regret(policy, state, scenario, j_opt=j_opt[i])
+    econ = scenario.econ
+
+    def loop(delta, model):
+        return (delta, char_roots(delta, model.ccr, econ.alpha, econ.beta).stiffness)
+
+    policy_loops = [None if p.is_no_abatement else loop(p.delta, p.model)
+                    for p in policies]
+    optimal_loops = [loop(s.delta, s.model) for s in states]
+    loops = list(dict.fromkeys(policy_loops + optimal_loops))
+    index = {key: i for i, key in enumerate(loops)}
+    costs = closed_loop_costs(loops, [(s.delta, s.model.ccr) for s in states],
+                              scenario)
+    j_opt = costs[np.arange(len(states)), [index[key] for key in optimal_loops]]
+    values = costs[:, [index[key] for key in policy_loops]] - j_opt[:, None]
     return RegretMatrix(states=tuple(states), policies=tuple(policies),
                         values=values, j_opt=j_opt)
 

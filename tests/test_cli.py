@@ -67,6 +67,19 @@ class TestSolve:
             assert name in err
 
 
+class TestBadInput:
+    @pytest.mark.parametrize("args", [
+        ["solve", "--delta", "inf", "--model", "HAD"],
+        ["solve", "--delta", "nan", "--model", "HAD"],
+        ["mmr", "--beta", "inf"],
+        ["solve", "--delta", "0.05", "--model", "HAD", "--horizon", "-5"],
+    ], ids=["delta-inf", "delta-nan", "beta-inf", "negative-horizon"])
+    def test_usage_error_exit_code(self, args, outdir, capsys):
+        assert run(args, outdir) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not os.path.exists(outdir) or not os.listdir(outdir)
+
+
 class TestFitBaseline:
     def test_fit_writes_report_and_config(self, outdir, tmp_path, capsys):
         target = tmp_path / "fitted.ini"

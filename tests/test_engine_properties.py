@@ -1,0 +1,157 @@
+"""Property-based checks of the closed-loop cost engine over the whole
+parameter space: discount rates, responses, weights, initial stocks and
+baselines with one or two decay rates, powers up to 2, or no baseline at
+all.  Each cost is held against a method that shares no code with the
+engine: the ExpPoly closed form on the solved path, exact rational
+arithmetic, or the brute-force oracle."""
+
+import math
+import warnings
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+
+from mmrclimate.control import (  # noqa: E402
+    ScenarioConfig,
+    char_roots,
+    no_abatement_solution,
+    numeric_oracle,
+    solution_cost,
+    solve_optimal,
+)
+from mmrclimate.economy import ClimateModel, EconParams, discounted_total_cost  # noqa: E402
+from mmrclimate.exppoly import ExpPoly  # noqa: E402
+from mmrclimate.regret import build_policy_set, build_states, regret_matrix  # noqa: E402
+
+# deterministic draws, so the suite is reproducible and writes no example
+# database into the checkout
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
+                    database=None)
+
+deltas = st.floats(0.005, 0.1)
+responses = st.floats(0.0005, 0.004)
+econs = st.builds(EconParams, alpha=st.floats(5e-5, 3e-4), beta=st.floats(0.005, 0.03))
+stocks = st.floats(0.0, 1500.0)
+
+
+@st.composite
+def rate_group(draw):
+    """c0 + c1 t + c2 t^2, all at one decay rate, highest power 0 to 2."""
+    mu = -draw(st.floats(0.003, 0.08))
+    top = draw(st.integers(0, 2))
+    coeffs = [draw(st.floats(0.5, 10.0)), draw(st.floats(-1.0, 1.0)),
+              draw(st.floats(-0.02, 0.02))]
+    return tuple((coeffs[n], n, mu) for n in range(top + 1))
+
+
+@st.composite
+def baselines(draw, min_rates=0):
+    groups = draw(st.lists(rate_group(), min_size=min_rates, max_size=2))
+    rates = [g[0][2] for g in groups]
+    assume(len(rates) < 2 or abs(rates[0] - rates[1]) > 1e-3)
+    return ExpPoly(tuple(t for g in groups for t in g))
+
+
+def root_gap(baseline, roots):
+    return min((min(abs(mu - roots.lam_plus), abs(mu - roots.lam_minus))
+                for mu in baseline.rates()), default=math.inf)
+
+
+@PROPERTY
+@given(baseline=baselines(), econ=econs, e0=stocks, delta=deltas, m=responses,
+       delta_eval=deltas, m_eval=responses)
+def test_engine_matches_exppoly_closed_form(baseline, econ, e0, delta, m,
+                                            delta_eval, m_eval):
+    # away from resonance the float ExpPoly path is accurate, so its
+    # closed-form discounted integral is an independent reference
+    assume(root_gap(baseline, char_roots(delta, m, econ.alpha, econ.beta)) > 1e-2)
+    scenario = ScenarioConfig(baseline=baseline, e0=e0, econ=econ)
+    model = ClimateModel("m", m)
+    sol = solve_optimal(delta, model, scenario)
+    for d, ccr, got in [
+        (delta, m, sol.j_star),
+        (delta_eval, m_eval, solution_cost(sol, delta_eval, scenario, ccr_eval=m_eval)),
+    ]:
+        expected = discounted_total_cost(sol.abatement, econ, ClimateModel("x", ccr),
+                                         d, baseline, e0)
+        assert got == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+
+def _exact_no_abatement_cost(baseline, e0, delta, beta, ccr):
+    """beta ccr^2 / 2 times the discounted integral of E^2, E = e0 +
+    cumulative baseline, in exact rational arithmetic."""
+    terms = {(0, Fraction(0)): Fraction(e0)}
+    for c, n, mu in baseline.terms:
+        mu = Fraction(mu)
+        q = [Fraction(0)] * (n + 1)
+        q[n] = Fraction(c) / mu
+        for j in range(n - 1, -1, -1):
+            q[j] = -(j + 1) * q[j + 1] / mu
+        for j, qj in enumerate(q):
+            terms[(j, mu)] = terms.get((j, mu), 0) + qj
+        terms[(0, Fraction(0))] -= q[0]
+    d = Fraction(delta)
+    total = sum(ca * cb * math.factorial(na + nb) / (d - ra - rb) ** (na + nb + 1)
+                for (na, ra), ca in terms.items() for (nb, rb), cb in terms.items())
+    return float(Fraction(beta) * Fraction(ccr) ** 2 / 2 * total)
+
+
+@PROPERTY
+@given(baseline=baselines(), econ=econs, e0=stocks, delta_eval=deltas,
+       m_eval=responses)
+def test_no_abatement_cost_is_exact(baseline, econ, e0, delta_eval, m_eval):
+    assume(e0 > 0 or not baseline.is_zero)
+    scenario = ScenarioConfig(baseline=baseline, e0=e0, econ=econ)
+    passive = no_abatement_solution(ClimateModel("m", m_eval), scenario)
+    got = solution_cost(passive, delta_eval, scenario)
+    expected = _exact_no_abatement_cost(baseline, e0, delta_eval, econ.beta, m_eval)
+    assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@PROPERTY
+@given(baseline=baselines(), econ=econs, e0=stocks,
+       rates=st.lists(deltas, min_size=1, max_size=3, unique=True),
+       ccrs=st.lists(responses, min_size=1, max_size=2, unique=True))
+def test_regret_diagonal_zero_and_nonnegative(baseline, econ, e0, rates, ccrs):
+    scenario = ScenarioConfig(baseline=baseline, e0=e0, econ=econ)
+    ensemble = [ClimateModel(f"m{i}", c) for i, c in enumerate(ccrs)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # resonance nudges of the paths
+        policies = build_policy_set(rates, ensemble, scenario)
+    matrix = regret_matrix(policies, build_states(rates, ensemble), scenario)
+    pairs = matrix.diagonal_indices()
+    assert len(pairs) == len(rates) * len(ensemble)
+    for i, j in pairs:
+        assert matrix.values[i, j] == 0.0
+    assert matrix.values.min() >= -1e-9
+
+
+@PROPERTY
+@given(baseline=baselines(min_rates=1), econ=econs, e0=stocks, delta=deltas,
+       pick=st.integers(0, 1))
+def test_exact_resonance(baseline, econ, e0, delta, pick):
+    # the response that puts lam_minus exactly on a baseline rate mu:
+    # lam^2 - delta lam - k = 0 at lam = mu gives k = mu^2 - delta mu
+    rates = baseline.rates()
+    scenario = ScenarioConfig(baseline=baseline, e0=e0, econ=econ)
+
+    def j_star(lam_minus):
+        k = lam_minus * lam_minus - delta * lam_minus
+        model = ClimateModel("r", math.sqrt(k * econ.alpha / econ.beta))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # the path's resonance nudge
+            return solve_optimal(delta, model, scenario).j_star, model
+
+    mu = rates[pick % len(rates)]
+    j_exact, model = j_star(mu)
+    j_lo, j_hi = sorted(j_star(mu + gap)[0] for gap in (-1e-7, 1e-7))
+    assert j_lo <= j_exact <= j_hi
+    # the integrand decays no faster than e^{-(delta + 2|mu|) t} times a
+    # polynomial of degree 4, so the oracle's horizon must cover the
+    # slowest draw, not just the default 1500 years
+    horizon = max(1500.0, 40.0 / (delta - 2.0 * max(rates)))
+    oracle = numeric_oracle(delta, model, scenario, horizon=horizon).j_estimate
+    assert oracle == pytest.approx(j_exact, rel=5e-3)

@@ -1,5 +1,7 @@
 """Regret matrix structure, minimax selection, peak temperature, sweeps."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,23 @@ class TestPolicySet:
     def test_duplicate_response_rejected(self, small_scenario):
         with pytest.raises(ValidationError):
             build_states([0.05], [ClimateModel("A", 0.002), ClimateModel("B", 0.002)])
+
+    def test_solver_error_keeps_type_and_attributes(self, small_scenario,
+                                                    monkeypatch):
+        # the package re-exports a function named ``regret``, which
+        # shadows the submodule as an attribute of ``mmrclimate``
+        regret_module = importlib.import_module("mmrclimate.regret")
+
+        def failing_solver(delta, model, scenario):
+            raise NoPeak("no interior maximum", asymptote_degc=1.5)
+
+        monkeypatch.setattr(regret_module, "solve_optimal", failing_solver)
+        with pytest.raises(NoPeak) as err:
+            build_policy_set([0.05], [TWO_MODELS[0]], small_scenario)
+        assert err.value.asymptote_degc == 1.5
+        assert err.value.exit_code == NoPeak.exit_code
+        assert "delta=0.05, model=LOW" in str(err.value)
+        assert "no interior maximum" in str(err.value)
 
     def test_table_ordering(self, config, default_matrix):
         # model-major, delta cycling fastest, no abatement last
