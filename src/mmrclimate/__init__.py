@@ -28,11 +28,7 @@ from .baseline import (
 )
 from .economy import (
     EconParams,
-    RamseyInputs,
     ClimateModel,
-    ramsey_rate,
-    abatement_cost,
-    damage,
     net_cumulative_emissions,
     discounted_total_cost,
 )
@@ -52,7 +48,6 @@ from .regret import (
     RegretMatrix,
     build_policy_set,
     build_states,
-    regret,
     regret_matrix,
     mmr_select,
     tmax,

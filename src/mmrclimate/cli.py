@@ -219,8 +219,7 @@ def cmd_tmax(args, config: RunConfig) -> int:
 def cmd_sweep(args, config: RunConfig) -> int:
     outdir = _outdir(args, config)
     scenario = config.to_scenario()
-    alpha_grid, beta_grid = config.scaled_grids()
-    rep = sweep(alpha_grid, beta_grid, config.deltas,
+    rep = sweep(config.alpha_grid, config.beta_grid, config.deltas,
                 config.ensemble, scenario)
     stamp = not args.no_timestamp
     _write(os.path.join(outdir, "sweep_summary.csv"),

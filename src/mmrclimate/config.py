@@ -10,10 +10,10 @@ Schema (see README for the full key list)::
 
     [scenario]   start_year, e0, anchor_temp_degc, anchor_model
     [baseline]   variant, theta, phi, b0, r_squared, data
-    [economy]    alpha, beta, report_scale
+    [economy]    alpha, beta
     [uncertainty] deltas, alpha_grid, beta_grid   (space separated)
     [ensemble]   NAME = ccr   (one per model, order defines m1..mN)
-    [tolerances] integrability_margin, root_tol, oracle_rel_tol
+    [tolerances] root_tol   (bisection tolerance of the peak search)
     [output]     directory, formats
 """
 
@@ -39,9 +39,7 @@ def bundled_data_path(name: str) -> str:
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    integrability_margin: float = 1e-9
     root_tol: float = 1e-6
-    oracle_rel_tol: float = 0.005
 
 
 @dataclass(frozen=True)
@@ -53,7 +51,6 @@ class RunConfig:
     baseline: BaselineParams
     data_file: str
     econ: EconParams
-    report_scale: float
     deltas: tuple
     alpha_grid: tuple
     beta_grid: tuple
@@ -96,28 +93,13 @@ class RunConfig:
         return e0
 
     def to_scenario(self) -> ScenarioConfig:
-        """Build the solver scenario.
-
-        The reporting scale multiplies both quadratic weights jointly,
-        which scales every cost and regret by exactly that factor and
-        provably leaves all selections unchanged; it defaults to 1 and
-        exists only as a unit-convention escape hatch.
-        """
-        kappa = self.report_scale
-        econ = self.econ if kappa == 1.0 else EconParams(
-            alpha=self.econ.alpha * kappa, beta=self.econ.beta * kappa)
+        """Build the solver scenario."""
         return ScenarioConfig(
             baseline=baseline_exppoly(self.baseline),
             e0=self.resolved_e0(),
-            econ=econ,
+            econ=self.econ,
             start_year=self.start_year,
         )
-
-    def scaled_grids(self):
-        """(alpha, beta) sweep grids with the reporting scale applied."""
-        kappa = self.report_scale
-        return (tuple(a * kappa for a in self.alpha_grid),
-                tuple(b * kappa for b in self.beta_grid))
 
     def with_baseline(self, params: BaselineParams) -> "RunConfig":
         return replace(self, baseline=params)
@@ -163,6 +145,11 @@ def load_config(path: str | None = None) -> RunConfig:
         ensemble = tuple(
             ClimateModel(name=name, ccr=float(value)) for name, value in ens.items()
         )
+        scale = econ.get("report_scale", "1")
+        if float(scale) != 1.0:
+            raise ParseError(
+                f"bad config {path}: report_scale = {scale} is not supported; "
+                "scale alpha and beta (and alpha_grid, beta_grid) instead")
         return RunConfig(
             start_year=int(scen.get("start_year", "2020")),
             e0_setting=scen.get("e0", "auto"),
@@ -171,16 +158,11 @@ def load_config(path: str | None = None) -> RunConfig:
             baseline=baseline,
             data_file=base.get("data", "extended_rcp85_emissions.csv"),
             econ=EconParams(alpha=float(econ["alpha"]), beta=float(econ["beta"])),
-            report_scale=float(econ.get("report_scale", "1.0")),
             deltas=_floats(unc["deltas"]),
             alpha_grid=_floats(unc["alpha_grid"]),
             beta_grid=_floats(unc["beta_grid"]),
             ensemble=ensemble,
-            tolerances=ToleranceConfig(
-                integrability_margin=float(tol.get("integrability_margin", "1e-9")),
-                root_tol=float(tol.get("root_tol", "1e-6")),
-                oracle_rel_tol=float(tol.get("oracle_rel_tol", "0.005")),
-            ),
+            tolerances=ToleranceConfig(root_tol=float(tol.get("root_tol", "1e-6"))),
             output_dir=out.get("directory", "out"),
             formats=tuple(out.get("formats", "csv txt svg").split()),
         )
@@ -210,7 +192,6 @@ def save_config(config: RunConfig, path: str) -> None:
     parser["economy"] = {
         "alpha": repr(config.econ.alpha),
         "beta": repr(config.econ.beta),
-        "report_scale": repr(config.report_scale),
     }
     parser["uncertainty"] = {
         "deltas": " ".join(repr(d) for d in config.deltas),
@@ -218,11 +199,7 @@ def save_config(config: RunConfig, path: str) -> None:
         "beta_grid": " ".join(repr(b) for b in config.beta_grid),
     }
     parser["ensemble"] = {m.name: repr(m.ccr) for m in config.ensemble}
-    parser["tolerances"] = {
-        "integrability_margin": repr(config.tolerances.integrability_margin),
-        "root_tol": repr(config.tolerances.root_tol),
-        "oracle_rel_tol": repr(config.tolerances.oracle_rel_tol),
-    }
+    parser["tolerances"] = {"root_tol": repr(config.tolerances.root_tol)}
     parser["output"] = {
         "directory": config.output_dir,
         "formats": " ".join(config.formats),

@@ -13,7 +13,12 @@ Boundedness of the discounted objective forces the coefficient of the
 unstable mode to zero; the stable-mode coefficient is pinned by the
 initial stock E(0) = E0.  With an exponential-polynomial baseline the
 particular response is found by a finite downward recurrence, so the
-optimal paths are exact ExpPoly objects.
+optimal paths are exact ExpPoly objects, built in double precision.
+Near resonance (a baseline rate close to lam_minus) the particular
+response and the stable mode carry large coefficients of opposite sign;
+the path's error grows like 1/gap^2 times the rounding unit (under
+1e-9 of max|E| at a root gap of 1e-5, about 1e-7 at 1e-6).  Only an
+exact collision needs the discount-rate nudge in :func:`solve_optimal`.
 
 Costs come from one state-space engine, :func:`closed_loop_costs`.  The
 baseline is written as B = c.w with dw/dt = G w (one Jordan block per
@@ -23,8 +28,8 @@ x = (E, w) the closed loop is dx/dt = F x, and each discounted quadratic
 cost integral is a quadratic form in the solution Y of one small
 Lyapunov equation (Van Loan 1978; Anderson & Moore 1990 for LQ tracking
 of an exogenous signal).  The Lyapunov operator stays well conditioned
-at and near resonance, so costs need neither high precision nor a
-discount-rate nudge; only the ExpPoly paths do.
+at and near resonance, so costs need no discount-rate nudge; only the
+ExpPoly paths do.
 
 ``numeric_oracle`` solves the same problem by brute force (piecewise
 linear abatement on an annual grid, conjugate gradient on the discrete
@@ -39,17 +44,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _hiprec
 from .economy import ClimateModel, EconParams
 from .errors import InvalidDiscount, NonConvergence, ResonantForcing, ValidationError
 from .exppoly import ExpPoly
 
-# Below this root gap the discount rate is nudged outright: even exact
-# arithmetic would leave the float path representation useless.
+# Below this root gap the discount rate is nudged: at an exact collision
+# the particular response divides by zero.
 RESONANCE_TOL = 1e-7
-# Below this gap the float path coefficients of the particular response
-# cancel catastrophically; the ExpPoly path is rebuilt through _hiprec.
-HIPREC_GAP = 3e-3
 
 
 @dataclass(frozen=True)
@@ -161,7 +162,9 @@ def solve_optimal(delta: float, model: ClimateModel,
     RESONANCE_TOL) the discount rate is nudged with a warning until the
     resonance clears; this moves the answer by far less than any
     published tolerance.  Merely *near*-resonant solutions keep the
-    requested rate.  ``j_star`` comes from :func:`closed_loop_costs` at
+    requested rate.  The path is the particular response plus the stable
+    mode, in double precision at any root gap (see the module notes on
+    its accuracy).  ``j_star`` comes from :func:`closed_loop_costs` at
     the requested rate, which needs no nudge.
     """
     econ = scenario.econ
@@ -197,13 +200,9 @@ def solve_optimal(delta: float, model: ClimateModel,
             f"near delta = {delta}"
         )
 
-    if gap < HIPREC_GAP:
-        emissions = ExpPoly(_hiprec.solution_exppoly_terms(
-            baseline.terms, scenario.e0, delta_used, roots.stiffness))
-    else:
-        e_part = _particular_response(baseline, delta_used, roots.stiffness)
-        c_stable = scenario.e0 - e_part(0.0)
-        emissions = e_part + ExpPoly.term(c_stable, 0, roots.lam_minus)
+    e_part = _particular_response(baseline, delta_used, roots.stiffness)
+    c_stable = scenario.e0 - e_part(0.0)
+    emissions = e_part + ExpPoly.term(c_stable, 0, roots.lam_minus)
     abatement = baseline - emissions.derivative()
 
     if abatement.max_rate() >= 0.5 * delta_used:
@@ -340,7 +339,7 @@ class OracleResult:
 
 
 def numeric_oracle(delta: float, model: ClimateModel, scenario: ScenarioConfig,
-                   step: float = 1.0, horizon: float = 1500.0,
+                   step: float = 1.0, horizon: float | None = None,
                    tol: float = 1e-10) -> OracleResult:
     """Brute-force check: minimize the discretized objective directly.
 
@@ -350,13 +349,22 @@ def numeric_oracle(delta: float, model: ClimateModel, scenario: ScenarioConfig,
     convex quadratic in the nodal values.  It is solved by conjugate
     gradient with the Hessian applied matrix-free through prefix sums.
     Nothing here touches the closed-form solver.
+
+    The default horizon is max(1500, 40 / (delta - 2 nu)) years, where nu
+    is the slowest mode of the optimal path (the largest baseline rate,
+    or lam_minus if that is larger), so the truncated tail of the
+    integrand has decayed by e^-40.  An explicit horizon must be >= 1000.
     """
     if step > 1.0:
         raise ValidationError("oracle grid step must be <= 1 year")
-    if horizon < 1000.0:
+    if horizon is not None and horizon < 1000.0:
         raise ValidationError("oracle horizon must be >= 1000 years")
     if delta <= 0.0:
         raise InvalidDiscount(f"discount rate must be positive, got {delta}")
+    if horizon is None:
+        roots = char_roots(delta, model.ccr, scenario.econ.alpha, scenario.econ.beta)
+        nu = max(scenario.baseline.rates() + (roots.lam_minus,))
+        horizon = max(1500.0, 40.0 / (delta - 2.0 * nu))
 
     n = int(round(horizon / step))
     t = np.arange(n + 1) * step

@@ -1,11 +1,10 @@
-"""Cost, damage and discounting primitives.
+"""Economic weights, climate models and the ExpPoly cost closed form.
 
-Instantaneous abatement cost C(A) = alpha/2 * A^2 and climate damage
-D(T) = beta/2 * T^2 are expressed as percent of gross world output, so
-the discounted total J = integral of (C + D) e^{-delta t} lands directly
-in the units of the published regret tables (percent of the present
-discounted value of output).  A reporting scale is exposed for safety
-but defaults to 1 and should stay there.
+Instantaneous abatement cost alpha/2 * A^2 and climate damage
+beta/2 * T^2 are expressed as percent of gross world output, so the
+discounted total J = integral of (cost + damage) e^{-delta t} lands
+directly in the units of the published regret tables (percent of the
+present discounted value of output).
 
 :func:`discounted_total_cost` integrates any ExpPoly abatement path in
 closed form.  The solver and the regret matrix do not use it: they cost
@@ -39,20 +38,6 @@ class EconParams:
 
 
 @dataclass(frozen=True)
-class RamseyInputs:
-    """rho: pure time preference (1/yr); eta: elasticity of marginal
-    utility; g: consumption growth rate (1/yr)."""
-
-    rho: float
-    eta: float
-    g: float
-
-    def __post_init__(self):
-        if self.rho < 0 or self.eta < 0:
-            raise ValidationError("rho and eta must be nonnegative")
-
-
-@dataclass(frozen=True)
 class ClimateModel:
     """A reduced-form climate model: its carbon-climate response ``ccr``
     maps cumulative carbon (GtC) to temperature increase (degC)."""
@@ -66,21 +51,6 @@ class ClimateModel:
                 f"ccr must be nonnegative and finite, got {self.ccr}")
 
 
-def ramsey_rate(inputs: RamseyInputs) -> float:
-    """Consumption discount rate rho + eta * g."""
-    return inputs.rho + inputs.eta * inputs.g
-
-
-def abatement_cost(alpha: float, abatement: float) -> float:
-    """Instantaneous abatement cost, percent of output: alpha/2 * A^2."""
-    return 0.5 * alpha * abatement * abatement
-
-
-def damage(beta: float, temp_increase: float) -> float:
-    """Instantaneous climate damage, percent of output: beta/2 * T^2."""
-    return 0.5 * beta * temp_increase * temp_increase
-
-
 def net_cumulative_emissions(abatement: ExpPoly, baseline: ExpPoly,
                              e0: float) -> ExpPoly:
     """E(t) = E0 + integral over [0, t] of (B - A), exact."""
@@ -89,8 +59,7 @@ def net_cumulative_emissions(abatement: ExpPoly, baseline: ExpPoly,
 
 def discounted_total_cost(abatement: ExpPoly, econ: EconParams,
                           model: ClimateModel, delta: float,
-                          baseline: ExpPoly, e0: float,
-                          scale: float = 1.0) -> float:
+                          baseline: ExpPoly, e0: float) -> float:
     """Present value of abatement cost plus damage along a path.
 
     J = integral over [0, inf) of (alpha/2 A^2 + beta/2 (m E)^2) e^{-delta t}
@@ -98,6 +67,15 @@ def discounted_total_cost(abatement: ExpPoly, econ: EconParams,
     closed forms; raises DivergentIntegral if the path does not decay
     fast enough at this discount rate and InvalidDiscount for delta <= 0
     (no transversality at zero discounting).
+
+    The closed form is exact but not always well conditioned.  The
+    coefficients of E grow like c / mu^(n+1) for a slow baseline rate mu
+    and then cancel, so on the no-abatement path the result can be off by
+    up to 7.6e-9 relative (mu near -0.0036, delta near 0.09).  A
+    near-resonant optimal path has huge cancelling coefficients, and
+    squaring it loses more: about 4e-7 relative at a root gap of 1e-4 and
+    2e-2 at 1e-5, and no correct digit below that.  The closed-loop
+    engine in :mod:`mmrclimate.control` has neither problem.
     """
     if delta <= 0.0:
         raise InvalidDiscount(
@@ -110,4 +88,4 @@ def discounted_total_cost(abatement: ExpPoly, econ: EconParams,
     dmg = 0.5 * econ.beta * model.ccr ** 2 * (
         emissions * emissions
     ).discounted_integral(delta)
-    return scale * (cost + dmg)
+    return cost + dmg

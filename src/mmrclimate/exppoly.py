@@ -186,10 +186,6 @@ class ExpPoly:
     def rates(self) -> tuple:
         return tuple(sorted({mu for _, _, mu in self.terms}))
 
-    def has_rate(self, rate: float) -> bool:
-        """Exact-match rate membership (no epsilon; see module notes)."""
-        return any(mu == rate for _, _, mu in self.terms)
-
     def max_rate(self) -> float:
         if not self.terms:
             return -math.inf

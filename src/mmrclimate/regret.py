@@ -108,11 +108,6 @@ def build_policy_set(deltas, ensemble, scenario: ScenarioConfig) -> list:
     return policies
 
 
-def regret(policy: Policy, state: StateOfWorld, scenario: ScenarioConfig) -> float:
-    """Cost of the policy in the state minus the state's optimal cost."""
-    return float(regret_matrix([policy], [state], scenario).values[0, 0])
-
-
 @dataclass(frozen=True)
 class RegretMatrix:
     """Rows: actual states.  Columns: policies.  Values are regrets in
@@ -227,16 +222,15 @@ def tmax(policy: Policy, model: ClimateModel, scenario: ScenarioConfig,
 
     crossings = []
     sign = np.sign(values)
-    for i in range(len(grid) - 1):
-        if sign[i] > 0 and sign[i + 1] <= 0:
-            lo, hi = grid[i], grid[i + 1]
-            while hi - lo > root_tol:
-                mid = 0.5 * (lo + hi)
-                if slope(mid) > 0:
-                    lo = mid
-                else:
-                    hi = mid
-            crossings.append(0.5 * (lo + hi))
+    for i in np.flatnonzero((sign[:-1] > 0) & (sign[1:] <= 0)):
+        lo, hi = grid[i], grid[i + 1]
+        while hi - lo > root_tol:
+            mid = 0.5 * (lo + hi)
+            if slope(mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        crossings.append(0.5 * (lo + hi))
 
     if not crossings:
         if np.any(values > 0):

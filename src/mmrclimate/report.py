@@ -38,14 +38,13 @@ def solution_csv(solution, scenario, horizon_years: int = 500,
     out.write("year,t_years,baseline_gtc_yr,abatement_gtc_yr,"
               "net_cumulative_gtc,net_cumulative_no_abatement_gtc,"
               "temperature_degc\n")
-    for t in range(horizon_years + 1):
+    t = np.arange(horizon_years + 1.0)
+    columns = zip(scenario.baseline(t), solution.abatement(t),
+                  solution.net_emissions(t), no_abate(t), solution.temperature(t))
+    for year, (base, abate, net, net_passive, temp) in enumerate(columns):
         out.write(
-            f"{scenario.start_year + t},{t},"
-            f"{scenario.baseline(float(t)):.6f},"
-            f"{solution.abatement(float(t)):.6f},"
-            f"{solution.net_emissions(float(t)):.4f},"
-            f"{no_abate(float(t)):.4f},"
-            f"{solution.temperature(float(t)):.6f}\n"
+            f"{scenario.start_year + year},{year},{base:.6f},{abate:.6f},"
+            f"{net:.4f},{net_passive:.4f},{temp:.6f}\n"
         )
     return out.getvalue()
 

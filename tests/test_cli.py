@@ -54,6 +54,27 @@ class TestSolve:
         assert len(lines) == 2 + 501   # stamp + header + years 0..500
         assert lines[2].startswith("2020,0,")
 
+    def test_rows_match_scalar_evaluation(self):
+        # the writer evaluates whole columns at once; each row must read as
+        # if every path were evaluated at its own year alone (0.03/FIO is
+        # the closest to resonance of the default policies)
+        from mmrclimate import report
+        from mmrclimate.control import no_abatement_solution, solve_optimal
+
+        config = load_config()
+        scenario = config.to_scenario()
+        sol = solve_optimal(0.03, config.model("FIO"), scenario)
+        passive = no_abatement_solution(sol.model, scenario).net_emissions
+        rows = report.solution_csv(sol, scenario, 1000,
+                                   timestamp=False).splitlines()[1:]
+        assert len(rows) == 1001
+        for year, row in enumerate(rows):
+            t = float(year)
+            assert row == (
+                f"{scenario.start_year + year},{year},{scenario.baseline(t):.6f},"
+                f"{sol.abatement(t):.6f},{sol.net_emissions(t):.4f},"
+                f"{passive(t):.4f},{sol.temperature(t):.6f}")
+
     def test_zero_discount_refused(self, outdir, capsys):
         code = run(["solve", "--delta", "0", "--model", "HAD"], outdir)
         assert code == 3
@@ -210,23 +231,27 @@ class TestSinglePair:
 
 
 class TestReportScale:
-    def test_scale_multiplies_costs_and_keeps_selection(self, small_config_path,
-                                                        tmp_path, capsys):
-        base = load_config(small_config_path)
-        assert run(["mmr"], config=small_config_path) == 0
-        out_one = capsys.readouterr().out
-        from dataclasses import replace
+    """A config may set report_scale only to 1, which changes nothing;
+    any other value is an error rather than being ignored."""
 
-        doubled = replace(base, report_scale=2.0)
-        path = tmp_path / "double.ini"
-        save_config(doubled, str(path))
-        assert run(["mmr"], config=str(path)) == 0
-        out_two = capsys.readouterr().out
-        pick = lambda s, key: s.split(key)[1].splitlines()[0].strip()
-        assert pick(out_one, "policy:") == pick(out_two, "policy:")
-        v1 = float(pick(out_one, "maximum regret:"))
-        v2 = float(pick(out_two, "maximum regret:"))
-        assert v2 == pytest.approx(2.0 * v1, abs=2e-6)   # printed at 6 decimals
+    def config_with_scale(self, tmp_path, value):
+        text = open(bundled_data_path("default_config.ini")).read()
+        path = tmp_path / "scaled.ini"
+        path.write_text(text.replace("beta = 0.018\n",
+                                     f"beta = 0.018\nreport_scale = {value}\n"))
+        return str(path)
+
+    def test_scale_other_than_one_is_config_error(self, tmp_path, capsys):
+        assert run(["mmr"], config=self.config_with_scale(tmp_path, "2")) == 2
+        err = capsys.readouterr().err
+        assert "report_scale" in err
+        assert "scale alpha and beta" in err
+
+    def test_scale_of_one_loads_as_before(self, tmp_path, capsys):
+        assert run(["mmr"], config=self.config_with_scale(tmp_path, "1.0")) == 0
+        scaled = capsys.readouterr().out
+        assert run(["mmr"], config=bundled_data_path("default_config.ini")) == 0
+        assert scaled == capsys.readouterr().out
 
 
 class TestConfigHandling:

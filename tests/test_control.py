@@ -2,12 +2,12 @@
 first-order conditions, and the brute-force oracle cross-check."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 from mmrclimate.control import (
-    HIPREC_GAP,
     CharRoots,
     ScenarioConfig,
     char_roots,
@@ -160,9 +160,8 @@ class TestSolveOptimal:
         assert min(neighbors) * 0.5 < sol.j_star < max(neighbors) * 2.0
 
     def test_near_resonant_costing_matches_quadrature(self, scenario):
-        # gap ~ 1e-5: float path coefficients cancel catastrophically, the
-        # cost engine must still agree with adaptive quadrature of the
-        # (high-precision-built) path
+        # gap ~ 1e-5: float path coefficients cancel, yet the cost engine
+        # must still agree with adaptive quadrature of the float-built path
         from scipy.integrate import quad
 
         theta = -scenario.baseline.rates()[0]
@@ -170,7 +169,7 @@ class TestSolveOptimal:
         k = (theta + 1e-5) ** 2 + delta * (theta + 1e-5)
         m = math.sqrt(k * scenario.econ.alpha / scenario.econ.beta)
         sol = solve_optimal(delta, ClimateModel("near", m), scenario)
-        assert abs(sol.roots.lam_minus + theta) < HIPREC_GAP
+        assert abs(sol.roots.lam_minus + theta) < 2e-5
         j = solution_cost(sol, 0.06, scenario, ccr_eval=0.00244)
         a, e = sol.abatement, sol.net_emissions
         alpha, beta = scenario.econ.alpha, scenario.econ.beta
@@ -182,6 +181,51 @@ class TestSolveOptimal:
         expected = sum(quad(integrand, lo, hi, limit=600)[0]
                        for lo, hi in [(0.0, 60.0), (60.0, 500.0), (500.0, 3000.0)])
         assert j == pytest.approx(expected, rel=1e-6)
+
+    @pytest.mark.parametrize("gap", [3e-3, 1e-3, 1e-4, 1e-5])
+    def test_near_resonant_path_matches_high_precision(self, scenario, gap):
+        # the float path against the same closed form in 50-digit decimals
+        theta = -scenario.baseline.rates()[0]
+        delta = 0.04
+        k = (theta + gap) ** 2 + delta * (theta + gap)
+        m = math.sqrt(k * scenario.econ.alpha / scenario.econ.beta)
+        sol = solve_optimal(delta, ClimateModel("near", m), scenario)
+        assert abs(sol.roots.lam_minus + theta) == pytest.approx(gap, rel=1e-6)
+        times = np.arange(0.0, 1001.0, 5.0)
+        exact = decimal_emissions(scenario, delta, sol.roots.stiffness, times)
+        error = np.abs(sol.net_emissions(times) - exact).max()
+        assert error <= 1e-9 * np.abs(exact).max()
+
+
+def decimal_emissions(scenario, delta, k, times):
+    """Optimal E(t) in 50-digit decimals from the same float inputs: the
+    particular response of each baseline rate group, by the downward
+    recurrence of ``_particular_response``, plus the stable mode pinned
+    by E(0) = e0."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        d, kk = Decimal(delta), Decimal(k)
+        groups = {}
+        for c, n, mu in scenario.baseline.terms:
+            groups.setdefault(Decimal(mu), {})[n] = Decimal(c)
+        terms = []
+        for mu, coeffs in groups.items():
+            det = mu * mu - d * mu - kk
+            w_a = w_e = Decimal(0)
+            for j in range(max(coeffs), -1, -1):
+                rhs_a = (j + 1) * w_a
+                rhs_e = (j + 1) * w_e - coeffs.get(j, Decimal(0))
+                w_a, w_e = (-mu * rhs_a + kk * rhs_e) / det, \
+                    (rhs_a + (d - mu) * rhs_e) / det
+                terms.append((w_e, j, mu))
+        lam_minus = (d - (d * d + 4 * kk).sqrt()) / 2
+        stable = Decimal(scenario.e0) - sum(c for c, n, _ in terms if n == 0)
+        terms.append((stable, 0, lam_minus))
+        values = []
+        for t in map(Decimal, times):
+            values.append(float(sum(c * (t ** n if n else 1) * (mu * t).exp()
+                                    for c, n, mu in terms)))
+        return np.array(values)
 
 
 class TestNoAbatement:
@@ -228,6 +272,19 @@ class TestNumericOracle:
     def test_zero_response_returns_zero_path(self, scenario):
         oracle = numeric_oracle(0.05, ClimateModel("null", 0.0), scenario)
         assert np.abs(oracle.abatement).max() < 1e-6
+
+    def test_default_horizon_covers_slow_modes(self):
+        # the slowest mode decays at -0.003, so the discounted integrand
+        # of E^2 falls off only like e^{-0.011 t}: 1500 years cut it short
+        baseline = ExpPoly(((1.0, 0, -0.003), (-1.0, 1, -0.003),
+                            (0.0078, 2, -0.003)))
+        scen = ScenarioConfig(baseline=baseline, e0=500.0,
+                              econ=EconParams(alpha=1.25e-4, beta=0.018))
+        model = ClimateModel("slow", 0.0005)
+        sol = solve_optimal(0.005, model, scen)
+        oracle = numeric_oracle(0.005, model, scen)
+        assert oracle.times[-1] > 3000.0
+        assert oracle.j_estimate == pytest.approx(sol.j_star, rel=1e-5)
 
     def test_grid_preconditions(self, scenario):
         with pytest.raises(ValidationError):

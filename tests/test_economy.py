@@ -1,4 +1,4 @@
-"""Cost, damage, Ramsey discounting, and the discounted total cost."""
+"""Cost, damage, and the discounted total cost."""
 
 import math
 
@@ -9,53 +9,49 @@ from scipy.integrate import quad
 from mmrclimate.economy import (
     ClimateModel,
     EconParams,
-    RamseyInputs,
-    abatement_cost,
-    damage,
     discounted_total_cost,
     net_cumulative_emissions,
-    ramsey_rate,
 )
-from mmrclimate.errors import DivergentIntegral, InvalidDiscount, ValidationError
+from mmrclimate.errors import DivergentIntegral, InvalidDiscount
 from mmrclimate.exppoly import ExpPoly
 
 
-class TestRamsey:
-    def test_zero(self):
-        assert ramsey_rate(RamseyInputs(rho=0.0, eta=2.0, g=0.0)) == 0.0
-
-    def test_standard_combination(self):
-        assert ramsey_rate(RamseyInputs(rho=0.01, eta=2.0, g=0.02)) == \
-            pytest.approx(0.05)
-
-    def test_pure_time_preference(self):
-        # eta = 0 leaves only the pure-time-preference component
-        assert ramsey_rate(RamseyInputs(rho=0.03, eta=0.0, g=0.123)) == 0.03
-
-    def test_negative_rho_rejected(self):
-        with pytest.raises(ValidationError):
-            RamseyInputs(rho=-0.01, eta=1.0, g=0.02)
-
-
 class TestQuadraticForms:
+    """alpha/2 A^2 and beta/2 T^2, read off discounted_total_cost on
+    constant paths at delta = 1, where the discounted integral of a
+    constant is the constant itself."""
+
+    def cost(self, alpha, abatement):
+        # no climate response, so only the abatement term is left
+        return discounted_total_cost(ExpPoly.constant(abatement),
+                                     EconParams(alpha, 0.018),
+                                     ClimateModel("none", 0.0), 1.0,
+                                     ExpPoly.zero(), 0.0)
+
+    def damage(self, beta, temp_increase, ccr=0.002):
+        # with no abatement and no baseline the stock, and so T, stays put
+        return discounted_total_cost(ExpPoly.zero(), EconParams(0.000125, beta),
+                                     ClimateModel("X", ccr), 1.0,
+                                     ExpPoly.zero(), temp_increase / ccr)
+
     def test_cost_at_zero(self):
-        assert abatement_cost(0.000125, 0.0) == 0.0
+        assert self.cost(0.000125, 0.0) == 0.0
 
     def test_cost_arithmetic(self):
-        assert abatement_cost(0.000125, 20.0) == pytest.approx(0.025)
+        assert self.cost(0.000125, 20.0) == pytest.approx(0.025)
 
     def test_cost_homogeneity(self):
-        assert abatement_cost(0.000125, 40.0) == \
-            pytest.approx(4.0 * abatement_cost(0.000125, 20.0))
+        assert self.cost(0.000125, 40.0) == \
+            pytest.approx(4.0 * self.cost(0.000125, 20.0))
 
     def test_damage_at_zero(self):
-        assert damage(0.018, 0.0) == 0.0
+        assert self.damage(0.018, 0.0) == 0.0
 
     def test_damage_arithmetic(self):
-        assert damage(0.018, 2.0) == pytest.approx(0.036)
+        assert self.damage(0.018, 2.0) == pytest.approx(0.036)
 
     def test_damage_high_warming(self):
-        assert damage(0.014, 14.7) == pytest.approx(0.5 * 0.014 * 14.7**2)
+        assert self.damage(0.014, 14.7) == pytest.approx(0.5 * 0.014 * 14.7**2)
 
 
 def simple_path(coeff=5.0, rate=-0.03):
@@ -113,12 +109,6 @@ class TestDiscountedTotalCost:
             for lo, hi in [(0.0, 100.0), (100.0, 3000.0)]
         )
         assert self.j(a, delta=delta) == pytest.approx(expected, rel=1e-6)
-
-    def test_report_scale(self):
-        a = simple_path()
-        assert discounted_total_cost(a, EconParams(0.000125, 0.018), self.model,
-                                     0.05, self.baseline, 400.0, scale=2.0) == \
-            pytest.approx(2.0 * self.j(a), rel=1e-14)
 
 
 class TestNetCumulativeEmissions:

@@ -149,9 +149,6 @@ def test_exact_resonance(baseline, econ, e0, delta, pick):
     j_exact, model = j_star(mu)
     j_lo, j_hi = sorted(j_star(mu + gap)[0] for gap in (-1e-7, 1e-7))
     assert j_lo <= j_exact <= j_hi
-    # the integrand decays no faster than e^{-(delta + 2|mu|) t} times a
-    # polynomial of degree 4, so the oracle's horizon must cover the
-    # slowest draw, not just the default 1500 years
-    horizon = max(1500.0, 40.0 / (delta - 2.0 * max(rates)))
-    oracle = numeric_oracle(delta, model, scenario, horizon=horizon).j_estimate
+    # the oracle's default horizon covers the slowest decaying mode
+    oracle = numeric_oracle(delta, model, scenario).j_estimate
     assert oracle == pytest.approx(j_exact, rel=5e-3)

@@ -202,8 +202,8 @@ class TestCanonicalForm:
     def test_rates_compared_exactly(self):
         f = ep((1.0, 0, -0.1), (1.0, 0, -0.1 + 1e-13))
         assert len(f.terms) == 2
-        assert f.has_rate(-0.1)
-        assert not f.has_rate(-0.2)
+        assert -0.1 in f.rates()
+        assert -0.2 not in f.rates()
 
 
 class TestLimit:

@@ -1,6 +1,6 @@
 """Regret matrix structure, minimax selection, peak temperature, sweeps."""
 
-import importlib
+import types
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from mmrclimate.regret import (
     build_policy_set,
     build_states,
     mmr_select,
-    regret,
     regret_matrix,
     sweep,
     tmax,
@@ -58,9 +57,7 @@ class TestPolicySet:
 
     def test_solver_error_keeps_type_and_attributes(self, small_scenario,
                                                     monkeypatch):
-        # the package re-exports a function named ``regret``, which
-        # shadows the submodule as an attribute of ``mmrclimate``
-        regret_module = importlib.import_module("mmrclimate.regret")
+        import mmrclimate.regret as regret_module
 
         def failing_solver(delta, model, scenario):
             raise NoPeak("no interior maximum", asymptote_degc=1.5)
@@ -115,15 +112,16 @@ class TestMatrixInvariants:
     def test_standalone_regret_matches_matrix(self, default_matrix, scenario):
         state = default_matrix.states[10]
         policy = default_matrix.policies[3]
-        assert regret(policy, state, scenario) == pytest.approx(
+        single = regret_matrix([policy], [state], scenario)
+        assert single.values[0, 0] == pytest.approx(
             default_matrix.values[10, 3], abs=1e-12)
 
     def test_own_state_regret_is_zero(self, small_scenario):
         sol = solve_optimal(0.03, TWO_MODELS[1], small_scenario)
         policy = Policy.from_solution(sol)
         state_like = build_states([0.03], [TWO_MODELS[1]])[0]
-        assert regret(policy, state_like, small_scenario) == \
-            pytest.approx(0.0, abs=1e-9)
+        single = regret_matrix([policy], [state_like], small_scenario)
+        assert single.values[0, 0] == pytest.approx(0.0, abs=1e-9)
 
 
 class TestScalingInvariance:
@@ -222,3 +220,10 @@ class TestSweep:
     def test_empty_grid_rejected(self, small_scenario):
         with pytest.raises(ValidationError):
             sweep([], [0.018], (0.01,), TWO_MODELS, small_scenario)
+
+
+def test_submodule_is_not_shadowed():
+    import mmrclimate.regret as regret_module
+
+    assert isinstance(regret_module, types.ModuleType)
+    assert regret_module.regret_matrix is regret_matrix
