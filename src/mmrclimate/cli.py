@@ -220,7 +220,7 @@ def cmd_sweep(args, config: RunConfig) -> int:
     outdir = _outdir(args, config)
     scenario = config.to_scenario()
     rep = sweep(config.alpha_grid, config.beta_grid, config.deltas,
-                config.ensemble, scenario)
+                config.ensemble, scenario, root_tol=config.tolerances.root_tol)
     stamp = not args.no_timestamp
     _write(os.path.join(outdir, "sweep_summary.csv"),
            report.sweep_csv(rep, timestamp=stamp))

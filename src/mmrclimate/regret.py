@@ -1,11 +1,13 @@
 """Regret accounting over the {discount rate, climate model} ensemble.
 
 A *state of the world* is one {delta, model} pair; the candidate *policy
-set* holds the optimal path for every pair plus the passive no-abatement
-benchmark.  The regret of a policy in a state is the cost of following
-that policy when the state turns out to be true, minus the cost of the
-state's own optimal policy.  The minimax-regret choice is the policy
-whose worst-case regret across all states is smallest.
+set* holds the optimal policy for every pair plus the passive
+no-abatement benchmark.  A policy is known by its provenance, the pair
+it is optimal for: costs need nothing else, and a path is solved only
+where a peak is searched.  The regret of a policy in a state is the cost
+of following that policy when the state turns out to be true, minus the
+cost of the state's own optimal policy.  The minimax-regret choice is
+the policy whose worst-case regret across all states is smallest.
 
 Matrix orientation follows the published layout: rows are actual states,
 columns are policies, both enumerated model-major with the discount rate
@@ -15,7 +17,7 @@ cycling fastest and no abatement as the last column.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,11 +28,12 @@ from .control import (
     closed_loop_costs,
     solve_optimal,
 )
-from .economy import ClimateModel, net_cumulative_emissions
+from .economy import ClimateModel
 from .errors import MmrClimateError, NoPeak, ValidationError
 from .exppoly import ExpPoly
 
 NONNEG_TOL = 1e-9
+_PEAK_HORIZON = 3000.0   # years scanned for the emissions peak
 
 
 @dataclass(frozen=True)
@@ -44,15 +47,16 @@ class StateOfWorld:
 
 @dataclass(frozen=True)
 class Policy:
-    """An abatement path with provenance: the {delta, model} pair it was
-    optimized for, or the no-abatement benchmark (both None).  Costs are
-    computed from the provenance, as the optimal feedback for that pair
-    under the scenario's weights; the path serves peak-temperature
-    search."""
+    """A policy by provenance: the {delta, model} pair it is optimal for,
+    or the no-abatement benchmark (both None).  Costs are computed from
+    the provenance, as the optimal feedback for that pair under the
+    scenario's weights.  ``path`` optionally carries the abatement path
+    already solved for a scenario; without it, :func:`tmax` solves the
+    pair under the scenario it is given."""
 
-    path: ExpPoly
     delta: float | None
     model: ClimateModel | None
+    path: ExpPoly | None = field(default=None, compare=False)
 
     @property
     def is_no_abatement(self) -> bool:
@@ -65,11 +69,11 @@ class Policy:
 
     @staticmethod
     def from_solution(sol: OptimalSolution) -> "Policy":
-        return Policy(path=sol.abatement, delta=sol.delta, model=sol.model)
+        return Policy(delta=sol.delta, model=sol.model, path=sol.abatement)
 
     @staticmethod
     def no_abatement() -> "Policy":
-        return Policy(path=ExpPoly.zero(), delta=None, model=None)
+        return Policy(delta=None, model=None, path=ExpPoly.zero())
 
 
 def _check_ensemble(deltas, ensemble):
@@ -92,20 +96,15 @@ def build_states(deltas, ensemble) -> list:
 
 def build_policy_set(deltas, ensemble, scenario: ScenarioConfig) -> list:
     """One optimal policy per {delta, model} pair plus no abatement, in
-    the same deterministic order as :func:`build_states`."""
+    the same deterministic order as :func:`build_states`.
+
+    The policies carry provenance only and nothing is solved, so the set
+    does not depend on ``scenario``; the same set serves every (alpha,
+    beta) cell.
+    """
     _check_ensemble(deltas, ensemble)
-    policies = []
-    for m in ensemble:
-        for d in deltas:
-            try:
-                policies.append(Policy.from_solution(solve_optimal(d, m, scenario)))
-            except MmrClimateError as exc:
-                # keep the type, its attributes and its exit code
-                exc.args = (f"solver failed for policy pair "
-                            f"(delta={d}, model={m.name}): {exc}",) + exc.args[1:]
-                raise
-    policies.append(Policy.no_abatement())
-    return policies
+    return ([Policy(delta=d, model=m) for m in ensemble for d in deltas]
+            + [Policy.no_abatement()])
 
 
 @dataclass(frozen=True)
@@ -199,24 +198,27 @@ def mmr_select(matrix: RegretMatrix):
     return matrix.policies[idx], float(value)
 
 
-def tmax(policy: Policy, model: ClimateModel, scenario: ScenarioConfig,
-         horizon: float = 3000.0, root_tol: float = 1e-6,
-         relative_to_start: bool = False):
-    """Peak temperature under a policy if ``model`` is the true model.
+def _abatement(policy: Policy, scenario: ScenarioConfig) -> ExpPoly:
+    """The policy's abatement path, solved under ``scenario`` unless the
+    policy already carries it."""
+    if policy.path is not None:
+        return policy.path
+    try:
+        return solve_optimal(policy.delta, policy.model, scenario).abatement
+    except MmrClimateError as exc:
+        # keep the type, its attributes and its exit code
+        exc.args = (f"solver failed for policy pair (delta={policy.delta}, "
+                    f"model={policy.model.name}): {exc}",) + exc.args[1:]
+        raise
 
-    Returns (years to peak, peak degC).  The emissions peak is the root
-    of B - A with a + to - sign change (yearly scan plus bisection to
-    ``root_tol``); with several such roots the one with the highest
-    emissions wins.  Temperature is ccr * E including the initial stock,
-    matching the published convention; pass ``relative_to_start`` to
-    measure the increase over the starting temperature instead.
-    Nondecreasing emissions (the no-abatement case) raise NoPeak carrying
-    the asymptotic temperature when it is finite; a path that only drains
-    the stock reports its peak at time zero.
-    """
-    emissions = net_cumulative_emissions(policy.path, scenario.baseline,
-                                         scenario.e0)
-    slope = scenario.baseline - policy.path   # dE/dt
+
+def _peak(policy: Policy, model: ClimateModel, scenario: ScenarioConfig,
+          horizon: float, root_tol: float):
+    """Time of the emissions peak under ``policy``, and the net cumulative
+    emissions path E.  The peak time does not depend on the climate
+    model; ``model`` only scales the asymptote carried by NoPeak."""
+    slope = scenario.baseline - _abatement(policy, scenario)   # dE/dt
+    emissions = ExpPoly.constant(scenario.e0) + slope.cumulative()
     grid = np.arange(0.0, horizon + 1.0)
     values = slope(grid)
 
@@ -243,9 +245,28 @@ def tmax(policy: Policy, model: ClimateModel, scenario: ScenarioConfig,
                 f"{policy.label()}; the supremum is at the horizon",
                 asymptote_degc=asymptote,
             )
-        t_peak = 0.0   # stock only drains; the maximum sits at the start
-    else:
-        t_peak = max(crossings, key=emissions)
+        return 0.0, emissions   # stock only drains; the maximum sits at the start
+    return max(crossings, key=emissions), emissions
+
+
+def tmax(policy: Policy, model: ClimateModel, scenario: ScenarioConfig,
+         horizon: float = _PEAK_HORIZON, root_tol: float = 1e-6,
+         relative_to_start: bool = False):
+    """Peak temperature under a policy if ``model`` is the true model.
+
+    Returns (years to peak, peak degC).  The emissions peak is the root
+    of B - A with a + to - sign change (yearly scan plus bisection to
+    ``root_tol``); with several such roots the one with the highest
+    emissions wins.  Temperature is ccr * E including the initial stock,
+    matching the published convention; pass ``relative_to_start`` to
+    measure the increase over the starting temperature instead.
+    Nondecreasing emissions (the no-abatement case) raise NoPeak carrying
+    the asymptotic temperature when it is finite; a path that only drains
+    the stock reports its peak at time zero.  A policy without a path is
+    solved under ``scenario`` first; a solver failure keeps its type and
+    attributes and names the pair.
+    """
+    t_peak, emissions = _peak(policy, model, scenario, horizon, root_tol)
     offset = model.ccr * scenario.e0 if relative_to_start else 0.0
     return float(t_peak), float(model.ccr * emissions(t_peak) - offset)
 
@@ -276,14 +297,18 @@ class SweepReport:
         raise KeyError((alpha, beta))
 
 
-def sweep(alphas, betas, deltas, ensemble, scenario: ScenarioConfig) -> SweepReport:
+def sweep(alphas, betas, deltas, ensemble, scenario: ScenarioConfig,
+          root_tol: float = 1e-6) -> SweepReport:
     """MMR selection and peak warming across an (alpha, beta) grid.
 
-    For each cell the full regret matrix is rebuilt with the scenario's
-    cost and damage weights replaced, the MMR policy selected, and its
-    peak temperature evaluated under every ensemble member (the headline
-    number uses the highest-response model, the worst case a planner can
-    prepare for).
+    For each cell the regret matrix is rebuilt with the scenario's cost
+    and damage weights replaced, and the MMR policy selected.  Its path
+    is solved and its emissions peak searched once per cell (bisection
+    to ``root_tol``, as in :func:`tmax`); the peak time does not depend
+    on the climate model, so each ensemble member's Tmax is its ccr
+    times the peak emissions, the same number :func:`tmax` returns.  The
+    headline number uses the highest-response model, the worst case a
+    planner can prepare for.
     """
     from dataclasses import replace
     from .economy import EconParams
@@ -291,22 +316,23 @@ def sweep(alphas, betas, deltas, ensemble, scenario: ScenarioConfig) -> SweepRep
     if not alphas or not betas:
         raise ValidationError("alpha and beta grids must be nonempty")
     worst_model = max(ensemble, key=lambda m: m.ccr)
+    states = build_states(deltas, ensemble)
+    policies = build_policy_set(deltas, ensemble, scenario)
     cells = []
     for alpha in alphas:
         for beta in betas:
             cell_scenario = replace(scenario, econ=EconParams(alpha=alpha, beta=beta))
-            states = build_states(deltas, ensemble)
-            policies = build_policy_set(deltas, ensemble, cell_scenario)
             matrix = regret_matrix(policies, states, cell_scenario)
             policy, value = mmr_select(matrix)
-            years, peak = tmax(policy, worst_model, cell_scenario)
-            by_model = tuple(
-                (m.name, tmax(policy, m, cell_scenario)[1]) for m in ensemble
-            )
+            t_peak, emissions = _peak(policy, worst_model, cell_scenario,
+                                      _PEAK_HORIZON, root_tol)
+            peak_stock = emissions(t_peak)
+            by_model = tuple((m.name, float(m.ccr * peak_stock)) for m in ensemble)
             cells.append(SweepCell(
                 alpha=alpha, beta=beta,
                 policy_delta=policy.delta, policy_model=policy.model.name,
-                mmr_value=value, years_to_peak=years, tmax_degc=peak,
+                mmr_value=value, years_to_peak=float(t_peak),
+                tmax_degc=float(worst_model.ccr * peak_stock),
                 tmax_model=worst_model.name, tmax_by_model=by_model,
             ))
     return SweepReport(alphas=tuple(alphas), betas=tuple(betas),

@@ -213,6 +213,24 @@ class TestSweep:
         assert os.path.exists(os.path.join(outdir, "sweep_mmr.txt"))
         assert os.path.exists(os.path.join(outdir, "sweep_tmax.txt"))
 
+    def test_uses_configured_root_tol(self, tmp_path, small_config_path, capsys):
+        import csv
+        from dataclasses import replace
+        from mmrclimate.config import ToleranceConfig
+
+        cfg = replace(load_config(small_config_path),
+                      tolerances=ToleranceConfig(root_tol=0.25))
+        path = tmp_path / "coarse.ini"
+        save_config(cfg, str(path))
+        out = str(tmp_path / "o")
+        assert run(["--no-timestamp", "sweep"], out, str(path)) == 0
+        assert run(["--no-timestamp", "tmax"], out, str(path)) == 0
+        with open(os.path.join(out, "sweep_summary.csv")) as fh:
+            (cell,) = csv.DictReader(fh)
+        with open(os.path.join(out, "tmax.csv")) as fh:
+            years = {row["model"]: row["years_to_peak"] for row in csv.DictReader(fh)}
+        assert cell["years_to_peak"] == years[cell["tmax_model"]]
+
 
 class TestSinglePair:
     def test_one_state_matrix_has_two_policies(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Regret matrix structure, minimax selection, peak temperature, sweeps."""
 
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -63,12 +64,27 @@ class TestPolicySet:
             raise NoPeak("no interior maximum", asymptote_degc=1.5)
 
         monkeypatch.setattr(regret_module, "solve_optimal", failing_solver)
+        policy = Policy(delta=0.05, model=TWO_MODELS[0])
         with pytest.raises(NoPeak) as err:
-            build_policy_set([0.05], [TWO_MODELS[0]], small_scenario)
+            tmax(policy, TWO_MODELS[1], small_scenario)
         assert err.value.asymptote_degc == 1.5
         assert err.value.exit_code == NoPeak.exit_code
         assert "delta=0.05, model=LOW" in str(err.value)
         assert "no interior maximum" in str(err.value)
+
+    def test_costs_need_no_solved_path(self, config, scenario, default_matrix,
+                                       monkeypatch):
+        import mmrclimate.regret as regret_module
+
+        def failing_solver(delta, model, scenario):
+            raise NoPeak("no interior maximum")
+
+        monkeypatch.setattr(regret_module, "solve_optimal", failing_solver)
+        states = build_states(config.deltas, config.ensemble)
+        policies = build_policy_set(config.deltas, config.ensemble, scenario)
+        matrix = regret_matrix(policies, states, scenario)
+        np.testing.assert_array_equal(matrix.values, default_matrix.values)
+        np.testing.assert_array_equal(matrix.j_opt, default_matrix.j_opt)
 
     def test_table_ordering(self, config, default_matrix):
         # model-major, delta cycling fastest, no abatement last
@@ -152,8 +168,6 @@ class TestMmrSelect:
 
     def test_tie_break_prefers_low_delta_then_low_response(self, small_matrix):
         # force a tie by duplicating the matrix values
-        from dataclasses import replace
-
         values = small_matrix.values.copy()
         mx = small_matrix.max_regret
         j = int(np.argmin(mx))
@@ -216,6 +230,36 @@ class TestSweep:
         assert cell.policy_delta == expected_policy.delta
         assert cell.tmax_model == "HIGH"
         assert len(cell.tmax_by_model) == 2
+
+    @staticmethod
+    def _cell_inputs(config, scenario, cell):
+        cell_scenario = replace(scenario, econ=EconParams(alpha=cell.alpha,
+                                                          beta=cell.beta))
+        policy = Policy(delta=cell.policy_delta,
+                        model=config.model(cell.policy_model))
+        return policy, cell_scenario
+
+    def test_one_peak_search_serves_every_model(self, config, scenario):
+        report = sweep(config.alpha_grid[:2], config.beta_grid[:2],
+                       config.deltas, config.ensemble, scenario)
+        assert len(report.cells) == 4
+        for cell in report.cells:
+            policy, cell_scenario = self._cell_inputs(config, scenario, cell)
+            for name, peak in cell.tmax_by_model:
+                assert peak == tmax(policy, config.model(name), cell_scenario)[1]
+            years, peak = tmax(policy, config.model(cell.tmax_model), cell_scenario)
+            assert cell.years_to_peak == years
+            assert cell.tmax_degc == peak
+
+    def test_root_tol_reaches_the_peak_search(self, config, scenario):
+        report = sweep(config.alpha_grid[:2], config.beta_grid[:2],
+                       config.deltas, config.ensemble, scenario, root_tol=0.25)
+        worst = config.model(report.cells[0].tmax_model)
+        for cell in report.cells:
+            policy, cell_scenario = self._cell_inputs(config, scenario, cell)
+            coarse = tmax(policy, worst, cell_scenario, root_tol=0.25)[0]
+            assert cell.years_to_peak == coarse
+            assert coarse != tmax(policy, worst, cell_scenario)[0]
 
     def test_empty_grid_rejected(self, small_scenario):
         with pytest.raises(ValidationError):
