@@ -6,7 +6,7 @@ against every {discount rate, climate sensitivity} state of the world,
 and selects the policy with the smallest worst-case regret.
 """
 
-from .exppoly import ExpPoly, Term
+from .exppoly import ExpPoly
 from .errors import (
     MmrClimateError,
     ParseError,
@@ -20,7 +20,6 @@ from .errors import (
 from .baseline import (
     EmissionsSeries,
     BaselineParams,
-    FormVariant,
     load_emissions,
     fit_baseline,
     baseline_exppoly,
@@ -38,7 +37,6 @@ from .control import (
     OptimalSolution,
     char_roots,
     solve_optimal,
-    solution_cost,
     no_abatement_solution,
     numeric_oracle,
 )

@@ -5,14 +5,13 @@ shape: rapid growth through the 21st century, a plateau in the first
 half of the 22nd, then a decline toward a small residual.  A three
 parameter curve
 
-    B(t) = (theta*t + B0*exp(-theta*phi)) * theta * exp(-r*(t - phi))
+    B(t) = (theta*t + B0*exp(-theta*phi)) * theta * exp(-theta*(t - phi))
 
 is fitted to a digitized emissions series by damped Gauss-Newton
 (Levenberg-Marquardt, implemented here; no optimizer dependency).  The
-decay rate r is ``theta`` for the default ``theta-scaled`` variant and
-``1`` per year for the ``as-printed`` variant, which is retained for
-transparency but cannot plateau in the 22nd century and fails on real
-scenario data.
+form as printed decays as exp(-(t - phi)), one e-fold per year, which
+cannot plateau in the 22nd century; scaling the decay by theta is what
+lets the curve follow the extended RCP 8.5 data.
 
 The fitted curve expands into a two-term :class:`~mmrclimate.exppoly.ExpPoly`,
 which is the representation every downstream module consumes.
@@ -21,7 +20,6 @@ which is the representation every downstream module consumes.
 from __future__ import annotations
 
 import csv
-import enum
 import math
 from dataclasses import dataclass
 
@@ -32,11 +30,9 @@ from .exppoly import ExpPoly
 
 MIN_POINTS = 10
 MIN_SPAN_YEARS = 200.0
-
-
-class FormVariant(enum.Enum):
-    THETA_SCALED = "theta-scaled"
-    AS_PRINTED = "as-printed"
+BASELINE_VARIANT = "theta-scaled"   # the only form; named in configs and reports
+_INITIAL_GUESS = (0.01, 200.0, 1000.0)   # (theta, phi, b0)
+_MAX_ITER = 500
 
 
 @dataclass(frozen=True)
@@ -70,24 +66,19 @@ class BaselineParams:
     """Fitted curve parameters.
 
     theta: 1/years, shape rate.  phi: years, peak-location parameter.
-    b0: level parameter (B(0) = b0*theta on the default variant).
+    b0: level parameter (B(0) = b0*theta).
     """
 
     theta: float
     phi: float
     b0: float
     r_squared: float | None = None
-    variant: FormVariant = FormVariant.THETA_SCALED
 
     def __post_init__(self):
         if not (self.theta > 0 and self.phi > 0 and self.b0 > 0):
             raise ValidationError("theta, phi, b0 must all be positive")
         if self.r_squared is not None and not (0.0 <= self.r_squared <= 1.0):
             raise ValidationError(f"r_squared {self.r_squared} outside [0, 1]")
-
-    @property
-    def decay_rate(self) -> float:
-        return self.theta if self.variant is FormVariant.THETA_SCALED else 1.0
 
 
 def load_emissions(path, start_year: int = 2020) -> EmissionsSeries:
@@ -120,34 +111,25 @@ def load_emissions(path, start_year: int = 2020) -> EmissionsSeries:
     return EmissionsSeries(offsets, np.asarray(values))
 
 
-def eval_baseline(t, theta: float, phi: float, b0: float,
-                  variant: FormVariant = FormVariant.THETA_SCALED):
+def eval_baseline(t, theta: float, phi: float, b0: float):
     """Direct evaluation of the fitted functional form (scalar or array t)."""
-    r = theta if variant is FormVariant.THETA_SCALED else 1.0
     t = np.asarray(t, dtype=float)
-    out = (theta * t + b0 * np.exp(-theta * phi)) * theta * np.exp(-r * (t - phi))
+    out = (theta * t + b0 * np.exp(-theta * phi)) * theta * np.exp(-theta * (t - phi))
     if out.ndim == 0:
         return float(out)
     return out
 
 
 def baseline_exppoly(params: BaselineParams) -> ExpPoly:
-    """Expand the fitted curve into its exact two-term representation.
+    """Expand the fitted curve into its exact two-term representation:
 
-    theta-scaled: theta^2 e^{theta phi} * t e^{-theta t}  +  b0 theta * e^{-theta t}
-    as-printed:   theta^2 e^{phi} * t e^{-t}  +  b0 theta e^{phi - theta phi} * e^{-t}
+    theta^2 e^{theta phi} * t e^{-theta t}  +  b0 theta * e^{-theta t}
     """
     theta, phi, b0 = params.theta, params.phi, params.b0
-    if params.variant is FormVariant.THETA_SCALED:
-        scale = theta * math.exp(theta * phi)
-        return ExpPoly((
-            (theta * scale, 1, -theta),
-            (b0 * math.exp(-theta * phi) * scale, 0, -theta),
-        ))
-    scale = theta * math.exp(phi)
+    scale = theta * math.exp(theta * phi)
     return ExpPoly((
-        (theta * scale, 1, -1.0),
-        (b0 * math.exp(-theta * phi) * scale, 0, -1.0),
+        (theta * scale, 1, -theta),
+        (b0 * math.exp(-theta * phi) * scale, 0, -theta),
     ))
 
 
@@ -160,29 +142,22 @@ def cumulative_baseline(params: BaselineParams) -> float:
     return baseline_exppoly(params).discounted_integral(0.0)
 
 
-def fit_baseline(series: EmissionsSeries,
-                 variant: FormVariant = FormVariant.THETA_SCALED,
-                 initial_guess: BaselineParams | None = None,
-                 max_iter: int = 500) -> BaselineParams:
+def fit_baseline(series: EmissionsSeries) -> BaselineParams:
     """Levenberg-Marquardt least squares on (theta, phi, b0).
 
-    Damping starts at 1e-3, multiplied by 10 on a rejected step and
-    divided by 10 on an accepted one; convergence when the relative SSR
-    change of an accepted step drops below 1e-10.  Deterministic given
-    the guess.  Steps that leave the positive octant are rejected.
+    Starts from theta = 0.01, phi = 200, b0 = 1000.  Damping starts at
+    1e-3, multiplied by 10 on a rejected step and divided by 10 on an
+    accepted one; convergence when the relative SSR change of an
+    accepted step drops below 1e-10, within 500 iterations.
+    Deterministic.  Steps that leave the positive octant are rejected.
     """
-    if initial_guess is None:
-        initial_guess = BaselineParams(theta=0.01, phi=200.0, b0=1000.0,
-                                       variant=variant)
     t = series.year_offsets
     y = series.emissions
-    p = np.array([initial_guess.theta, initial_guess.phi, initial_guess.b0])
-    if not np.all(np.isfinite(p)):
-        raise ValidationError("initial guess must be finite")
+    p = np.array(_INITIAL_GUESS)
 
     def residuals(params):
         with np.errstate(over="ignore", invalid="ignore"):
-            return eval_baseline(t, *params, variant=variant) - y
+            return eval_baseline(t, *params) - y
 
     def jacobian(params):
         jac = np.empty((len(t), 3))
@@ -198,13 +173,13 @@ def fit_baseline(series: EmissionsSeries,
     r = residuals(p)
     ssr = float(r @ r)
     lam = 1e-3
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if ssr <= 1e-22 * y_scale:
             break   # perfect fit to float precision
         with np.errstate(over="ignore", invalid="ignore"):
             jac = jacobian(p)
         if not np.all(np.isfinite(jac)):
-            raise NonConvergence("residuals overflow; bad guess or wrong variant")
+            raise NonConvergence("residuals overflow")
         jtj = jac.T @ jac
         g = jac.T @ r
         damp = np.diag(np.maximum(np.diag(jtj), 1e-12))
@@ -230,7 +205,7 @@ def fit_baseline(series: EmissionsSeries,
         if improvement < 1e-10:
             break
     else:
-        raise NonConvergence(f"no convergence in {max_iter} iterations")
+        raise NonConvergence(f"no convergence in {_MAX_ITER} iterations")
 
     sst = float(np.sum((y - y.mean()) ** 2))
     if sst <= 0.0:
@@ -238,7 +213,6 @@ def fit_baseline(series: EmissionsSeries,
     r2 = 1.0 - ssr / sst
     if r2 < 0.0:
         raise NonConvergence(
-            f"fit explains nothing (r_squared = {r2:.3f}); wrong variant?"
-        )
+            f"fit explains nothing (r_squared = {r2:.3f})")
     return BaselineParams(theta=float(p[0]), phi=float(p[1]), b0=float(p[2]),
-                          r_squared=r2, variant=variant)
+                          r_squared=r2)

@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import report
-from .baseline import FormVariant, fit_baseline, load_emissions
+from .baseline import fit_baseline, load_emissions
 from .config import RunConfig, bundled_data_path, load_config, save_config
 from .economy import EconParams
 from .errors import MmrClimateError, NoPeak, ParseError, ValidationError
@@ -47,8 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "emissions series and write the updated config")
     p.add_argument("--data", help="CSV with header year,emissions_gtc "
                    "(default: the configured series)")
-    p.add_argument("--variant", choices=[v.value for v in FormVariant],
-                   default=FormVariant.THETA_SCALED.value)
     p.add_argument("--write-config", help="where to write the updated config "
                    "(default: OUTPUT_DIR/fitted_config.ini)")
 
@@ -116,7 +114,7 @@ def _resolve_data(config: RunConfig, override) -> str:
 def cmd_fit_baseline(args, config: RunConfig) -> int:
     outdir = _outdir(args, config)
     series = load_emissions(_resolve_data(config, args.data), config.start_year)
-    params = fit_baseline(series, FormVariant(args.variant))
+    params = fit_baseline(series)
     stamp = not args.no_timestamp
     _write(os.path.join(outdir, "fit_report.txt"),
            report.fit_report(params, series, timestamp=stamp))
@@ -186,14 +184,16 @@ def cmd_tmax(args, config: RunConfig) -> int:
     scenario = config.to_scenario()
     if args.no_abatement:
         policy = Policy.no_abatement()
-    elif args.delta is not None or args.model is not None:
-        if args.delta is None or args.model is None:
-            raise ParseError("--delta and --model must be given together")
-        sol = solve_optimal(args.delta, config.model(args.model), scenario)
-        policy = Policy.from_solution(sol)
     else:
-        matrix, _ = _matrix_for(config)
-        policy, _ = mmr_select(matrix)
+        if args.delta is not None or args.model is not None:
+            if args.delta is None or args.model is None:
+                raise ParseError("--delta and --model must be given together")
+            delta, model = args.delta, config.model(args.model)
+        else:
+            chosen, _ = mmr_select(_matrix_for(config)[0])
+            delta, model = chosen.delta, chosen.model
+        # solved once here, so the peak search under each model reuses the path
+        policy = Policy.from_solution(solve_optimal(delta, model, scenario))
     print(f"policy: {policy.label()}")
 
     lines = ["model,ccr,years_to_peak,tmax_degc"]

@@ -9,12 +9,12 @@ E0 = anchor / ccr - total baseline emissions.  Any float overrides it.
 Schema (see README for the full key list)::
 
     [scenario]   start_year, e0, anchor_temp_degc, anchor_model
-    [baseline]   variant, theta, phi, b0, r_squared, data
+    [baseline]   variant (theta-scaled only), theta, phi, b0, r_squared, data
     [economy]    alpha, beta
     [uncertainty] deltas, alpha_grid, beta_grid   (space separated)
     [ensemble]   NAME = ccr   (one per model, order defines m1..mN)
     [tolerances] root_tol   (bisection tolerance of the peak search)
-    [output]     directory, formats
+    [output]     directory, formats   (a nonempty subset of csv txt svg)
 """
 
 from __future__ import annotations
@@ -24,12 +24,18 @@ import os
 from dataclasses import dataclass, replace
 from importlib.resources import files
 
-from .baseline import BaselineParams, FormVariant, baseline_exppoly, cumulative_baseline
+from .baseline import (
+    BASELINE_VARIANT,
+    BaselineParams,
+    baseline_exppoly,
+    cumulative_baseline,
+)
 from .control import ScenarioConfig
 from .economy import ClimateModel, EconParams
 from .errors import ParseError, ValidationError
 
 ENV_CONFIG = "MMRCLIMATE_CONFIG"
+FORMATS = ("csv", "txt", "svg")
 
 
 def bundled_data_path(name: str) -> str:
@@ -140,8 +146,12 @@ def load_config(path: str | None = None) -> RunConfig:
             phi=float(base["phi"]),
             b0=float(base["b0"]),
             r_squared=float(r2) if r2 else None,
-            variant=FormVariant(base.get("variant", "theta-scaled")),
         )
+        variant = base.get("variant", BASELINE_VARIANT)
+        if variant != BASELINE_VARIANT:
+            raise ParseError(
+                f"bad config {path}: variant = {variant} is not supported; "
+                f"the baseline form is {BASELINE_VARIANT}")
         ensemble = tuple(
             ClimateModel(name=name, ccr=float(value)) for name, value in ens.items()
         )
@@ -150,6 +160,11 @@ def load_config(path: str | None = None) -> RunConfig:
             raise ParseError(
                 f"bad config {path}: report_scale = {scale} is not supported; "
                 "scale alpha and beta (and alpha_grid, beta_grid) instead")
+        formats = tuple(out.get("formats", " ".join(FORMATS)).split())
+        if not formats or not set(formats) <= set(FORMATS):
+            raise ParseError(
+                f"bad config {path}: formats must name one or more of "
+                f"{', '.join(FORMATS)}; got {' '.join(formats) or 'none'}")
         return RunConfig(
             start_year=int(scen.get("start_year", "2020")),
             e0_setting=scen.get("e0", "auto"),
@@ -164,7 +179,7 @@ def load_config(path: str | None = None) -> RunConfig:
             ensemble=ensemble,
             tolerances=ToleranceConfig(root_tol=float(tol.get("root_tol", "1e-6"))),
             output_dir=out.get("directory", "out"),
-            formats=tuple(out.get("formats", "csv txt svg").split()),
+            formats=formats,
         )
     except (KeyError, ValueError) as exc:
         raise ParseError(f"bad config {path}: {exc}") from exc
@@ -181,7 +196,7 @@ def save_config(config: RunConfig, path: str) -> None:
         "anchor_model": config.anchor_model,
     }
     parser["baseline"] = {
-        "variant": config.baseline.variant.value,
+        "variant": BASELINE_VARIANT,
         "theta": repr(config.baseline.theta),
         "phi": repr(config.baseline.phi),
         "b0": repr(config.baseline.b0),

@@ -306,16 +306,6 @@ def closed_loop_costs(loops, evaluations, scenario: ScenarioConfig) -> np.ndarra
             + 0.5 * econ.beta * ccr ** 2 * i_e[:, col]).T
 
 
-def solution_cost(sol: OptimalSolution, delta_eval: float,
-                  scenario: ScenarioConfig, ccr_eval: float | None = None) -> float:
-    """Discounted total cost of a solved policy under an evaluation state
-    (its own climate response unless ``ccr_eval`` is given)."""
-    if ccr_eval is None:
-        ccr_eval = sol.model.ccr
-    loop = None if sol.delta is None else (sol.delta, sol.roots.stiffness)
-    return float(closed_loop_costs([loop], [(delta_eval, ccr_eval)], scenario)[0, 0])
-
-
 def no_abatement_solution(model: ClimateModel,
                           scenario: ScenarioConfig) -> OptimalSolution:
     """The passive benchmark: A = 0, E = E0 + cumulative baseline."""

@@ -213,13 +213,16 @@ def _abatement(policy: Policy, scenario: ScenarioConfig) -> ExpPoly:
 
 
 def _peak(policy: Policy, model: ClimateModel, scenario: ScenarioConfig,
-          horizon: float, root_tol: float):
+          root_tol: float):
     """Time of the emissions peak under ``policy``, and the net cumulative
     emissions path E.  The peak time does not depend on the climate
     model; ``model`` only scales the asymptote carried by NoPeak."""
+    if not (math.isfinite(root_tol) and root_tol > 0):
+        # the bisection below never ends for a tolerance <= 0
+        raise ValidationError(f"root_tol must be positive and finite, got {root_tol}")
     slope = scenario.baseline - _abatement(policy, scenario)   # dE/dt
     emissions = ExpPoly.constant(scenario.e0) + slope.cumulative()
-    grid = np.arange(0.0, horizon + 1.0)
+    grid = np.arange(0.0, _PEAK_HORIZON + 1.0)
     values = slope(grid)
 
     crossings = []
@@ -250,25 +253,22 @@ def _peak(policy: Policy, model: ClimateModel, scenario: ScenarioConfig,
 
 
 def tmax(policy: Policy, model: ClimateModel, scenario: ScenarioConfig,
-         horizon: float = _PEAK_HORIZON, root_tol: float = 1e-6,
-         relative_to_start: bool = False):
+         root_tol: float = 1e-6):
     """Peak temperature under a policy if ``model`` is the true model.
 
     Returns (years to peak, peak degC).  The emissions peak is the root
-    of B - A with a + to - sign change (yearly scan plus bisection to
-    ``root_tol``); with several such roots the one with the highest
-    emissions wins.  Temperature is ccr * E including the initial stock,
-    matching the published convention; pass ``relative_to_start`` to
-    measure the increase over the starting temperature instead.
-    Nondecreasing emissions (the no-abatement case) raise NoPeak carrying
-    the asymptotic temperature when it is finite; a path that only drains
-    the stock reports its peak at time zero.  A policy without a path is
-    solved under ``scenario`` first; a solver failure keeps its type and
-    attributes and names the pair.
+    of B - A with a + to - sign change (yearly scan over 3000 years plus
+    bisection to ``root_tol``, which must be positive and finite); with
+    several such roots the one with the highest emissions wins.
+    Temperature is ccr * E including the initial stock, matching the
+    published convention.  Nondecreasing emissions (the no-abatement
+    case) raise NoPeak carrying the asymptotic temperature when it is
+    finite; a path that only drains the stock reports its peak at time
+    zero.  A policy without a path is solved under ``scenario`` first; a
+    solver failure keeps its type and attributes and names the pair.
     """
-    t_peak, emissions = _peak(policy, model, scenario, horizon, root_tol)
-    offset = model.ccr * scenario.e0 if relative_to_start else 0.0
-    return float(t_peak), float(model.ccr * emissions(t_peak) - offset)
+    t_peak, emissions = _peak(policy, model, scenario, root_tol)
+    return float(t_peak), float(model.ccr * emissions(t_peak))
 
 
 @dataclass(frozen=True)
@@ -324,8 +324,7 @@ def sweep(alphas, betas, deltas, ensemble, scenario: ScenarioConfig,
             cell_scenario = replace(scenario, econ=EconParams(alpha=alpha, beta=beta))
             matrix = regret_matrix(policies, states, cell_scenario)
             policy, value = mmr_select(matrix)
-            t_peak, emissions = _peak(policy, worst_model, cell_scenario,
-                                      _PEAK_HORIZON, root_tol)
+            t_peak, emissions = _peak(policy, worst_model, cell_scenario, root_tol)
             peak_stock = emissions(t_peak)
             by_model = tuple((m.name, float(m.ccr * peak_stock)) for m in ensemble)
             cells.append(SweepCell(

@@ -120,9 +120,9 @@ def _heat_color(value: float, vmax: float) -> str:
     return f"#ff{level:02x}{level:02x}"
 
 
-def svg_heatmap(matrix: RegretMatrix, cell: int = 14, timestamp: bool = True) -> str:
+def svg_heatmap(matrix: RegretMatrix, timestamp: bool = True) -> str:
     """Color-shaded plot of every regret and the max-regret row."""
-    left, top = 110, 70
+    left, top, cell = 110, 70, 14   # margins and cell side, px
     n_rows, n_cols = matrix.values.shape
     width = left + n_cols * cell + 20
     height = top + (n_rows + 2) * cell + 30   # gap + max-regret row
@@ -233,15 +233,15 @@ def sweep_table_tmax(report: SweepReport, timestamp: bool = True) -> str:
 
 
 def fit_report(params, series, timestamp: bool = True) -> str:
-    from .baseline import eval_baseline
+    from .baseline import BASELINE_VARIANT, eval_baseline
 
     fitted = eval_baseline(series.year_offsets, params.theta, params.phi,
-                           params.b0, params.variant)
+                           params.b0)
     resid = fitted - series.emissions
     out = _stamp(timestamp)
     out += (
         "Baseline fit report\n"
-        f"variant    : {params.variant.value}\n"
+        f"variant    : {BASELINE_VARIANT}\n"
         f"theta      : {params.theta!r}  (1/years)\n"
         f"phi        : {params.phi!r}  (years)\n"
         f"b0         : {params.b0!r}\n"

@@ -9,7 +9,6 @@ from scipy.integrate import quad
 from mmrclimate.baseline import (
     BaselineParams,
     EmissionsSeries,
-    FormVariant,
     baseline_exppoly,
     cumulative_baseline,
     eval_baseline,
@@ -106,14 +105,6 @@ class TestFit:
         with pytest.raises(NonConvergence):
             fit_baseline(series)
 
-    def test_as_printed_variant_cannot_fit_scenario(self, bundled_series):
-        # the 1/year decay form dies long before the 22nd-century plateau
-        try:
-            fitted = fit_baseline(bundled_series, FormVariant.AS_PRINTED)
-        except NonConvergence:
-            return
-        assert fitted.r_squared < 0.9
-
     def test_deterministic(self, bundled_series):
         a = fit_baseline(bundled_series)
         b = fit_baseline(bundled_series)
@@ -153,15 +144,6 @@ class TestBaselineExpPoly:
         t = np.arange(0.0, 501.0)
         direct = eval_baseline(t, p.theta, p.phi, p.b0)
         np.testing.assert_allclose(curve(t), direct, rtol=1e-10)
-
-    def test_as_printed_expansion(self):
-        p = BaselineParams(theta=0.9, phi=3.0, b0=10.0,
-                           variant=FormVariant.AS_PRINTED)
-        curve = baseline_exppoly(p)
-        assert curve.rates() == (-1.0,)
-        for t in (0.0, 1.0, 5.0):
-            direct = eval_baseline(t, p.theta, p.phi, p.b0, p.variant)
-            assert curve(t) == pytest.approx(direct, rel=1e-12)
 
 
 class TestCumulativeBaseline:

@@ -1,12 +1,18 @@
 """Command line surface: subcommands, exit codes, file outputs,
 byte-for-byte determinism."""
 
+import importlib
 import os
+import subprocess
+import sys
 
 import pytest
 
+import mmrclimate
+from mmrclimate import cli
 from mmrclimate.cli import main
 from mmrclimate.config import bundled_data_path, load_config, save_config
+from mmrclimate.control import solve_optimal
 
 
 @pytest.fixture()
@@ -100,6 +106,27 @@ class TestBadInput:
         assert capsys.readouterr().err.startswith("error: ")
         assert not os.path.exists(outdir) or not os.listdir(outdir)
 
+    @pytest.mark.parametrize("root_tol", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("command", ["tmax", "sweep"])
+    def test_bad_root_tol_fails_fast(self, command, root_tol, tmp_path,
+                                     small_config_path):
+        # a tolerance <= 0 never ends the peak search's bisection, so run
+        # in a child process that a hang cannot outlive
+        text = open(small_config_path).read()
+        path = tmp_path / "tol.ini"
+        path.write_text(text.replace("root_tol = 1e-06", f"root_tol = {root_tol}"))
+        outdir = tmp_path / "o"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.dirname(os.path.dirname(mmrclimate.__file__))]
+            + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mmrclimate.cli", "--config", str(path),
+             "--output-dir", str(outdir), command],
+            capture_output=True, text=True, env=env, timeout=30)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "root_tol" in proc.stderr
+        assert not outdir.exists() or not os.listdir(outdir)
+
 
 class TestFitBaseline:
     def test_fit_writes_report_and_config(self, outdir, tmp_path, capsys):
@@ -125,15 +152,6 @@ class TestFitBaseline:
         code = run(["fit-baseline", "--data", "/nonexistent.csv"], outdir)
         assert code == 2
         assert "no such data file" in capsys.readouterr().err
-
-    def test_as_printed_variant_fails_honestly(self, outdir, capsys):
-        code = run(["fit-baseline", "--variant", "as-printed"], outdir)
-        if code == 0:
-            out = capsys.readouterr().out
-            r2 = float(out.split("r_squared=")[1].split()[0])
-            assert r2 < 0.9
-        else:
-            assert code == 3
 
 
 class TestRegretTable:
@@ -182,13 +200,26 @@ class TestMmrAndTmax:
         out = capsys.readouterr().out
         assert "minimax-regret policy: d=0.02/" in out
 
-    def test_tmax_reports_every_model(self, outdir, small_config_path, capsys):
-        code = run(["tmax", "--delta", "0.02", "--model", "HAD"],
-                   outdir, small_config_path)
-        assert code == 0
-        out = capsys.readouterr().out
-        assert out.count("Tmax =") == 2
-        assert os.path.exists(os.path.join(outdir, "tmax.csv"))
+    def test_tmax_reports_every_model(self, outdir, small_config_path, capsys,
+                                      monkeypatch):
+        # the policy's path is solved once and shared by every model's
+        # peak search, whether the policy is named or the MMR choice
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve_optimal(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_optimal", counting)
+        monkeypatch.setattr(importlib.import_module("mmrclimate.regret"),
+                            "solve_optimal", counting)
+        for args in (["tmax", "--delta", "0.02", "--model", "HAD"], ["tmax"]):
+            calls.clear()
+            assert run(args, outdir, small_config_path) == 0
+            out = capsys.readouterr().out
+            assert out.count("Tmax =") == 2
+            assert len(calls) == 1
+            assert os.path.exists(os.path.join(outdir, "tmax.csv"))
 
     def test_tmax_no_abatement_reports_asymptote(self, outdir, small_config_path,
                                                  capsys):
@@ -249,21 +280,30 @@ class TestSinglePair:
 
 
 class TestReportScale:
-    """A config may set report_scale only to 1, which changes nothing;
-    any other value is an error rather than being ignored."""
+    """A config may set report_scale only to 1 and [baseline] variant only
+    to theta-scaled, which change nothing; any other value is an error
+    rather than being ignored."""
 
-    def config_with_scale(self, tmp_path, value):
+    def config_with(self, tmp_path, old, new):
         text = open(bundled_data_path("default_config.ini")).read()
-        path = tmp_path / "scaled.ini"
-        path.write_text(text.replace("beta = 0.018\n",
-                                     f"beta = 0.018\nreport_scale = {value}\n"))
+        path = tmp_path / "edited.ini"
+        path.write_text(text.replace(old, new))
         return str(path)
 
+    def config_with_scale(self, tmp_path, value):
+        return self.config_with(tmp_path, "beta = 0.018\n",
+                                f"beta = 0.018\nreport_scale = {value}\n")
+
     def test_scale_other_than_one_is_config_error(self, tmp_path, capsys):
-        assert run(["mmr"], config=self.config_with_scale(tmp_path, "2")) == 2
-        err = capsys.readouterr().err
-        assert "report_scale" in err
-        assert "scale alpha and beta" in err
+        for old, new, key, hint in [
+            ("beta = 0.018\n", "beta = 0.018\nreport_scale = 2\n",
+             "report_scale", "scale alpha and beta"),
+            ("variant = theta-scaled", "variant = as-printed",
+             "variant", "theta-scaled"),
+        ]:
+            assert run(["mmr"], config=self.config_with(tmp_path, old, new)) == 2
+            err = capsys.readouterr().err
+            assert key in err and hint in err, key
 
     def test_scale_of_one_loads_as_before(self, tmp_path, capsys):
         assert run(["mmr"], config=self.config_with_scale(tmp_path, "1.0")) == 0
@@ -287,6 +327,17 @@ class TestConfigHandling:
         path.write_text(broken)
         assert run(["sweep"], str(tmp_path / "o"), str(path)) == 2
         assert "nonempty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("formats", ["pdf", "", "csv pdf"])
+    def test_formats_outside_csv_txt_svg_is_config_error(self, tmp_path, capsys,
+                                                         formats):
+        text = open(bundled_data_path("default_config.ini")).read()
+        path = tmp_path / "formats.ini"
+        path.write_text(text.replace("formats = csv txt svg", f"formats = {formats}"))
+        out = tmp_path / "o"
+        assert run(["regret-table"], str(out), str(path)) == 2
+        assert "formats" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unreadable_config(self, tmp_path, capsys):
         assert run(["mmr"], config=str(tmp_path / "missing.ini")) == 2

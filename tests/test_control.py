@@ -11,9 +11,9 @@ from mmrclimate.control import (
     CharRoots,
     ScenarioConfig,
     char_roots,
+    closed_loop_costs,
     no_abatement_solution,
     numeric_oracle,
-    solution_cost,
     solve_optimal,
 )
 from mmrclimate.economy import (
@@ -170,7 +170,8 @@ class TestSolveOptimal:
         m = math.sqrt(k * scenario.econ.alpha / scenario.econ.beta)
         sol = solve_optimal(delta, ClimateModel("near", m), scenario)
         assert abs(sol.roots.lam_minus + theta) < 2e-5
-        j = solution_cost(sol, 0.06, scenario, ccr_eval=0.00244)
+        j = closed_loop_costs([(delta, sol.roots.stiffness)], [(0.06, 0.00244)],
+                              scenario)[0, 0]
         a, e = sol.abatement, sol.net_emissions
         alpha, beta = scenario.econ.alpha, scenario.econ.beta
 

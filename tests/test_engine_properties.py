@@ -17,9 +17,8 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from mmrclimate.control import (  # noqa: E402
     ScenarioConfig,
     char_roots,
-    no_abatement_solution,
+    closed_loop_costs,
     numeric_oracle,
-    solution_cost,
     solve_optimal,
 )
 from mmrclimate.economy import ClimateModel, EconParams, discounted_total_cost  # noqa: E402
@@ -73,7 +72,8 @@ def test_engine_matches_exppoly_closed_form(baseline, econ, e0, delta, m,
     sol = solve_optimal(delta, model, scenario)
     for d, ccr, got in [
         (delta, m, sol.j_star),
-        (delta_eval, m_eval, solution_cost(sol, delta_eval, scenario, ccr_eval=m_eval)),
+        (delta_eval, m_eval, closed_loop_costs([(delta, sol.roots.stiffness)],
+                                               [(delta_eval, m_eval)], scenario)[0, 0]),
     ]:
         expected = discounted_total_cost(sol.abatement, econ, ClimateModel("x", ccr),
                                          d, baseline, e0)
@@ -105,8 +105,7 @@ def _exact_no_abatement_cost(baseline, e0, delta, beta, ccr):
 def test_no_abatement_cost_is_exact(baseline, econ, e0, delta_eval, m_eval):
     assume(e0 > 0 or not baseline.is_zero)
     scenario = ScenarioConfig(baseline=baseline, e0=e0, econ=econ)
-    passive = no_abatement_solution(ClimateModel("m", m_eval), scenario)
-    got = solution_cost(passive, delta_eval, scenario)
+    got = closed_loop_costs([None], [(delta_eval, m_eval)], scenario)[0, 0]
     expected = _exact_no_abatement_cost(baseline, e0, delta_eval, econ.beta, m_eval)
     assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 

@@ -1,0 +1,49 @@
+"""Golden outputs of the bundled default config, byte for byte.
+
+``tests/data/golden/`` holds the ``--no-timestamp`` files of
+``fit-baseline`` and ``sweep`` and the stdout of ``tmax``, recorded
+before the as-printed baseline form and the single-value options were
+deleted.  The fit's full-precision floats in ``fit_report.txt`` and
+``fitted_config.ini`` are already held to the bundled config's exact
+bits by ``test_fit_writes_report_and_config``.  Files that print
+full-precision ``repr`` floats of costs and paths (``regret_matrix.csv``,
+``sweep_summary.csv``, ``tmax.csv``) are left out: their last digits
+follow the platform's ``exp``, and the acceptance tests hold those
+values to tolerances instead.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from mmrclimate.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+@pytest.fixture()
+def run_default(tmp_path, monkeypatch, capsys):
+    """Run one subcommand on the bundled config in an empty directory;
+    return its stdout."""
+    monkeypatch.delenv("MMRCLIMATE_CONFIG", raising=False)
+    monkeypatch.chdir(tmp_path)
+
+    def run(*args):
+        assert main(["--no-timestamp", "--output-dir", ".", *args]) == 0
+        return capsys.readouterr().out
+
+    return run
+
+
+@pytest.mark.parametrize("command, names", [
+    ("fit-baseline", ("fit_report.txt", "fitted_config.ini")),
+    ("sweep", ("sweep_mmr.txt", "sweep_tmax.txt")),
+])
+def test_files_match_golden(run_default, tmp_path, command, names):
+    run_default(command)
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def test_tmax_stdout_matches_golden(run_default):
+    assert run_default("tmax") == (GOLDEN / "tmax_stdout.txt").read_text()

@@ -1,5 +1,6 @@
 """Regret matrix structure, minimax selection, peak temperature, sweeps."""
 
+import math
 import types
 from dataclasses import replace
 
@@ -203,14 +204,12 @@ class TestTmax:
             * (scenario.e0 + scenario.baseline.discounted_integral(0.0)),
             rel=1e-12)
 
-    def test_relative_convention_subtracts_initial_warming(self, scenario, config):
-        sol = solve_optimal(0.02, config.model("IPSL"), scenario)
-        policy = Policy.from_solution(sol)
-        model = config.model("MIROC")
-        _, absolute = tmax(policy, model, scenario)
-        _, relative = tmax(policy, model, scenario, relative_to_start=True)
-        assert relative == pytest.approx(absolute - model.ccr * scenario.e0,
-                                         rel=1e-9)
+    @pytest.mark.parametrize("root_tol", [0.0, -1.0, math.nan, math.inf])
+    def test_root_tol_must_be_positive_and_finite(self, scenario, config, root_tol):
+        # a tolerance <= 0 would never end the bisection
+        with pytest.raises(ValidationError, match="root_tol"):
+            tmax(Policy.no_abatement(), config.model("HAD"), scenario,
+                 root_tol=root_tol)
 
 
 class TestSweep:
