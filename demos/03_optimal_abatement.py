@@ -11,9 +11,9 @@ outside.
 import numpy as np
 
 from mmrclimate import (
+    ExpPoly,
     discounted_total_cost,
     load_config,
-    no_abatement_solution,
     numeric_oracle,
     solve_optimal,
 )
@@ -30,9 +30,8 @@ print(f"optimal cost J* = {sol.j_star:.4f} percent of discounted output")
 cheap = solve_optimal(0.01, had, scenario)
 print(f"at delta=0.01 the future matters more: J* = {cheap.j_star:.4f}")
 
-passive = no_abatement_solution(had, scenario)
 for delta in (0.05, 0.01):
-    j = discounted_total_cost(passive.abatement, scenario.econ, had, delta,
+    j = discounted_total_cost(ExpPoly.zero(), scenario.econ, had, delta,
                               scenario.baseline, scenario.e0)
     print(f"never abating, evaluated at delta={delta}: J = {j:.4f}")
 

@@ -37,11 +37,9 @@ from .control import (
     OptimalSolution,
     char_roots,
     solve_optimal,
-    no_abatement_solution,
     numeric_oracle,
 )
 from .regret import (
-    StateOfWorld,
     Policy,
     RegretMatrix,
     build_policy_set,

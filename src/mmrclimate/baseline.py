@@ -124,13 +124,20 @@ def baseline_exppoly(params: BaselineParams) -> ExpPoly:
     """Expand the fitted curve into its exact two-term representation:
 
     theta^2 e^{theta phi} * t e^{-theta t}  +  b0 theta * e^{-theta t}
+
+    A theta * phi too large for double precision raises ValidationError.
     """
     theta, phi, b0 = params.theta, params.phi, params.b0
-    scale = theta * math.exp(theta * phi)
-    return ExpPoly((
-        (theta * scale, 1, -theta),
-        (b0 * math.exp(-theta * phi) * scale, 0, -theta),
-    ))
+    try:
+        scale = theta * math.exp(theta * phi)
+    except OverflowError:
+        scale = math.inf
+    lead, const = theta * scale, b0 * math.exp(-theta * phi) * scale
+    if not (math.isfinite(lead) and math.isfinite(const)):
+        raise ValidationError(
+            f"baseline theta = {theta!r}, phi = {phi!r}: the expansion "
+            f"overflows (theta * phi = {theta * phi:g})")
+    return ExpPoly(((lead, 1, -theta), (const, 0, -theta)))
 
 
 def cumulative_baseline(params: BaselineParams) -> float:

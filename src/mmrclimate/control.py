@@ -40,11 +40,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .economy import ClimateModel, EconParams
+from .economy import ClimateModel, EconParams, net_cumulative_emissions
 from .errors import InvalidDiscount, NonConvergence, ResonantForcing, ValidationError
 from .exppoly import ExpPoly
 
@@ -82,20 +82,20 @@ class CharRoots:
 @dataclass(frozen=True)
 class OptimalSolution:
     """Exact paths plus provenance.  ``delta``/``model`` record the pair
-    the path was optimized for (``delta`` is None for no abatement, where
-    the cost is computed per evaluation rate instead of stored).
-    ``delta_solved`` is the rate the ExpPoly paths were built with, which
-    differs from ``delta`` only after an anti-resonance nudge; ``j_star``
-    is always the cost at ``delta`` itself."""
+    the path was optimized for.  ``delta_solved`` is the rate the ExpPoly
+    paths were built with, which differs from ``delta`` only after an
+    anti-resonance nudge; ``j_star`` is always the cost at ``delta``
+    itself.  The passive path is not an OptimalSolution: it is
+    ``net_cumulative_emissions(ExpPoly.zero(), baseline, e0)``."""
 
     abatement: ExpPoly       # GtC/yr
     net_emissions: ExpPoly   # GtC
     temperature: ExpPoly     # degC, ccr * E
     model: ClimateModel
-    delta: float | None
-    j_star: float | None
-    roots: CharRoots | None = None
-    delta_solved: float | None = None
+    delta: float
+    j_star: float
+    roots: CharRoots
+    delta_solved: float
 
 
 def char_roots(delta: float, m: float, alpha: float, beta: float) -> CharRoots:
@@ -157,11 +157,12 @@ def solve_optimal(delta: float, model: ClimateModel,
     """Exact optimal abatement for one {delta, model} pair.
 
     A zero climate response makes damages insensitive to emissions, so
-    the strictly convex cost pins abatement at exactly zero.  If a
-    baseline rate collides with a characteristic root (within
-    RESONANCE_TOL) the discount rate is nudged with a warning until the
-    resonance clears; this moves the answer by far less than any
-    published tolerance.  Merely *near*-resonant solutions keep the
+    the strictly convex cost pins abatement at exactly zero: the path is
+    the passive one, E0 plus the cumulative baseline, and ``j_star`` is
+    exactly 0.  If a baseline rate collides with a characteristic root
+    (within RESONANCE_TOL) the discount rate is nudged with a warning
+    until the resonance clears; this moves the answer by far less than
+    any published tolerance.  Merely *near*-resonant solutions keep the
     requested rate.  The path is the particular response plus the stable
     mode, in double precision at any root gap (see the module notes on
     its accuracy).  ``j_star`` comes from :func:`closed_loop_costs` at
@@ -171,12 +172,12 @@ def solve_optimal(delta: float, model: ClimateModel,
     baseline = scenario.baseline
 
     if model.ccr == 0.0:
-        # no climate response, so damages never react to emissions and
-        # the strictly convex cost term pins abatement at exactly zero
-        passive = no_abatement_solution(model, scenario)
-        roots = char_roots(delta, 0.0, econ.alpha, econ.beta)
-        return replace(passive, delta=delta, delta_solved=delta,
-                       j_star=0.0, roots=roots)
+        emissions = net_cumulative_emissions(ExpPoly.zero(), baseline, scenario.e0)
+        return OptimalSolution(
+            abatement=ExpPoly.zero(), net_emissions=emissions,
+            temperature=emissions * model.ccr, model=model, delta=delta,
+            j_star=0.0, roots=char_roots(delta, 0.0, econ.alpha, econ.beta),
+            delta_solved=delta)
 
     delta_used = delta
     for attempt in range(6):
@@ -247,6 +248,7 @@ def _forcing(baseline: ExpPoly):
     return g, c, w0
 
 
+@np.errstate(over="ignore", invalid="ignore")   # non-finite costs raise below
 def closed_loop_costs(loops, evaluations, scenario: ScenarioConfig) -> np.ndarray:
     """Discounted total cost of closed-loop policies in evaluation states.
 
@@ -261,7 +263,9 @@ def closed_loop_costs(loops, evaluations, scenario: ScenarioConfig) -> np.ndarra
     Y = integral of x x^T e^{-delta_eval t} solves the Lyapunov equation
     (F - delta_eval/2) Y + Y (F - delta_eval/2)^T = -x0 x0^T, so
     I_A = q.Y q and I_E = Y[0, 0].  Every loop and every distinct
-    evaluation rate goes through one batched Kronecker solve.
+    evaluation rate goes through one batched Kronecker solve.  A cost
+    that is not finite (an initial stock or baseline too large for double
+    precision) raises NonConvergence.
     """
     rates = sorted({d for d, _ in evaluations})
     if not all(math.isfinite(d) and d > 0.0 for d in rates):
@@ -302,23 +306,13 @@ def closed_loop_costs(loops, evaluations, scenario: ScenarioConfig) -> np.ndarra
     col = [rates.index(d) for d, _ in evaluations]
     ccr = np.array([m for _, m in evaluations], dtype=float)
     econ = scenario.econ
-    return (0.5 * econ.alpha * i_a[:, col]
-            + 0.5 * econ.beta * ccr ** 2 * i_e[:, col]).T
-
-
-def no_abatement_solution(model: ClimateModel,
-                          scenario: ScenarioConfig) -> OptimalSolution:
-    """The passive benchmark: A = 0, E = E0 + cumulative baseline."""
-    emissions = ExpPoly.constant(scenario.e0) + scenario.baseline.cumulative()
-    return OptimalSolution(
-        abatement=ExpPoly.zero(),
-        net_emissions=emissions,
-        temperature=emissions * model.ccr,
-        model=model,
-        delta=None,
-        j_star=None,
-        roots=None,
-    )
+    costs = (0.5 * econ.alpha * i_a[:, col]
+             + 0.5 * econ.beta * ccr ** 2 * i_e[:, col]).T
+    if not np.all(np.isfinite(costs)):
+        raise NonConvergence(
+            f"closed-loop costs are not finite at e0 = {scenario.e0!r}: "
+            "the cost integrals overflow double precision")
+    return costs
 
 
 @dataclass(frozen=True)

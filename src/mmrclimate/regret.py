@@ -1,13 +1,15 @@
 """Regret accounting over the {discount rate, climate model} ensemble.
 
-A *state of the world* is one {delta, model} pair; the candidate *policy
-set* holds the optimal policy for every pair plus the passive
-no-abatement benchmark.  A policy is known by its provenance, the pair
-it is optimal for: costs need nothing else, and a path is solved only
-where a peak is searched.  The regret of a policy in a state is the cost
-of following that policy when the state turns out to be true, minus the
-cost of the state's own optimal policy.  The minimax-regret choice is
-the policy whose worst-case regret across all states is smallest.
+A *state of the world* is one {delta, model} pair; the candidate
+policies are the optimal policy for every pair plus the passive
+no-abatement benchmark.  Both are :class:`Policy` values, a policy
+being known by the pair it is optimal for, so a state equals its own
+optimal policy: that is the zero regret diagonal.  Costs need nothing
+else, and a path is solved only where a peak is searched.  The regret
+of a policy in a state is the cost of following that policy when the
+state turns out to be true, minus the cost of the state's own optimal
+policy.  The minimax-regret choice is the policy whose worst-case
+regret across all states is smallest.
 
 Matrix orientation follows the published layout: rows are actual states,
 columns are policies, both enumerated model-major with the discount rate
@@ -37,19 +39,10 @@ _PEAK_HORIZON = 3000.0   # years scanned for the emissions peak
 
 
 @dataclass(frozen=True)
-class StateOfWorld:
-    delta: float
-    model: ClimateModel
-
-    def label(self) -> str:
-        return f"d={self.delta:g}/{self.model.name}"
-
-
-@dataclass(frozen=True)
 class Policy:
-    """A policy by provenance: the {delta, model} pair it is optimal for,
-    or the no-abatement benchmark (both None).  Costs are computed from
-    the provenance, as the optimal feedback for that pair under the
+    """A {delta, model} pair: a state of the world, or the policy optimal
+    for it; the no-abatement benchmark has both None.  Costs are computed
+    from the provenance, as the optimal feedback for that pair under the
     scenario's weights.  ``path`` optionally carries the abatement path
     already solved for a scenario; without it, :func:`tmax` solves the
     pair under the scenario it is given."""
@@ -89,22 +82,22 @@ def _check_ensemble(deltas, ensemble):
 
 
 def build_states(deltas, ensemble) -> list:
-    """All {delta, model} pairs, model-major, delta cycling fastest."""
+    """All {delta, model} pairs as :class:`Policy` values, model-major,
+    delta cycling fastest.  Each is a state of the world and also the
+    provenance of that state's optimal policy."""
     _check_ensemble(deltas, ensemble)
-    return [StateOfWorld(delta=d, model=m) for m in ensemble for d in deltas]
+    return [Policy(delta=d, model=m) for m in ensemble for d in deltas]
 
 
 def build_policy_set(deltas, ensemble, scenario: ScenarioConfig) -> list:
-    """One optimal policy per {delta, model} pair plus no abatement, in
-    the same deterministic order as :func:`build_states`.
+    """The states of :func:`build_states`, in the same order, plus no
+    abatement last.
 
     The policies carry provenance only and nothing is solved, so the set
     does not depend on ``scenario``; the same set serves every (alpha,
     beta) cell.
     """
-    _check_ensemble(deltas, ensemble)
-    return ([Policy(delta=d, model=m) for m in ensemble for d in deltas]
-            + [Policy.no_abatement()])
+    return build_states(deltas, ensemble) + [Policy.no_abatement()]
 
 
 @dataclass(frozen=True)
@@ -133,31 +126,23 @@ class RegretMatrix:
 
     @property
     def mmr_index(self) -> int:
-        return self._select()[0]
-
-    def _select(self):
+        """Column of the policy minimizing the worst-case regret.  Ties go
+        to the lower discount rate, then the lower climate response, with
+        no abatement last, then to the first column."""
         column_max = self.max_regret
-        best = None
-        for j, policy in enumerate(self.policies):
+
+        def key(j):
+            policy = self.policies[j]
             if policy.is_no_abatement:
-                tie_key = (math.inf, math.inf)
-            else:
-                tie_key = (policy.delta, policy.model.ccr)
-            entry = (column_max[j], tie_key, j)
-            if best is None or entry < best:
-                best = entry
-        return best[2], best[0]
+                return column_max[j], (math.inf, math.inf), j
+            return column_max[j], (policy.delta, policy.model.ccr), j
+
+        return min(range(len(self.policies)), key=key)
 
     def diagonal_indices(self):
         """(row, col) pairs where the policy provenance equals the state."""
-        pairs = []
-        for i, state in enumerate(self.states):
-            for j, policy in enumerate(self.policies):
-                if (not policy.is_no_abatement
-                        and policy.delta == state.delta
-                        and policy.model.name == state.model.name):
-                    pairs.append((i, j))
-        return pairs
+        return [(i, j) for i, state in enumerate(self.states)
+                for j, policy in enumerate(self.policies) if policy == state]
 
 
 def regret_matrix(policies, states, scenario: ScenarioConfig) -> RegretMatrix:
@@ -189,13 +174,10 @@ def regret_matrix(policies, states, scenario: ScenarioConfig) -> RegretMatrix:
 
 
 def mmr_select(matrix: RegretMatrix):
-    """Policy minimizing the worst-case regret.
-
-    Ties are broken toward the lower discount rate, then the lower
-    climate response, with no abatement considered last.
-    """
-    idx, value = matrix._select()
-    return matrix.policies[idx], float(value)
+    """Policy minimizing the worst-case regret, and that regret; ties
+    are broken as in :attr:`RegretMatrix.mmr_index`."""
+    idx = matrix.mmr_index
+    return matrix.policies[idx], float(matrix.max_regret[idx])
 
 
 def _abatement(policy: Policy, scenario: ScenarioConfig) -> ExpPoly:

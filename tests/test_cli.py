@@ -3,6 +3,7 @@ byte-for-byte determinism."""
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 
@@ -65,12 +66,14 @@ class TestSolve:
         # if every path were evaluated at its own year alone (0.03/FIO is
         # the closest to resonance of the default policies)
         from mmrclimate import report
-        from mmrclimate.control import no_abatement_solution, solve_optimal
+        from mmrclimate.economy import net_cumulative_emissions
+        from mmrclimate.exppoly import ExpPoly
 
         config = load_config()
         scenario = config.to_scenario()
         sol = solve_optimal(0.03, config.model("FIO"), scenario)
-        passive = no_abatement_solution(sol.model, scenario).net_emissions
+        passive = net_cumulative_emissions(ExpPoly.zero(), scenario.baseline,
+                                           scenario.e0)
         rows = report.solution_csv(sol, scenario, 1000,
                                    timestamp=False).splitlines()[1:]
         assert len(rows) == 1001
@@ -125,6 +128,33 @@ class TestBadInput:
             capture_output=True, text=True, env=env, timeout=30)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and "root_tol" in proc.stderr
+        assert not outdir.exists() or not os.listdir(outdir)
+
+    @staticmethod
+    def _default_config_with(tmp_path, pattern, line):
+        text = open(bundled_data_path("default_config.ini")).read()
+        path = tmp_path / "edited.ini"
+        path.write_text(re.sub(pattern, line, text, count=1, flags=re.M))
+        return path
+
+    def test_baseline_overflow_is_config_error(self, tmp_path, capsys):
+        # theta * phi ~ 1.3e7 overflows the baseline's exp(theta * phi)
+        path = self._default_config_with(tmp_path, r"^phi = .*$", "phi = 1e9")
+        outdir = tmp_path / "o"
+        assert run(["tmax"], outdir, config=path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "phi" in err
+        assert not outdir.exists() or not os.listdir(outdir)
+
+    @pytest.mark.parametrize("command", ["mmr", "regret-table"])
+    def test_non_finite_costs_are_numerical_failure(self, command, tmp_path,
+                                                    capsys):
+        path = self._default_config_with(tmp_path, r"^e0 = auto$", "e0 = 1e308")
+        outdir = tmp_path / "o"
+        assert run([command], outdir, config=path) == 3
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and "not finite" in err
+        assert "nan" not in (out + err).lower()
         assert not outdir.exists() or not os.listdir(outdir)
 
 

@@ -12,7 +12,6 @@ from mmrclimate.control import (
     ScenarioConfig,
     char_roots,
     closed_loop_costs,
-    no_abatement_solution,
     numeric_oracle,
     solve_optimal,
 )
@@ -20,6 +19,7 @@ from mmrclimate.economy import (
     ClimateModel,
     EconParams,
     discounted_total_cost,
+    net_cumulative_emissions,
 )
 from mmrclimate.errors import InvalidDiscount, ValidationError
 from mmrclimate.exppoly import ExpPoly
@@ -231,25 +231,25 @@ def decimal_emissions(scenario, delta, k, times):
 
 class TestNoAbatement:
     def test_path_is_zero_and_stock_accumulates(self, scenario):
-        sol = no_abatement_solution(FIG_MODEL, scenario)
+        sol = solve_optimal(0.05, ClimateModel("null", 0.0), scenario)
         assert sol.abatement.is_zero
+        assert sol.net_emissions == net_cumulative_emissions(
+            ExpPoly.zero(), scenario.baseline, scenario.e0)
         t = np.arange(0.0, 3001.0)
         emissions = sol.net_emissions(t)
         assert np.all(np.diff(emissions) >= -1e-12)
         assert emissions[0] == pytest.approx(scenario.e0)
 
     def test_closed_form_accumulation(self):
-        scen = ScenarioConfig(baseline=ExpPoly.term(10.0, 0, -0.01), e0=0.0,
-                              econ=EconParams(1e-4, 0.018))
-        sol = no_abatement_solution(ClimateModel("X", 0.002), scen)
+        emissions = net_cumulative_emissions(ExpPoly.zero(),
+                                             ExpPoly.term(10.0, 0, -0.01), 0.0)
         for t in (1.0, 50.0, 400.0):
-            assert sol.net_emissions(t) == pytest.approx(
+            assert emissions(t) == pytest.approx(
                 1000.0 * (1.0 - math.exp(-0.01 * t)), rel=1e-12)
 
     def test_cost_computable_at_any_rate(self, scenario):
-        sol = no_abatement_solution(FIG_MODEL, scenario)
         costs = [
-            discounted_total_cost(sol.abatement, scenario.econ, FIG_MODEL,
+            discounted_total_cost(ExpPoly.zero(), scenario.econ, FIG_MODEL,
                                   d, scenario.baseline, scenario.e0)
             for d in (0.01, 0.05)
         ]

@@ -3,7 +3,9 @@
 ``tests/data/golden/`` holds the ``--no-timestamp`` files of
 ``fit-baseline`` and ``sweep`` and the stdout of ``tmax``, recorded
 before the as-printed baseline form and the single-value options were
-deleted.  The fit's full-precision floats in ``fit_report.txt`` and
+deleted, and the ``regret-table`` text table and heatmap and the stdout
+of ``mmr``, recorded before states and policies became one type.  The
+fit's full-precision floats in ``fit_report.txt`` and
 ``fitted_config.ini`` are already held to the bundled config's exact
 bits by ``test_fit_writes_report_and_config``.  Files that print
 full-precision ``repr`` floats of costs and paths (``regret_matrix.csv``,
@@ -38,6 +40,7 @@ def run_default(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("command, names", [
     ("fit-baseline", ("fit_report.txt", "fitted_config.ini")),
     ("sweep", ("sweep_mmr.txt", "sweep_tmax.txt")),
+    ("regret-table", ("regret_table.txt", "regret_heatmap.svg")),
 ])
 def test_files_match_golden(run_default, tmp_path, command, names):
     run_default(command)
@@ -47,3 +50,7 @@ def test_files_match_golden(run_default, tmp_path, command, names):
 
 def test_tmax_stdout_matches_golden(run_default):
     assert run_default("tmax") == (GOLDEN / "tmax_stdout.txt").read_text()
+
+
+def test_mmr_stdout_matches_golden(run_default):
+    assert run_default("mmr") == (GOLDEN / "mmr_stdout.txt").read_text()

@@ -49,6 +49,11 @@ class TestPolicySet:
         policies = build_policy_set([0.05], [TWO_MODELS[0]], small_scenario)
         assert len(policies) == 2
 
+    def test_states_are_the_policy_set_without_no_abatement(self, small_scenario):
+        deltas = (0.01, 0.03, 0.05)
+        assert build_states(deltas, TWO_MODELS) == build_policy_set(
+            deltas, TWO_MODELS, small_scenario)[:-1]
+
     def test_duplicate_delta_rejected(self, small_scenario):
         with pytest.raises(ValidationError):
             build_policy_set([0.05, 0.05], [TWO_MODELS[0]], small_scenario)
