@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
+from dataclasses import replace
 
 from . import report
 from .baseline import fit_baseline, load_emissions
@@ -85,20 +87,29 @@ def _with_econ(config: RunConfig, alpha, beta):
         return config
     econ = EconParams(alpha=alpha if alpha is not None else config.econ.alpha,
                       beta=beta if beta is not None else config.econ.beta)
-    from dataclasses import replace
     return replace(config, econ=econ)
 
 
 def _outdir(args, config) -> str:
-    path = args.output_dir or config.output_dir
-    os.makedirs(path, exist_ok=True)
-    return path
+    return args.output_dir or config.output_dir
+
+
+@contextmanager
+def _output(path: str):
+    """Create the directory of an output file only when it is written, so
+    a failed run leaves none behind; a path that cannot be written is a
+    usage error."""
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        yield
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
+    print(f"wrote {path}")
 
 
 def _write(path: str, content: str):
-    with open(path, "w", newline="") as fh:
+    with _output(path), open(path, "w", newline="") as fh:
         fh.write(content)
-    print(f"wrote {path}")
 
 
 def _resolve_data(config: RunConfig, override) -> str:
@@ -119,8 +130,8 @@ def cmd_fit_baseline(args, config: RunConfig) -> int:
     _write(os.path.join(outdir, "fit_report.txt"),
            report.fit_report(params, series, timestamp=stamp))
     target = args.write_config or os.path.join(outdir, "fitted_config.ini")
-    save_config(config.with_baseline(params), target)
-    print(f"wrote {target}")
+    with _output(target):
+        save_config(replace(config, baseline=params), target)
     print(f"fit: theta={params.theta:.6g} phi={params.phi:.6g} "
           f"b0={params.b0:.6g} r_squared={params.r_squared:.4f}")
     return 0

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib.resources import files
 
 from .baseline import (
@@ -33,6 +33,7 @@ from .baseline import (
 from .control import ScenarioConfig
 from .economy import ClimateModel, EconParams
 from .errors import ParseError, ValidationError
+from .regret import ROOT_TOL
 
 ENV_CONFIG = "MMRCLIMATE_CONFIG"
 FORMATS = ("csv", "txt", "svg")
@@ -45,7 +46,7 @@ def bundled_data_path(name: str) -> str:
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    root_tol: float = 1e-6
+    root_tol: float = ROOT_TOL
 
 
 @dataclass(frozen=True)
@@ -106,9 +107,6 @@ class RunConfig:
             econ=self.econ,
             start_year=self.start_year,
         )
-
-    def with_baseline(self, params: BaselineParams) -> "RunConfig":
-        return replace(self, baseline=params)
 
 
 def _floats(text: str) -> tuple:
@@ -177,7 +175,7 @@ def load_config(path: str | None = None) -> RunConfig:
             alpha_grid=_floats(unc["alpha_grid"]),
             beta_grid=_floats(unc["beta_grid"]),
             ensemble=ensemble,
-            tolerances=ToleranceConfig(root_tol=float(tol.get("root_tol", "1e-6"))),
+            tolerances=ToleranceConfig(root_tol=float(tol.get("root_tol", ROOT_TOL))),
             output_dir=out.get("directory", "out"),
             formats=formats,
         )

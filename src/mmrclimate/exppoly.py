@@ -101,7 +101,7 @@ class ExpPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return self.scaled(other)
+            return ExpPoly(tuple((other * c, n, mu) for c, n, mu in self.terms))
         prod = [
             (ca * cb, na + nb, ra + rb)
             for ca, na, ra in self.terms
@@ -110,9 +110,6 @@ class ExpPoly:
         return ExpPoly(tuple(prod))
 
     __rmul__ = __mul__
-
-    def scaled(self, factor: float) -> "ExpPoly":
-        return ExpPoly(tuple((factor * c, n, mu) for c, n, mu in self.terms))
 
     # -- evaluation ----------------------------------------------------
 

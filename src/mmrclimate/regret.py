@@ -36,6 +36,7 @@ from .exppoly import ExpPoly
 
 NONNEG_TOL = 1e-9
 _PEAK_HORIZON = 3000.0   # years scanned for the emissions peak
+ROOT_TOL = 1e-6          # default bisection tolerance of the peak search, years
 
 
 @dataclass(frozen=True)
@@ -180,29 +181,36 @@ def mmr_select(matrix: RegretMatrix):
     return matrix.policies[idx], float(matrix.max_regret[idx])
 
 
-def _abatement(policy: Policy, scenario: ScenarioConfig) -> ExpPoly:
-    """The policy's abatement path, solved under ``scenario`` unless the
-    policy already carries it."""
-    if policy.path is not None:
-        return policy.path
-    try:
-        return solve_optimal(policy.delta, policy.model, scenario).abatement
-    except MmrClimateError as exc:
-        # keep the type, its attributes and its exit code
-        exc.args = (f"solver failed for policy pair (delta={policy.delta}, "
-                    f"model={policy.model.name}): {exc}",) + exc.args[1:]
-        raise
+def tmax(policy: Policy, model: ClimateModel, scenario: ScenarioConfig,
+         root_tol: float = ROOT_TOL):
+    """Peak temperature under a policy if ``model`` is the true model.
 
-
-def _peak(policy: Policy, model: ClimateModel, scenario: ScenarioConfig,
-          root_tol: float):
-    """Time of the emissions peak under ``policy``, and the net cumulative
-    emissions path E.  The peak time does not depend on the climate
-    model; ``model`` only scales the asymptote carried by NoPeak."""
+    Returns (years to peak, peak degC).  The emissions peak is the root
+    of B - A with a + to - sign change (yearly scan over 3000 years plus
+    bisection to ``root_tol``, which must be positive and finite); with
+    several such roots the one with the highest emissions wins.  The
+    peak time does not depend on the model, which only scales the
+    temperature.  Temperature is ccr * E including the initial stock,
+    matching the published convention.  Nondecreasing emissions (the
+    no-abatement case) raise NoPeak carrying the asymptotic temperature
+    when it is finite; a path that only drains the stock peaks at time
+    zero, at ccr * e0.  A policy without a path is solved under
+    ``scenario`` first; a solver failure keeps its type and attributes
+    and names the pair.
+    """
     if not (math.isfinite(root_tol) and root_tol > 0):
         # the bisection below never ends for a tolerance <= 0
         raise ValidationError(f"root_tol must be positive and finite, got {root_tol}")
-    slope = scenario.baseline - _abatement(policy, scenario)   # dE/dt
+    path = policy.path
+    if path is None:
+        try:
+            path = solve_optimal(policy.delta, policy.model, scenario).abatement
+        except MmrClimateError as exc:
+            # keep the type, its attributes and its exit code
+            exc.args = (f"solver failed for policy pair (delta={policy.delta}, "
+                        f"model={policy.model.name}): {exc}",) + exc.args[1:]
+            raise
+    slope = scenario.baseline - path   # dE/dt
     emissions = ExpPoly.constant(scenario.e0) + slope.cumulative()
     grid = np.arange(0.0, _PEAK_HORIZON + 1.0)
     values = slope(grid)
@@ -219,42 +227,28 @@ def _peak(policy: Policy, model: ClimateModel, scenario: ScenarioConfig,
                 hi = mid
         crossings.append(0.5 * (lo + hi))
 
-    if not crossings:
-        if np.any(values > 0):
-            try:
-                asymptote = model.ccr * emissions.limit_at_infinity()
-            except ValueError:
-                asymptote = None
-            raise NoPeak(
-                f"net cumulative emissions are nondecreasing under "
-                f"{policy.label()}; the supremum is at the horizon",
-                asymptote_degc=asymptote,
-            )
-        return 0.0, emissions   # stock only drains; the maximum sits at the start
-    return max(crossings, key=emissions), emissions
-
-
-def tmax(policy: Policy, model: ClimateModel, scenario: ScenarioConfig,
-         root_tol: float = 1e-6):
-    """Peak temperature under a policy if ``model`` is the true model.
-
-    Returns (years to peak, peak degC).  The emissions peak is the root
-    of B - A with a + to - sign change (yearly scan over 3000 years plus
-    bisection to ``root_tol``, which must be positive and finite); with
-    several such roots the one with the highest emissions wins.
-    Temperature is ccr * E including the initial stock, matching the
-    published convention.  Nondecreasing emissions (the no-abatement
-    case) raise NoPeak carrying the asymptotic temperature when it is
-    finite; a path that only drains the stock reports its peak at time
-    zero.  A policy without a path is solved under ``scenario`` first; a
-    solver failure keeps its type and attributes and names the pair.
-    """
-    t_peak, emissions = _peak(policy, model, scenario, root_tol)
+    if crossings:
+        t_peak = max(crossings, key=emissions)
+    elif np.any(values > 0):
+        try:
+            asymptote = model.ccr * emissions.limit_at_infinity()
+        except ValueError:
+            asymptote = None
+        raise NoPeak(
+            f"net cumulative emissions are nondecreasing under "
+            f"{policy.label()}; the supremum is at the horizon",
+            asymptote_degc=asymptote,
+        )
+    else:
+        t_peak = 0.0   # the stock only drains; the maximum sits at the start
     return float(t_peak), float(model.ccr * emissions(t_peak))
 
 
 @dataclass(frozen=True)
 class SweepCell:
+    """One (alpha, beta) cell: the MMR policy, its worst-case regret, and
+    :func:`tmax` of that policy under the highest-response model."""
+
     alpha: float
     beta: float
     policy_delta: float
@@ -263,7 +257,6 @@ class SweepCell:
     years_to_peak: float
     tmax_degc: float            # under the highest-response model
     tmax_model: str
-    tmax_by_model: tuple        # (model name, Tmax) for every ensemble member
 
 
 @dataclass(frozen=True)
@@ -280,17 +273,14 @@ class SweepReport:
 
 
 def sweep(alphas, betas, deltas, ensemble, scenario: ScenarioConfig,
-          root_tol: float = 1e-6) -> SweepReport:
+          root_tol: float = ROOT_TOL) -> SweepReport:
     """MMR selection and peak warming across an (alpha, beta) grid.
 
     For each cell the regret matrix is rebuilt with the scenario's cost
-    and damage weights replaced, and the MMR policy selected.  Its path
-    is solved and its emissions peak searched once per cell (bisection
-    to ``root_tol``, as in :func:`tmax`); the peak time does not depend
-    on the climate model, so each ensemble member's Tmax is its ccr
-    times the peak emissions, the same number :func:`tmax` returns.  The
-    headline number uses the highest-response model, the worst case a
-    planner can prepare for.
+    and damage weights replaced, and the MMR policy selected.  Its peak
+    is :func:`tmax` under the highest-response model, the worst case a
+    planner can prepare for, with bisection to ``root_tol``: one path
+    solve and one peak search per cell.
     """
     from dataclasses import replace
     from .economy import EconParams
@@ -306,15 +296,12 @@ def sweep(alphas, betas, deltas, ensemble, scenario: ScenarioConfig,
             cell_scenario = replace(scenario, econ=EconParams(alpha=alpha, beta=beta))
             matrix = regret_matrix(policies, states, cell_scenario)
             policy, value = mmr_select(matrix)
-            t_peak, emissions = _peak(policy, worst_model, cell_scenario, root_tol)
-            peak_stock = emissions(t_peak)
-            by_model = tuple((m.name, float(m.ccr * peak_stock)) for m in ensemble)
+            years, peak = tmax(policy, worst_model, cell_scenario, root_tol)
             cells.append(SweepCell(
                 alpha=alpha, beta=beta,
                 policy_delta=policy.delta, policy_model=policy.model.name,
-                mmr_value=value, years_to_peak=float(t_peak),
-                tmax_degc=float(worst_model.ccr * peak_stock),
-                tmax_model=worst_model.name, tmax_by_model=by_model,
+                mmr_value=value, years_to_peak=years, tmax_degc=peak,
+                tmax_model=worst_model.name,
             ))
     return SweepReport(alphas=tuple(alphas), betas=tuple(betas),
                        cells=tuple(cells))

@@ -144,18 +144,28 @@ class TestBadInput:
         assert run(["tmax"], outdir, config=path) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "phi" in err
-        assert not outdir.exists() or not os.listdir(outdir)
+        assert not outdir.exists()
 
-    @pytest.mark.parametrize("command", ["mmr", "regret-table"])
+    @pytest.mark.parametrize("command", [
+        ["mmr"], ["regret-table"], ["sweep"],
+        ["solve", "--delta", "0.05", "--model", "HAD"],
+    ], ids=lambda args: args[0])
     def test_non_finite_costs_are_numerical_failure(self, command, tmp_path,
                                                     capsys):
         path = self._default_config_with(tmp_path, r"^e0 = auto$", "e0 = 1e308")
         outdir = tmp_path / "o"
-        assert run([command], outdir, config=path) == 3
+        assert run(command, outdir, config=path) == 3
         out, err = capsys.readouterr()
         assert err.startswith("error: ") and "not finite" in err
         assert "nan" not in (out + err).lower()
-        assert not outdir.exists() or not os.listdir(outdir)
+        assert not outdir.exists()
+
+    def test_output_dir_that_is_a_file_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "taken"
+        path.write_text("")
+        assert run(["tmax"], path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
 
 
 class TestFitBaseline:
@@ -182,6 +192,12 @@ class TestFitBaseline:
         code = run(["fit-baseline", "--data", "/nonexistent.csv"], outdir)
         assert code == 2
         assert "no such data file" in capsys.readouterr().err
+        assert not os.path.exists(outdir)
+
+    def test_config_target_directory_is_created(self, outdir, tmp_path, capsys):
+        target = tmp_path / "new" / "sub" / "fitted.ini"
+        assert run(["fit-baseline", "--write-config", str(target)], outdir) == 0
+        assert load_config(str(target)).baseline == load_config().baseline
 
 
 class TestRegretTable:

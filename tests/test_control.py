@@ -287,12 +287,6 @@ class TestNumericOracle:
         assert oracle.times[-1] > 3000.0
         assert oracle.j_estimate == pytest.approx(sol.j_star, rel=1e-5)
 
-    def test_grid_preconditions(self, scenario):
-        with pytest.raises(ValidationError):
-            numeric_oracle(0.05, FIG_MODEL, scenario, step=2.0)
-        with pytest.raises(ValidationError):
-            numeric_oracle(0.05, FIG_MODEL, scenario, horizon=500.0)
-
 
 class TestScenarioValidation:
     def test_negative_stock_rejected(self):

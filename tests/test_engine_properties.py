@@ -70,6 +70,7 @@ def test_engine_matches_exppoly_closed_form(baseline, econ, e0, delta, m,
     scenario = ScenarioConfig(baseline=baseline, e0=e0, econ=econ)
     model = ClimateModel("m", m)
     sol = solve_optimal(delta, model, scenario)
+    assert sol.abatement.max_rate() < 0.5 * delta
     for d, ccr, got in [
         (delta, m, sol.j_star),
         (delta_eval, m_eval, closed_loop_costs([(delta, sol.roots.stiffness)],
@@ -117,9 +118,7 @@ def test_no_abatement_cost_is_exact(baseline, econ, e0, delta_eval, m_eval):
 def test_regret_diagonal_zero_and_nonnegative(baseline, econ, e0, rates, ccrs):
     scenario = ScenarioConfig(baseline=baseline, e0=e0, econ=econ)
     ensemble = [ClimateModel(f"m{i}", c) for i, c in enumerate(ccrs)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")   # resonance nudges of the paths
-        policies = build_policy_set(rates, ensemble, scenario)
+    policies = build_policy_set(rates, ensemble, scenario)
     matrix = regret_matrix(policies, build_states(rates, ensemble), scenario)
     pairs = matrix.diagonal_indices()
     assert len(pairs) == len(rates) * len(ensemble)
@@ -142,7 +141,11 @@ def test_exact_resonance(baseline, econ, e0, delta, pick):
         model = ClimateModel("r", math.sqrt(k * econ.alpha / econ.beta))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")   # the path's resonance nudge
-            return solve_optimal(delta, model, scenario).j_star, model
+            sol = solve_optimal(delta, model, scenario)
+        # every abatement rate is a baseline rate or lam_minus, so the path
+        # stays integrable even where the discount rate was nudged
+        assert sol.abatement.max_rate() < 0.5 * delta
+        return sol.j_star, model
 
     mu = rates[pick % len(rates)]
     j_exact, model = j_star(mu)

@@ -209,6 +209,21 @@ class TestTmax:
             * (scenario.e0 + scenario.baseline.discounted_integral(0.0)),
             rel=1e-12)
 
+    def test_draining_path_peaks_at_start(self, scenario, config):
+        # abating one GtC/yr more than the baseline: E = e0 - t
+        drain = Policy(delta=0.05, model=config.model("HAD"),
+                       path=scenario.baseline + ExpPoly.constant(1.0))
+        model = config.model("MIROC")
+        assert tmax(drain, model, scenario) == (0.0, model.ccr * scenario.e0)
+
+    def test_unbounded_emissions_have_no_asymptote(self, scenario, config):
+        # abating one GtC/yr less than the baseline: E = e0 + t
+        grow = Policy(delta=0.05, model=config.model("HAD"),
+                      path=scenario.baseline - ExpPoly.constant(1.0))
+        with pytest.raises(NoPeak) as err:
+            tmax(grow, config.model("HAD"), scenario)
+        assert err.value.asymptote_degc is None
+
     @pytest.mark.parametrize("root_tol", [0.0, -1.0, math.nan, math.inf])
     def test_root_tol_must_be_positive_and_finite(self, scenario, config, root_tol):
         # a tolerance <= 0 would never end the bisection
@@ -233,7 +248,6 @@ class TestSweep:
         assert cell.policy_model == expected_policy.model.name
         assert cell.policy_delta == expected_policy.delta
         assert cell.tmax_model == "HIGH"
-        assert len(cell.tmax_by_model) == 2
 
     @staticmethod
     def _cell_inputs(config, scenario, cell):
@@ -243,14 +257,12 @@ class TestSweep:
                         model=config.model(cell.policy_model))
         return policy, cell_scenario
 
-    def test_one_peak_search_serves_every_model(self, config, scenario):
+    def test_cell_peak_is_tmax_of_the_worst_model(self, config, scenario):
         report = sweep(config.alpha_grid[:2], config.beta_grid[:2],
                        config.deltas, config.ensemble, scenario)
         assert len(report.cells) == 4
         for cell in report.cells:
             policy, cell_scenario = self._cell_inputs(config, scenario, cell)
-            for name, peak in cell.tmax_by_model:
-                assert peak == tmax(policy, config.model(name), cell_scenario)[1]
             years, peak = tmax(policy, config.model(cell.tmax_model), cell_scenario)
             assert cell.years_to_peak == years
             assert cell.tmax_degc == peak
