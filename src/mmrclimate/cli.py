@@ -205,25 +205,28 @@ def cmd_tmax(args, config: RunConfig) -> int:
             delta, model = chosen.delta, chosen.model
         # solved once here, so the peak search under each model reuses the path
         policy = Policy.from_solution(solve_optimal(delta, model, scenario))
-    print(f"policy: {policy.label()}")
-
+    shown = [f"policy: {policy.label()}"]
     lines = ["model,ccr,years_to_peak,tmax_degc"]
     for model in config.ensemble:
         try:
             years, peak = tmax(policy, model, scenario,
                                root_tol=config.tolerances.root_tol)
-            print(f"  {model.name:<6} peak in {years:7.1f} years, "
-                  f"Tmax = {peak:.3f} degC")
+            shown.append(f"  {model.name:<6} peak in {years:7.1f} years, "
+                         f"Tmax = {peak:.3f} degC")
             lines.append(f"{model.name},{model.ccr!r},{years:.1f},{peak!r}")
         except NoPeak as exc:
             note = ("" if exc.asymptote_degc is None
                     else f" (asymptote {exc.asymptote_degc:.2f} degC)")
-            print(f"  {model.name:<6} no peak: emissions keep rising{note}")
+            shown.append(f"  {model.name:<6} no peak: emissions keep rising{note}")
             lines.append(f"{model.name},{model.ccr!r},,"
                          + ("" if exc.asymptote_degc is None
                             else repr(exc.asymptote_degc)))
     stamp = "" if args.no_timestamp else report._stamp(True)
-    _write(os.path.join(outdir, "tmax.csv"), stamp + "\n".join(lines) + "\n")
+    path = os.path.join(outdir, "tmax.csv")
+    # the table is printed only once its file is written, as by every writer
+    with _output(path), open(path, "w", newline="") as fh:
+        fh.write(stamp + "\n".join(lines) + "\n")
+        print("\n".join(shown))
     return 0
 
 

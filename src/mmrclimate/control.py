@@ -11,25 +11,30 @@ whose matrix has one unstable root lam_plus > delta and one stable root
 lam_minus < 0 (lam_plus + lam_minus = delta, lam_plus * lam_minus = -k).
 Boundedness of the discounted objective forces the coefficient of the
 unstable mode to zero; the stable-mode coefficient is pinned by the
-initial stock E(0) = E0.  With an exponential-polynomial baseline the
-particular response is found by a finite downward recurrence, so the
-optimal paths are exact ExpPoly objects, built in double precision.
-Near resonance (a baseline rate close to lam_minus) the particular
-response and the stable mode carry large coefficients of opposite sign;
-the path's error grows like 1/gap^2 times the rounding unit (under
-1e-9 of max|E| at a root gap of 1e-5, about 1e-7 at 1e-6).  Only an
-exact collision needs the discount-rate nudge in :func:`solve_optimal`.
+initial stock E(0) = E0.
 
-Costs come from one state-space engine, :func:`closed_loop_costs`.  The
-baseline is written as B = c.w with dw/dt = G w (one Jordan block per
-baseline rate), and the optimal policy as the feedback
-A = -lam_minus E + s.w with (G - lam_plus I)^T s = lam_minus c.  On
-x = (E, w) the closed loop is dx/dt = F x, and each discounted quadratic
-cost integral is a quadratic form in the solution Y of one small
-Lyapunov equation (Van Loan 1978; Anderson & Moore 1990 for LQ tracking
-of an exogenous signal).  The Lyapunov operator stays well conditioned
-at and near resonance, so costs need no discount-rate nudge; only the
-ExpPoly paths do.
+Paths and costs start from one state-space form of the baseline,
+B = c.w with dw/dt = G w (one Jordan block per baseline rate, built by
+:func:`_forcing`), and the optimal policy is the feedback
+A = -lam_minus E + s.w with (G - lam_plus I)^T s = lam_minus c.
+
+The bounded particular response is E_p = p.w with
+(G - lam_minus I)^T p = c - s.  Each component of w is a term
+t^j e^{mu t} / j!, so the optimal paths are exact ExpPoly objects,
+built in double precision.  Near resonance (a baseline rate close to
+lam_minus) the particular response and the stable mode carry large
+coefficients of opposite sign; the path's error grows like 1/gap^2 times
+the rounding unit (about 1e-9 of max|E| at a root gap of 1e-5, 1e-7 at
+1e-6).  Only an exact collision, where G - lam_minus I is singular,
+needs the discount-rate nudge in :func:`solve_optimal`.
+
+Costs come from one engine, :func:`closed_loop_costs`.  On x = (E, w)
+the closed loop is dx/dt = F x, and each discounted quadratic cost
+integral is a quadratic form in the solution Y of one small Lyapunov
+equation (Van Loan 1978; Anderson & Moore 1990 for LQ tracking of an
+exogenous signal).  The Lyapunov operator stays well conditioned at and
+near resonance, so costs need no discount-rate nudge; only the ExpPoly
+paths do.
 
 ``numeric_oracle`` solves the same problem by brute force (piecewise
 linear abatement on an annual grid, conjugate gradient on the discrete
@@ -49,7 +54,7 @@ from .errors import InvalidDiscount, NonConvergence, ResonantForcing, Validation
 from .exppoly import ExpPoly
 
 # Below this root gap the discount rate is nudged: at an exact collision
-# the particular response divides by zero.
+# the particular response solves a singular system.
 RESONANCE_TOL = 1e-7
 
 
@@ -121,37 +126,6 @@ def _roots(delta: float, k: float) -> CharRoots:
                      stiffness=k)
 
 
-def _particular_response(baseline: ExpPoly, delta: float, k: float) -> ExpPoly:
-    """Bounded particular solution E_p of the forced optimality system.
-
-    For each baseline rate group c_n t^n e^{mu t} the vector coefficients
-    w_j of (A_p, E_p) = e^{mu t} sum_j w_j t^j satisfy
-
-        (M - mu I) w_j = (j+1) w_{j+1} - (0, c_j)
-
-    with M = [[delta, -k], [-1, 0]]; the 2x2 solves run from the top
-    power down.  Only the E component is returned; A follows exactly from
-    A = B - dE/dt, which keeps the state equation a bitwise identity.
-    """
-    groups: dict[float, dict[int, float]] = {}
-    for c, n, mu in baseline.terms:
-        groups.setdefault(mu, {})[n] = c
-    e_terms = []
-    for mu, coeffs in groups.items():
-        det = mu * mu - delta * mu - k  # det(M - mu I)
-        top = max(coeffs)
-        w_next = (0.0, 0.0)
-        for j in range(top, -1, -1):
-            rhs_a = (j + 1) * w_next[0]
-            rhs_e = (j + 1) * w_next[1] - coeffs.get(j, 0.0)
-            # inverse of [[delta-mu, -k], [-1, -mu]] times rhs
-            w_a = (-mu * rhs_a + k * rhs_e) / det
-            w_e = (rhs_a + (delta - mu) * rhs_e) / det
-            w_next = (w_a, w_e)
-            e_terms.append((w_e, j, mu))
-    return ExpPoly(tuple(e_terms))
-
-
 def solve_optimal(delta: float, model: ClimateModel,
                   scenario: ScenarioConfig) -> OptimalSolution:
     """Exact optimal abatement for one {delta, model} pair.
@@ -163,10 +137,12 @@ def solve_optimal(delta: float, model: ClimateModel,
     (within RESONANCE_TOL) the discount rate is nudged with a warning
     until the resonance clears; this moves the answer by far less than
     any published tolerance.  Merely *near*-resonant solutions keep the
-    requested rate.  The path is the particular response plus the stable
-    mode, in double precision at any root gap (see the module notes on
-    its accuracy).  ``j_star`` comes from :func:`closed_loop_costs` at
-    the requested rate, which needs no nudge.
+    requested rate.  The path is the particular response, read off the
+    Jordan form of :func:`_forcing`, plus the stable mode, in double
+    precision at any root gap (see the module notes on its accuracy).
+    Abatement is B - dE/dt, so the state equation holds exactly.
+    ``j_star`` comes from :func:`closed_loop_costs` at the requested
+    rate, which needs no nudge.
     """
     econ = scenario.econ
     baseline = scenario.baseline
@@ -182,11 +158,9 @@ def solve_optimal(delta: float, model: ClimateModel,
     delta_used = delta
     for attempt in range(6):
         roots = char_roots(delta_used, model.ccr, econ.alpha, econ.beta)
-        gap = min(
-            (min(abs(mu - roots.lam_plus), abs(mu - roots.lam_minus))
-             for mu in baseline.rates()),
-            default=math.inf,
-        )
+        # every baseline rate is < 0 < delta < lam_plus: only lam_minus collides
+        gap = min((abs(mu - roots.lam_minus) for mu in baseline.rates()),
+                  default=math.inf)
         if gap > RESONANCE_TOL:
             break
         delta_used = delta + RESONANCE_TOL * 3.0 ** (attempt + 1)
@@ -201,7 +175,13 @@ def solve_optimal(delta: float, model: ClimateModel,
             f"near delta = {delta}"
         )
 
-    e_part = _particular_response(baseline, delta_used, roots.stiffness)
+    # bounded particular response E_p = p.w: A_p = -lam_minus E_p + s.w
+    # and dE_p/dt = B - A_p give (G - lam_minus I)^T p = c - s
+    g, c, _, basis = _forcing(baseline)
+    s = _feedback(g, c, roots.lam_plus, roots.lam_minus)
+    p = np.linalg.solve(g.T - roots.lam_minus * np.eye(len(c)), c - s)
+    e_part = ExpPoly(tuple((p_i / math.factorial(j), j, mu)
+                           for p_i, (j, mu) in zip(p, basis)))
     c_stable = scenario.e0 - e_part(0.0)
     emissions = e_part + ExpPoly.term(c_stable, 0, roots.lam_minus)
     abatement = baseline - emissions.derivative()
@@ -222,24 +202,28 @@ def solve_optimal(delta: float, model: ClimateModel,
 def _forcing(baseline: ExpPoly):
     """State-space form of the baseline: B(t) = c.w(t) with dw/dt = G w
     and w(0) = w0.  Each rate mu gets one Jordan block over the basis
-    t^j e^{mu t} / j!, sized by its highest power."""
+    t^j e^{mu t} / j!, sized by its highest power; ``basis`` lists the
+    (power j, rate mu) of each component of w.  This is the one place
+    the baseline is grouped by rate."""
     groups: dict[float, dict[int, float]] = {}
     for c, n, mu in baseline.terms:
         groups.setdefault(mu, {})[n] = c
-    size = sum(max(coeffs) + 1 for coeffs in groups.values())
-    g = np.zeros((size, size))
-    c = np.zeros(size)
-    w0 = np.zeros(size)
-    start = 0
-    for mu, coeffs in groups.items():
-        w0[start] = 1.0
-        for j in range(max(coeffs) + 1):
-            g[start + j, start + j] = mu
-            if j:
-                g[start + j, start + j - 1] = 1.0
-            c[start + j] = coeffs.get(j, 0.0) * math.factorial(j)
-        start += max(coeffs) + 1
-    return g, c, w0
+    basis = [(j, mu) for mu, coeffs in groups.items() for j in range(max(coeffs) + 1)]
+    g = np.diag([mu for _, mu in basis])
+    for i, (j, _) in enumerate(basis):
+        if j:
+            g[i, i - 1] = 1.0
+    c = np.array([groups[mu].get(j, 0.0) * math.factorial(j) for j, mu in basis])
+    w0 = np.array([float(j == 0) for j, _ in basis])
+    return g, c, w0, basis
+
+
+def _feedback(g, c, lam_plus, lam_minus):
+    """Bounded feedback term s of A = -lam_minus E + s.w, from
+    (G - lam_plus I)^T s = lam_minus c; the roots may be arrays over loops."""
+    lam_plus, lam_minus = np.asarray(lam_plus), np.asarray(lam_minus)
+    g_shift = g.T - lam_plus[..., None, None] * np.eye(len(c))
+    return np.linalg.solve(g_shift, (lam_minus[..., None] * c)[..., None])[..., 0]
 
 
 @np.errstate(over="ignore", invalid="ignore")   # non-finite costs raise below
@@ -265,9 +249,8 @@ def closed_loop_costs(loops, evaluations, scenario: ScenarioConfig) -> np.ndarra
     if not all(math.isfinite(d) and d > 0.0 for d in rates):
         raise InvalidDiscount(
             f"evaluation discount rates must be positive and finite, got {rates}")
-    g, c, w0 = _forcing(scenario.baseline)
-    nw = len(c)
-    n = nw + 1
+    g, c, w0, _ = _forcing(scenario.baseline)
+    n = len(c) + 1
     # no abatement is the k = 0 loop: lam_minus = 0 makes s = 0 and A = 0
     lam_plus = np.ones(len(loops))
     lam_minus = np.zeros(len(loops))
@@ -275,9 +258,7 @@ def closed_loop_costs(loops, evaluations, scenario: ScenarioConfig) -> np.ndarra
         if loop is not None:
             roots = _roots(*loop)
             lam_plus[i], lam_minus[i] = roots.lam_plus, roots.lam_minus
-    # bounded feedback term s.w: (G - lam_plus I)^T s = lam_minus c
-    g_shift = g.T - lam_plus[:, None, None] * np.eye(nw)
-    s = np.linalg.solve(g_shift, (lam_minus[:, None] * c)[..., None])[..., 0]
+    s = _feedback(g, c, lam_plus, lam_minus)
     f = np.zeros((len(loops), n, n))
     f[:, 0, 0] = lam_minus
     f[:, 0, 1:] = c - s

@@ -30,7 +30,7 @@ from .control import (
     closed_loop_costs,
     solve_optimal,
 )
-from .economy import ClimateModel
+from .economy import ClimateModel, net_cumulative_emissions
 from .errors import MmrClimateError, NoPeak, ValidationError
 from .exppoly import ExpPoly
 
@@ -211,7 +211,7 @@ def tmax(policy: Policy, model: ClimateModel, scenario: ScenarioConfig,
                         f"model={policy.model.name}): {exc}",) + exc.args[1:]
             raise
     slope = scenario.baseline - path   # dE/dt
-    emissions = ExpPoly.constant(scenario.e0) + slope.cumulative()
+    emissions = net_cumulative_emissions(path, scenario.baseline, scenario.e0)
     grid = np.arange(0.0, _PEAK_HORIZON + 1.0)
     values = slope(grid)
 
@@ -264,12 +264,6 @@ class SweepReport:
     alphas: tuple
     betas: tuple
     cells: tuple                # row-major over (alpha, beta)
-
-    def cell(self, alpha, beta) -> SweepCell:
-        for c in self.cells:
-            if c.alpha == alpha and c.beta == beta:
-                return c
-        raise KeyError((alpha, beta))
 
 
 def sweep(alphas, betas, deltas, ensemble, scenario: ScenarioConfig,

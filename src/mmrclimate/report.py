@@ -197,39 +197,36 @@ def _blocks_side_by_side(blocks, gap="    "):
     return "\n".join(out)
 
 
-def sweep_table_mmr(report: SweepReport, timestamp: bool = True) -> str:
-    """Minimax-regret selection per (alpha, beta) cell."""
-    out = _stamp(timestamp)
-    out += "Minimax regret by cost and damage weights\n"
-    for alpha in report.alphas:
-        blocks = []
-        for beta in report.betas:
-            c = report.cell(alpha, beta)
-            blocks.append([
-                f"alpha={alpha:g} beta={beta:g}",
-                f"{'Model':<8}{'delta':>7}{'MMR':>8}",
-                f"{c.policy_model:<8}{c.policy_delta:>7g}{c.mmr_value:>8.3f}",
-            ])
+def _sweep_table(report: SweepReport, title: str, header: str, row,
+                 timestamp: bool) -> str:
+    """One row of side-by-side cell blocks per alpha, read straight off
+    ``report.cells``, which is row-major over (alpha, beta)."""
+    out = _stamp(timestamp) + title
+    n = len(report.betas)
+    for start in range(0, len(report.cells), n):
+        blocks = [[f"alpha={c.alpha:g} beta={c.beta:g}", header, row(c)]
+                  for c in report.cells[start:start + n]]
         out += "\n" + _blocks_side_by_side(blocks) + "\n"
     return out
+
+
+def sweep_table_mmr(report: SweepReport, timestamp: bool = True) -> str:
+    """Minimax-regret selection per (alpha, beta) cell."""
+    return _sweep_table(
+        report, "Minimax regret by cost and damage weights\n",
+        f"{'Model':<8}{'delta':>7}{'MMR':>8}",
+        lambda c: f"{c.policy_model:<8}{c.policy_delta:>7g}{c.mmr_value:>8.3f}",
+        timestamp)
 
 
 def sweep_table_tmax(report: SweepReport, timestamp: bool = True) -> str:
     """Peak warming of the selected policy under the strongest response."""
-    out = _stamp(timestamp)
-    out += ("Peak temperature increase of the minimax-regret policy\n"
-            "(worst case over the ensemble: highest carbon-climate response)\n")
-    for alpha in report.alphas:
-        blocks = []
-        for beta in report.betas:
-            c = report.cell(alpha, beta)
-            blocks.append([
-                f"alpha={alpha:g} beta={beta:g}",
-                f"{'Model':<8}{'Years':>7}{'Tmax':>8}",
-                f"{c.policy_model:<8}{c.years_to_peak:>7.0f}{c.tmax_degc:>8.3f}",
-            ])
-        out += "\n" + _blocks_side_by_side(blocks) + "\n"
-    return out
+    return _sweep_table(
+        report, "Peak temperature increase of the minimax-regret policy\n"
+                "(worst case over the ensemble: highest carbon-climate response)\n",
+        f"{'Model':<8}{'Years':>7}{'Tmax':>8}",
+        lambda c: f"{c.policy_model:<8}{c.years_to_peak:>7.0f}{c.tmax_degc:>8.3f}",
+        timestamp)
 
 
 def fit_report(params, series, timestamp: bool = True) -> str:

@@ -167,6 +167,15 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err
 
+    def test_tmax_prints_no_table_when_its_file_cannot_be_written(self, tmp_path,
+                                                                  capsys):
+        path = tmp_path / "taken"
+        path.write_text("")
+        for extra in ([], ["--no-abatement"]):
+            assert run(["tmax", *extra], path) == 2
+            out = capsys.readouterr().out
+            assert "peak in" not in out and "no peak" not in out, extra
+
 
 class TestFitBaseline:
     def test_fit_writes_report_and_config(self, outdir, tmp_path, capsys):

@@ -2,7 +2,6 @@
 first-order conditions, and the brute-force oracle cross-check."""
 
 import math
-from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -184,8 +183,9 @@ class TestSolveOptimal:
         assert j == pytest.approx(expected, rel=1e-6)
 
     @pytest.mark.parametrize("gap", [3e-3, 1e-3, 1e-4, 1e-5])
-    def test_near_resonant_path_matches_high_precision(self, scenario, gap):
-        # the float path against the same closed form in 50-digit decimals
+    def test_near_resonant_path_matches_high_precision(self, scenario, gap,
+                                                       decimal_emissions):
+        # the float path against an independent 50-digit reference
         theta = -scenario.baseline.rates()[0]
         delta = 0.04
         k = (theta + gap) ** 2 + delta * (theta + gap)
@@ -196,37 +196,6 @@ class TestSolveOptimal:
         exact = decimal_emissions(scenario, delta, sol.roots.stiffness, times)
         error = np.abs(sol.net_emissions(times) - exact).max()
         assert error <= 1e-9 * np.abs(exact).max()
-
-
-def decimal_emissions(scenario, delta, k, times):
-    """Optimal E(t) in 50-digit decimals from the same float inputs: the
-    particular response of each baseline rate group, by the downward
-    recurrence of ``_particular_response``, plus the stable mode pinned
-    by E(0) = e0."""
-    with localcontext() as ctx:
-        ctx.prec = 50
-        d, kk = Decimal(delta), Decimal(k)
-        groups = {}
-        for c, n, mu in scenario.baseline.terms:
-            groups.setdefault(Decimal(mu), {})[n] = Decimal(c)
-        terms = []
-        for mu, coeffs in groups.items():
-            det = mu * mu - d * mu - kk
-            w_a = w_e = Decimal(0)
-            for j in range(max(coeffs), -1, -1):
-                rhs_a = (j + 1) * w_a
-                rhs_e = (j + 1) * w_e - coeffs.get(j, Decimal(0))
-                w_a, w_e = (-mu * rhs_a + kk * rhs_e) / det, \
-                    (rhs_a + (d - mu) * rhs_e) / det
-                terms.append((w_e, j, mu))
-        lam_minus = (d - (d * d + 4 * kk).sqrt()) / 2
-        stable = Decimal(scenario.e0) - sum(c for c, n, _ in terms if n == 0)
-        terms.append((stable, 0, lam_minus))
-        values = []
-        for t in map(Decimal, times):
-            values.append(float(sum(c * (t ** n if n else 1) * (mu * t).exp()
-                                    for c, n, mu in terms)))
-        return np.array(values)
 
 
 class TestNoAbatement:

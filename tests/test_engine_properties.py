@@ -3,12 +3,14 @@ parameter space: discount rates, responses, weights, initial stocks and
 baselines with one or two decay rates, powers up to 2, or no baseline at
 all.  Each cost is held against a method that shares no code with the
 engine: the ExpPoly closed form on the solved path, exact rational
-arithmetic, or the brute-force oracle."""
+arithmetic, or the brute-force oracle.  The solved paths themselves are
+held against a 50-digit reference."""
 
 import math
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -79,6 +81,21 @@ def test_engine_matches_exppoly_closed_form(baseline, econ, e0, delta, m,
         expected = discounted_total_cost(sol.abatement, econ, ClimateModel("x", ccr),
                                          d, baseline, e0)
         assert got == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+
+@PROPERTY
+@given(baseline=baselines(), econ=econs, e0=stocks, delta=deltas, m=responses)
+def test_path_matches_high_precision(decimal_emissions, baseline, econ, e0,
+                                     delta, m):
+    # away from resonance the float path carries no cancellation, so it
+    # agrees with the 50-digit reference to a few rounding units
+    assume(root_gap(baseline, char_roots(delta, m, econ.alpha, econ.beta)) > 1e-2)
+    scenario = ScenarioConfig(baseline=baseline, e0=e0, econ=econ)
+    sol = solve_optimal(delta, ClimateModel("m", m), scenario)
+    times = np.arange(0.0, 1001.0, 5.0)
+    exact = decimal_emissions(scenario, delta, sol.roots.stiffness, times)
+    error = np.abs(sol.net_emissions(times) - exact).max()
+    assert error <= 1e-12 * np.abs(exact).max()
 
 
 def _exact_no_abatement_cost(baseline, e0, delta, beta, ccr):
