@@ -26,15 +26,22 @@ lam_minus) the particular response and the stable mode carry large
 coefficients of opposite sign; the path's error grows like 1/gap^2 times
 the rounding unit (about 1e-9 of max|E| at a root gap of 1e-5, 1e-7 at
 1e-6).  Only an exact collision, where G - lam_minus I is singular,
-needs the discount-rate nudge in :func:`solve_optimal`.
+needs the discount-rate nudge in :func:`optimal_path`.
 
-Costs come from one engine, :func:`closed_loop_costs`.  On x = (E, w)
-the closed loop is dx/dt = F x, and each discounted quadratic cost
-integral is a quadratic form in the solution Y of one small Lyapunov
-equation (Van Loan 1978; Anderson & Moore 1990 for LQ tracking of an
-exogenous signal).  The Lyapunov operator stays well conditioned at and
-near resonance, so costs need no discount-rate nudge; only the ExpPoly
-paths do.
+Costs come from one engine, :func:`closed_loop_integrals`.  On
+x = (E, w) the closed loop is dx/dt = F x, and each discounted quadratic
+cost integral is a quadratic form in the solution Y of one small
+Lyapunov equation (Van Loan 1978; Anderson & Moore 1990 for LQ tracking
+of an exogenous signal).  The Jordan form of the baseline already is the
+Schur step of Bartels & Stewart (CACM 15(9), 1972): with each Jordan
+block in reverse order F is upper triangular, with diagonal lam_minus
+and the baseline rates, and Y follows by back substitution, vectorised
+over every loop and evaluation rate.  Every divisor is a sum of two
+diagonal entries minus the evaluation rate, so it is negative even at
+exact resonance, and costs need no discount-rate nudge; only the
+ExpPoly paths do.  The integrals do not depend on the weights alpha and
+beta, which :func:`weighted_costs` applies afterwards, so one engine
+call serves a whole (alpha, beta) sweep.
 
 ``numeric_oracle`` solves the same problem by brute force (piecewise
 linear abatement on an annual grid, conjugate gradient on the discrete
@@ -85,12 +92,11 @@ class CharRoots:
 
 
 @dataclass(frozen=True)
-class OptimalSolution:
+class OptimalPath:
     """Exact paths plus provenance.  ``delta``/``model`` record the pair
     the path was optimized for.  ``delta_solved`` is the rate the ExpPoly
     paths were built with, which differs from ``delta`` only after an
-    anti-resonance nudge; ``j_star`` is always the cost at ``delta``
-    itself.  The passive path is not an OptimalSolution: it is
+    anti-resonance nudge.  The passive path is not an OptimalPath: it is
     ``net_cumulative_emissions(ExpPoly.zero(), baseline, e0)``."""
 
     abatement: ExpPoly       # GtC/yr
@@ -98,9 +104,16 @@ class OptimalSolution:
     temperature: ExpPoly     # degC, ccr * E
     model: ClimateModel
     delta: float
-    j_star: float
     roots: CharRoots
     delta_solved: float
+
+
+@dataclass(frozen=True)
+class OptimalSolution(OptimalPath):
+    """An :class:`OptimalPath` and its cost ``j_star``, always the cost at
+    ``delta`` itself."""
+
+    j_star: float
 
 
 def char_roots(delta: float, m: float, alpha: float, beta: float) -> CharRoots:
@@ -128,31 +141,43 @@ def _roots(delta: float, k: float) -> CharRoots:
 
 def solve_optimal(delta: float, model: ClimateModel,
                   scenario: ScenarioConfig) -> OptimalSolution:
-    """Exact optimal abatement for one {delta, model} pair.
+    """Exact optimal abatement for one {delta, model} pair and its cost.
+
+    The path is :func:`optimal_path`.  ``j_star`` comes from
+    :func:`closed_loop_costs` at the requested rate, which needs no
+    nudge; under a zero climate response it is exactly 0.
+    """
+    path = optimal_path(delta, model, scenario)
+    j_star = 0.0 if model.ccr == 0.0 else float(closed_loop_costs(
+        [(delta, path.roots.stiffness)], [(delta, model.ccr)], scenario)[0, 0])
+    return OptimalSolution(**vars(path), j_star=j_star)
+
+
+def optimal_path(delta: float, model: ClimateModel,
+                 scenario: ScenarioConfig) -> OptimalPath:
+    """Exact optimal paths for one {delta, model} pair.
 
     A zero climate response makes damages insensitive to emissions, so
     the strictly convex cost pins abatement at exactly zero: the path is
-    the passive one, E0 plus the cumulative baseline, and ``j_star`` is
-    exactly 0.  If a baseline rate collides with a characteristic root
-    (within RESONANCE_TOL) the discount rate is nudged with a warning
-    until the resonance clears; this moves the answer by far less than
-    any published tolerance.  Merely *near*-resonant solutions keep the
-    requested rate.  The path is the particular response, read off the
-    Jordan form of :func:`_forcing`, plus the stable mode, in double
-    precision at any root gap (see the module notes on its accuracy).
-    Abatement is B - dE/dt, so the state equation holds exactly.
-    ``j_star`` comes from :func:`closed_loop_costs` at the requested
-    rate, which needs no nudge.
+    the passive one, E0 plus the cumulative baseline.  If a baseline rate
+    collides with a characteristic root (within RESONANCE_TOL) the
+    discount rate is nudged with a warning until the resonance clears;
+    this moves the answer by far less than any published tolerance.
+    Merely *near*-resonant solutions keep the requested rate.  The path
+    is the particular response, read off the Jordan form of
+    :func:`_forcing`, plus the stable mode, in double precision at any
+    root gap (see the module notes on its accuracy).  Abatement is
+    B - dE/dt, so the state equation holds exactly.
     """
     econ = scenario.econ
     baseline = scenario.baseline
 
     if model.ccr == 0.0:
         emissions = net_cumulative_emissions(ExpPoly.zero(), baseline, scenario.e0)
-        return OptimalSolution(
+        return OptimalPath(
             abatement=ExpPoly.zero(), net_emissions=emissions,
             temperature=emissions * model.ccr, model=model, delta=delta,
-            j_star=0.0, roots=char_roots(delta, 0.0, econ.alpha, econ.beta),
+            roots=char_roots(delta, 0.0, econ.alpha, econ.beta),
             delta_solved=delta)
 
     delta_used = delta
@@ -167,7 +192,7 @@ def solve_optimal(delta: float, model: ClimateModel,
         warnings.warn(
             f"baseline rate within {RESONANCE_TOL} of a characteristic root; "
             f"perturbing discount rate to {delta_used!r}",
-            stacklevel=2,
+            stacklevel=3,   # the caller of solve_optimal or tmax
         )
     else:
         raise ResonantForcing(
@@ -184,16 +209,12 @@ def solve_optimal(delta: float, model: ClimateModel,
                            for p_i, (j, mu) in zip(p, basis)))
     c_stable = scenario.e0 - e_part(0.0)
     emissions = e_part + ExpPoly.term(c_stable, 0, roots.lam_minus)
-    abatement = baseline - emissions.derivative()
-    j_star = closed_loop_costs([(delta, roots.stiffness)],
-                               [(delta, model.ccr)], scenario)[0, 0]
-    return OptimalSolution(
-        abatement=abatement,
+    return OptimalPath(
+        abatement=baseline - emissions.derivative(),
         net_emissions=emissions,
         temperature=emissions * model.ccr,
         model=model,
         delta=delta,
-        j_star=float(j_star),
         roots=roots,
         delta_solved=delta_used,
     )
@@ -226,7 +247,6 @@ def _feedback(g, c, lam_plus, lam_minus):
     return np.linalg.solve(g_shift, (lam_minus[..., None] * c)[..., None])[..., 0]
 
 
-@np.errstate(over="ignore", invalid="ignore")   # non-finite costs raise below
 def closed_loop_costs(loops, evaluations, scenario: ScenarioConfig) -> np.ndarray:
     """Discounted total cost of closed-loop policies in evaluation states.
 
@@ -234,60 +254,90 @@ def closed_loop_costs(loops, evaluations, scenario: ScenarioConfig) -> np.ndarra
     discount rate and stiffness k = beta m^2 / alpha, or None for no
     abatement.  ``evaluations`` holds (delta_eval, ccr_eval) pairs.
     Returns an array of shape (len(evaluations), len(loops)) of
-    alpha/2 I_A + beta ccr_eval^2 / 2 I_E, where I_A and I_E integrate
-    A^2 and E^2 against e^{-delta_eval t} along the loop.
-
-    On x = (E, w) each loop is dx/dt = F x, A = q.x, x(0) = (e0, w0), and
-    Y = integral of x x^T e^{-delta_eval t} solves the Lyapunov equation
-    (F - delta_eval/2) Y + Y (F - delta_eval/2)^T = -x0 x0^T, so
-    I_A = q.Y q and I_E = Y[0, 0].  Every loop and every distinct
-    evaluation rate goes through one batched Kronecker solve.  A cost
-    that is not finite (an initial stock or baseline too large for double
-    precision) raises NonConvergence.
+    alpha/2 I_A + beta ccr_eval^2 / 2 I_E, the integrals coming from one
+    :func:`closed_loop_integrals` call over the distinct evaluation
+    rates and the weighting from :func:`weighted_costs`.
     """
     rates = sorted({d for d, _ in evaluations})
-    if not all(math.isfinite(d) and d > 0.0 for d in rates):
-        raise InvalidDiscount(
-            f"evaluation discount rates must be positive and finite, got {rates}")
-    g, c, w0, _ = _forcing(scenario.baseline)
-    n = len(c) + 1
-    # no abatement is the k = 0 loop: lam_minus = 0 makes s = 0 and A = 0
-    lam_plus = np.ones(len(loops))
-    lam_minus = np.zeros(len(loops))
-    for i, loop in enumerate(loops):
-        if loop is not None:
-            roots = _roots(*loop)
-            lam_plus[i], lam_minus[i] = roots.lam_plus, roots.lam_minus
-    s = _feedback(g, c, lam_plus, lam_minus)
-    f = np.zeros((len(loops), n, n))
-    f[:, 0, 0] = lam_minus
-    f[:, 0, 1:] = c - s
-    f[:, 1:, 1:] = g
-    q = np.concatenate((-lam_minus[:, None], s), axis=1)
-
-    eye = np.eye(n)
-    # one M = F - delta_eval/2 per (loop, rate); row-major
-    # vec(M Y + Y M^T) = (M (x) I + I (x) M) vec(Y)
-    f_shift = f[:, None] - 0.5 * np.asarray(rates)[None, :, None, None] * eye
-    kron = (np.einsum("...ik,jl->...ijkl", f_shift, eye)
-            + np.einsum("ik,...jl->...ijkl", eye, f_shift)).reshape(
-                f_shift.shape[:2] + (n * n, n * n))
-    x0 = np.concatenate(([scenario.e0], w0))
-    y = np.linalg.solve(kron, -np.outer(x0, x0).reshape(n * n, 1))
-    y = y.reshape(f_shift.shape)
-    i_a = np.einsum("li,ldij,lj->ld", q, y, q)
-    i_e = y[..., 0, 0]
-
+    i_a, i_e = closed_loop_integrals(loops, rates, scenario)
     col = [rates.index(d) for d, _ in evaluations]
     ccr = np.array([m for _, m in evaluations], dtype=float)
+    return weighted_costs(i_a[:, col].T, i_e[:, col].T, ccr[:, None], scenario)
+
+
+@np.errstate(over="ignore", invalid="ignore")   # non-finite costs raise below
+def weighted_costs(i_a, i_e, ccr, scenario: ScenarioConfig) -> np.ndarray:
+    """alpha/2 I_A + beta ccr^2 / 2 I_E under the scenario's weights,
+    elementwise over broadcast arrays.  A cost that is not finite (an
+    initial stock or baseline too large for double precision) raises
+    NonConvergence."""
     econ = scenario.econ
-    costs = (0.5 * econ.alpha * i_a[:, col]
-             + 0.5 * econ.beta * ccr ** 2 * i_e[:, col]).T
+    costs = 0.5 * econ.alpha * i_a + 0.5 * econ.beta * ccr ** 2 * i_e
     if not np.all(np.isfinite(costs)):
         raise NonConvergence(
             f"closed-loop costs are not finite at e0 = {scenario.e0!r}: "
             "the cost integrals overflow double precision")
     return costs
+
+
+@np.errstate(over="ignore", invalid="ignore")   # weighted_costs raises on them
+def closed_loop_integrals(loops, rates, scenario: ScenarioConfig):
+    """The weight-free integrals of the closed loops, I_A and I_E, each
+    of shape (len(loops), len(rates)).
+
+    ``loops`` is as in :func:`closed_loop_costs`; ``rates`` are the
+    evaluation discount rates.  Only the scenario's baseline and e0 are
+    read, so one call serves every (alpha, beta) weighting of the loops.
+    On x = (E, w) each loop is dx/dt = F x, A = q.x, x(0) = (e0, w0), and
+    Y = integral of x x^T e^{-delta_eval t} solves
+    (F - delta_eval/2) Y + Y (F - delta_eval/2)^T = -x0 x0^T, so
+    I_A = q.Y q and I_E = Y[0, 0].  With each Jordan block of G in
+    reverse order F is upper triangular, so Y comes from n(n+1)/2
+    back-substitution steps, each vectorised over every (loop, rate)
+    pair; each entry of the result depends on its own pair alone.
+    Every divisor, lam_i + lam_j - delta_eval, is negative.
+    """
+    if not all(math.isfinite(d) and d > 0.0 for d in rates):
+        raise InvalidDiscount(
+            f"evaluation discount rates must be positive and finite, got {rates}")
+    g, c, w0, basis = _forcing(scenario.baseline)
+    # no abatement is the k = 0 loop: lam_minus = 0 makes s = 0 and A = 0
+    delta, k = np.array([(1.0, 0.0) if loop is None else loop for loop in loops],
+                        dtype=float).reshape(-1, 2).T
+    root = np.sqrt(delta * delta + 4.0 * k)      # as in _roots
+    lam_plus, lam_minus = 0.5 * (delta + root), 0.5 * (delta - root)
+    s = _feedback(g, c, lam_plus, lam_minus)
+
+    # x = (E, w) with each Jordan block reversed, higher powers first:
+    # w_{j-1} drives w_j and now follows it, so F is upper triangular.  Its
+    # diagonal is lam_minus and the rates; above it, row E holds c - s and
+    # each w_j with j > 0 has a 1 at w_{j-1}.
+    w_order = sorted(range(len(basis)), key=lambda i: (i - basis[i][0], -basis[i][0]))
+    feed = (c - s)[:, w_order]
+    diag = [lam_minus[:, None]] + [basis[i][1] for i in w_order]
+    upper = [[(1 + p, feed[:, p, None]) for p in range(len(w_order))]] + [
+        [(p + 2, 1.0)] if basis[i][0] else [] for p, i in enumerate(w_order)]
+    q = [-lam_minus[:, None]] + [s[:, i, None] for i in w_order]
+    x0 = [scenario.e0] + [w0[i] for i in w_order]
+
+    # with M = F - delta_eval/2, rows i and columns j from the last:
+    # (M_ii + M_jj) Y_ij = -x0_i x0_j - sum_{l>i} M_il Y_lj - sum_{l>j} M_jl Y_il
+    # Entries of the w block are the same for every loop, so they are
+    # computed once per rate.
+    rates = np.asarray(rates, dtype=float)
+    n = len(x0)
+    y = [[None] * n for _ in range(n)]
+    for i in reversed(range(n)):
+        for j in reversed(range(i, n)):
+            acc = -x0[i] * x0[j]
+            for col, m_i in upper[i]:
+                acc = acc - m_i * y[col][j]
+            for col, m_j in upper[j]:
+                acc = acc - m_j * y[i][col]
+            y[i][j] = y[j][i] = acc / (diag[i] + diag[j] - rates)
+    i_a = (sum(q[i] * q[i] * y[i][i] for i in range(n))
+           + 2.0 * sum(q[i] * q[j] * y[i][j] for i in range(n) for j in range(i + 1, n)))
+    return i_a, y[0][0]
 
 
 @dataclass(frozen=True)

@@ -19,18 +19,19 @@ cycling fastest and no abatement as the last column.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .control import (
-    OptimalSolution,
+    OptimalPath,
     ScenarioConfig,
     char_roots,
-    closed_loop_costs,
-    solve_optimal,
+    closed_loop_integrals,
+    optimal_path,
+    weighted_costs,
 )
-from .economy import ClimateModel, net_cumulative_emissions
+from .economy import ClimateModel, EconParams, net_cumulative_emissions
 from .errors import MmrClimateError, NoPeak, ValidationError
 from .exppoly import ExpPoly
 
@@ -62,7 +63,7 @@ class Policy:
         return f"d={self.delta:g}/{self.model.name}"
 
     @staticmethod
-    def from_solution(sol: OptimalSolution) -> "Policy":
+    def from_solution(sol: OptimalPath) -> "Policy":
         return Policy(delta=sol.delta, model=sol.model, path=sol.abatement)
 
     @staticmethod
@@ -147,31 +148,52 @@ class RegretMatrix:
 
 
 def regret_matrix(policies, states, scenario: ScenarioConfig) -> RegretMatrix:
-    """Evaluate every policy in every state.
+    """Evaluate every policy in every state: the one-scenario case of
+    :func:`_regret_matrices`."""
+    return _regret_matrices(policies, states, [scenario])[0]
+
+
+def _regret_matrices(policies, states, scenarios) -> list:
+    """One regret matrix per scenario; the scenarios differ only in their
+    weights (alpha, beta).
 
     Each policy, and each state's own optimal policy, is a closed loop
-    keyed by its (delta, k) provenance; every distinct loop is costed
-    once, at every distinct state discount rate, in one
-    :func:`closed_loop_costs` call.  A state's optimal cost is the cost
-    of its own loop, so wherever that loop is also a column the regret
-    is exactly zero.
+    keyed by its (delta, k) provenance, and a state shares its key with
+    the policy optimal for it.  Every distinct loop of every scenario is
+    integrated once, at every distinct state discount rate, in one
+    :func:`closed_loop_integrals` call; each scenario then weighs the
+    entries of its own loops.  A state's optimal cost is the cost of its
+    own loop, so wherever that loop is also a column the regret is
+    exactly zero.  Each entry depends on its own (loop, rate) pair alone,
+    so a matrix is the same to the last bit whichever scenarios share
+    the call.
     """
-    econ = scenario.econ
-
-    def loop(delta, model):
-        return (delta, char_roots(delta, model.ccr, econ.alpha, econ.beta).stiffness)
-
-    policy_loops = [None if p.is_no_abatement else loop(p.delta, p.model)
-                    for p in policies]
-    optimal_loops = [loop(s.delta, s.model) for s in states]
-    loops = list(dict.fromkeys(policy_loops + optimal_loops))
+    pairs = dict.fromkeys(list(states) + [p for p in policies if not p.is_no_abatement])
+    keyed = []
+    for scenario in scenarios:
+        econ = scenario.econ
+        loop_of = {pair: (pair.delta, char_roots(pair.delta, pair.model.ccr,
+                                                 econ.alpha, econ.beta).stiffness)
+                   for pair in pairs}
+        keyed.append(([None if p.is_no_abatement else loop_of[p] for p in policies],
+                      [loop_of[s] for s in states]))
+    loops = list(dict.fromkeys(key for cell in keyed for side in cell for key in side))
     index = {key: i for i, key in enumerate(loops)}
-    costs = closed_loop_costs(loops, [(s.delta, s.model.ccr) for s in states],
-                              scenario)
-    j_opt = costs[np.arange(len(states)), [index[key] for key in optimal_loops]]
-    values = costs[:, [index[key] for key in policy_loops]] - j_opt[:, None]
-    return RegretMatrix(states=tuple(states), policies=tuple(policies),
-                        values=values, j_opt=j_opt)
+    rates = sorted({s.delta for s in states})
+    i_a, i_e = closed_loop_integrals(loops, rates, scenarios[0])
+
+    rows = np.array([rates.index(s.delta) for s in states])
+    ccr = np.array([s.model.ccr for s in states], dtype=float)
+    matrices = []
+    for scenario, (policy_loops, optimal_loops) in zip(scenarios, keyed):
+        cols = np.array([index[key] for key in policy_loops])
+        diag = np.array([index[key] for key in optimal_loops])
+        costs = weighted_costs(i_a[cols[None, :], rows[:, None]],
+                               i_e[cols[None, :], rows[:, None]], ccr[:, None], scenario)
+        j_opt = weighted_costs(i_a[diag, rows], i_e[diag, rows], ccr, scenario)
+        matrices.append(RegretMatrix(states=tuple(states), policies=tuple(policies),
+                                     values=costs - j_opt[:, None], j_opt=j_opt))
+    return matrices
 
 
 def mmr_select(matrix: RegretMatrix):
@@ -204,7 +226,7 @@ def tmax(policy: Policy, model: ClimateModel, scenario: ScenarioConfig,
     path = policy.path
     if path is None:
         try:
-            path = solve_optimal(policy.delta, policy.model, scenario).abatement
+            path = optimal_path(policy.delta, policy.model, scenario).abatement
         except MmrClimateError as exc:
             # keep the type, its attributes and its exit code
             exc.args = (f"solver failed for policy pair (delta={policy.delta}, "
@@ -270,32 +292,32 @@ def sweep(alphas, betas, deltas, ensemble, scenario: ScenarioConfig,
           root_tol: float = ROOT_TOL) -> SweepReport:
     """MMR selection and peak warming across an (alpha, beta) grid.
 
-    For each cell the regret matrix is rebuilt with the scenario's cost
-    and damage weights replaced, and the MMR policy selected.  Its peak
-    is :func:`tmax` under the highest-response model, the worst case a
-    planner can prepare for, with bisection to ``root_tol``: one path
-    solve and one peak search per cell.
+    Each cell is the scenario with its cost and damage weights replaced.
+    The regret matrices of all cells come from one engine call over the
+    distinct loops of the grid, and each cell's matrix is the same as a
+    lone :func:`regret_matrix` for it.  A cell's MMR policy is then
+    solved and its peak is :func:`tmax` under the highest-response
+    model, the worst case a planner can prepare for, with bisection to
+    ``root_tol``: one path solve and one peak search per cell.
     """
-    from dataclasses import replace
-    from .economy import EconParams
-
     if not alphas or not betas:
         raise ValidationError("alpha and beta grids must be nonempty")
     worst_model = max(ensemble, key=lambda m: m.ccr)
     states = build_states(deltas, ensemble)
     policies = build_policy_set(deltas, ensemble, scenario)
+    grid = [(alpha, beta) for alpha in alphas for beta in betas]
+    scenarios = [replace(scenario, econ=EconParams(alpha=alpha, beta=beta))
+                 for alpha, beta in grid]
+    matrices = _regret_matrices(policies, states, scenarios)
     cells = []
-    for alpha in alphas:
-        for beta in betas:
-            cell_scenario = replace(scenario, econ=EconParams(alpha=alpha, beta=beta))
-            matrix = regret_matrix(policies, states, cell_scenario)
-            policy, value = mmr_select(matrix)
-            years, peak = tmax(policy, worst_model, cell_scenario, root_tol)
-            cells.append(SweepCell(
-                alpha=alpha, beta=beta,
-                policy_delta=policy.delta, policy_model=policy.model.name,
-                mmr_value=value, years_to_peak=years, tmax_degc=peak,
-                tmax_model=worst_model.name,
-            ))
+    for (alpha, beta), cell_scenario, matrix in zip(grid, scenarios, matrices):
+        policy, value = mmr_select(matrix)
+        years, peak = tmax(policy, worst_model, cell_scenario, root_tol)
+        cells.append(SweepCell(
+            alpha=alpha, beta=beta,
+            policy_delta=policy.delta, policy_model=policy.model.name,
+            mmr_value=value, years_to_peak=years, tmax_degc=peak,
+            tmax_model=worst_model.name,
+        ))
     return SweepReport(alphas=tuple(alphas), betas=tuple(betas),
                        cells=tuple(cells))

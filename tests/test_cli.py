@@ -13,7 +13,7 @@ import mmrclimate
 from mmrclimate import cli
 from mmrclimate.cli import main
 from mmrclimate.config import bundled_data_path, load_config, save_config
-from mmrclimate.control import solve_optimal
+from mmrclimate.control import optimal_path, solve_optimal
 
 
 @pytest.fixture()
@@ -261,13 +261,15 @@ class TestMmrAndTmax:
         # peak search, whether the policy is named or the MMR choice
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return solve_optimal(*args, **kwargs)
+        def counting(solver):
+            def counted(*args, **kwargs):
+                calls.append(args)
+                return solver(*args, **kwargs)
+            return counted
 
-        monkeypatch.setattr(cli, "solve_optimal", counting)
+        monkeypatch.setattr(cli, "solve_optimal", counting(solve_optimal))
         monkeypatch.setattr(importlib.import_module("mmrclimate.regret"),
-                            "solve_optimal", counting)
+                            "optimal_path", counting(optimal_path))
         for args in (["tmax", "--delta", "0.02", "--model", "HAD"], ["tmax"]):
             calls.clear()
             assert run(args, outdir, small_config_path) == 0

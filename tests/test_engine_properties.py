@@ -3,8 +3,8 @@ parameter space: discount rates, responses, weights, initial stocks and
 baselines with one or two decay rates, powers up to 2, or no baseline at
 all.  Each cost is held against a method that shares no code with the
 engine: the ExpPoly closed form on the solved path, exact rational
-arithmetic, or the brute-force oracle.  The solved paths themselves are
-held against a 50-digit reference."""
+arithmetic, a Schur-based Lyapunov solve, or the brute-force oracle.
+The solved paths themselves are held against a 50-digit reference."""
 
 import math
 import warnings
@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_continuous_lyapunov
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
@@ -126,6 +127,61 @@ def test_no_abatement_cost_is_exact(baseline, econ, e0, delta_eval, m_eval):
     got = closed_loop_costs([None], [(delta_eval, m_eval)], scenario)[0, 0]
     expected = _exact_no_abatement_cost(baseline, e0, delta_eval, econ.beta, m_eval)
     assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def _schur_lyapunov_cost(baseline, e0, econ, loop, delta_eval, m_eval):
+    """Cost of one closed loop from scipy's Schur-based Lyapunov solver,
+    with the loop built here over the basis w = t^j e^{mu t}: B = c.w,
+    dw/dt = G w, A = -lam_minus E + s.w with (G - lam_plus I)^T s =
+    lam_minus c, and x = (E, w)."""
+    basis = [(n, mu) for mu in baseline.rates() for n in range(
+        max(n for _, n, rate in baseline.terms if rate == mu) + 1)]
+    coeff = {(n, mu): c for c, n, mu in baseline.terms}
+    size = len(basis) + 1
+    g = np.zeros((size - 1, size - 1))
+    for i, (n, mu) in enumerate(basis):
+        g[i, i] = mu
+        if n:
+            g[i, basis.index((n - 1, mu))] = n
+    c = np.array([coeff.get(b, 0.0) for b in basis])
+    if loop is None:
+        lam_minus, s = 0.0, np.zeros(size - 1)
+    else:
+        delta, k = loop
+        root = math.sqrt(delta * delta + 4.0 * k)
+        lam_minus = 0.5 * (delta - root)
+        s = np.linalg.solve(g.T - 0.5 * (delta + root) * np.eye(size - 1), lam_minus * c)
+    f = np.zeros((size, size))
+    f[0, 0] = lam_minus
+    f[0, 1:] = c - s
+    f[1:, 1:] = g
+    x0 = np.array([e0] + [float(n == 0) for n, _ in basis])
+    y = solve_continuous_lyapunov(f - 0.5 * delta_eval * np.eye(size), -np.outer(x0, x0))
+    q = np.concatenate(([-lam_minus], s))
+    return 0.5 * econ.alpha * (q @ y @ q) + 0.5 * econ.beta * m_eval ** 2 * y[0, 0]
+
+
+@PROPERTY
+@given(baseline=baselines(), econ=econs, e0=stocks, delta=deltas, m=responses,
+       gap=st.sampled_from([0.0, 1e-9, 1e-6, 1e-3]), pick=st.integers(0, 1),
+       delta_eval=deltas, m_eval=responses)
+def test_engine_matches_schur_lyapunov(baseline, econ, e0, delta, m, gap, pick,
+                                       delta_eval, m_eval):
+    # with a baseline, lam_minus sits at the drawn gap above one of its
+    # rates, exact resonance included; lam^2 - delta lam - k = 0 gives k
+    assume(e0 > 0 or not baseline.is_zero)
+    rates = baseline.rates()
+    if rates:
+        lam = rates[pick % len(rates)] + gap
+        k = lam * lam - delta * lam
+    else:
+        k = econ.beta * m * m / econ.alpha
+    scenario = ScenarioConfig(baseline=baseline, e0=e0, econ=econ)
+    loops = [(delta, k), None]
+    got = closed_loop_costs(loops, [(delta_eval, m_eval)], scenario)[0]
+    for loop, cost in zip(loops, got):
+        expected = _schur_lyapunov_cost(baseline, e0, econ, loop, delta_eval, m_eval)
+        assert cost == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 @PROPERTY

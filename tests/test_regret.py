@@ -1,5 +1,6 @@
 """Regret matrix structure, minimax selection, peak temperature, sweeps."""
 
+import importlib
 import math
 import types
 from dataclasses import replace
@@ -69,7 +70,7 @@ class TestPolicySet:
         def failing_solver(delta, model, scenario):
             raise NoPeak("no interior maximum", asymptote_degc=1.5)
 
-        monkeypatch.setattr(regret_module, "solve_optimal", failing_solver)
+        monkeypatch.setattr(regret_module, "optimal_path", failing_solver)
         policy = Policy(delta=0.05, model=TWO_MODELS[0])
         with pytest.raises(NoPeak) as err:
             tmax(policy, TWO_MODELS[1], small_scenario)
@@ -85,7 +86,7 @@ class TestPolicySet:
         def failing_solver(delta, model, scenario):
             raise NoPeak("no interior maximum")
 
-        monkeypatch.setattr(regret_module, "solve_optimal", failing_solver)
+        monkeypatch.setattr(regret_module, "optimal_path", failing_solver)
         states = build_states(config.deltas, config.ensemble)
         policies = build_policy_set(config.deltas, config.ensemble, scenario)
         matrix = regret_matrix(policies, states, scenario)
@@ -276,6 +277,50 @@ class TestSweep:
             coarse = tmax(policy, worst, cell_scenario, root_tol=0.25)[0]
             assert cell.years_to_peak == coarse
             assert coarse != tmax(policy, worst, cell_scenario)[0]
+
+    @pytest.mark.parametrize("scale", [(1.0, 1.0), (1.17, 0.86)])
+    def test_every_cell_equals_its_lone_matrix(self, config, scenario, scale):
+        # the grid's one batched engine call is elementwise per (loop,
+        # rate), so each cell is bit-identical to its matrix built alone
+        alphas = [a * scale[0] for a in config.alpha_grid]
+        betas = [b * scale[1] for b in config.beta_grid]
+        report = sweep(alphas, betas, config.deltas, config.ensemble, scenario)
+        assert len(report.cells) == 9
+        states = build_states(config.deltas, config.ensemble)
+        policies = build_policy_set(config.deltas, config.ensemble, scenario)
+        worst = max(config.ensemble, key=lambda m: m.ccr)
+        for cell in report.cells:
+            cell_scenario = replace(scenario, econ=EconParams(alpha=cell.alpha,
+                                                              beta=cell.beta))
+            policy, value = mmr_select(regret_matrix(policies, states, cell_scenario))
+            years, peak = tmax(policy, worst, cell_scenario)
+            assert (cell.policy_delta, cell.policy_model) == (policy.delta,
+                                                             policy.model.name)
+            assert (cell.mmr_value, cell.years_to_peak, cell.tmax_degc) == (
+                value, years, peak)
+
+    def test_one_engine_call_and_no_j_star(self, config, scenario, monkeypatch):
+        # a 3x3 sweep integrates all its loops in one engine call and
+        # costs no solved path: tmax builds paths only
+        control = importlib.import_module("mmrclimate.control")
+        regret_module = importlib.import_module("mmrclimate.regret")
+        calls = []
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return counted
+
+        integrals = counting("integrals", control.closed_loop_integrals)
+        for module in (control, regret_module):
+            monkeypatch.setattr(module, "closed_loop_integrals", integrals)
+        monkeypatch.setattr(control, "closed_loop_costs",
+                            counting("costs", control.closed_loop_costs))
+        report = sweep(config.alpha_grid, config.beta_grid, config.deltas,
+                       config.ensemble, scenario)
+        assert len(report.cells) == 9
+        assert calls == ["integrals"]
 
     def test_empty_grid_rejected(self, small_scenario):
         with pytest.raises(ValidationError):
