@@ -25,11 +25,11 @@ from .regret import (
     build_policy_set,
     build_states,
     mmr_select,
+    peak_search,
     regret_matrix,
     sweep,
-    tmax,
 )
-from .control import solve_optimal
+from .control import optimal_path, solve_optimal
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,12 +126,14 @@ def cmd_fit_baseline(args, config: RunConfig) -> int:
     outdir = _outdir(args, config)
     series = load_emissions(_resolve_data(config, args.data), config.start_year)
     params = fit_baseline(series)
+    fitted = replace(config, baseline=params)
+    fitted.to_scenario()   # every other subcommand builds one from the written config
     stamp = not args.no_timestamp
     _write(os.path.join(outdir, "fit_report.txt"),
            report.fit_report(params, series, timestamp=stamp))
     target = args.write_config or os.path.join(outdir, "fitted_config.ini")
     with _output(target):
-        save_config(replace(config, baseline=params), target)
+        save_config(fitted, target)
     print(f"fit: theta={params.theta:.6g} phi={params.phi:.6g} "
           f"b0={params.b0:.6g} r_squared={params.r_squared:.4f}")
     return 0
@@ -153,17 +155,16 @@ def cmd_solve(args, config: RunConfig) -> int:
     return 0
 
 
-def _matrix_for(config: RunConfig):
-    scenario = config.to_scenario()
+def _matrix_for(config: RunConfig, scenario):
     states = build_states(config.deltas, config.ensemble)
     policies = build_policy_set(config.deltas, config.ensemble, scenario)
-    return regret_matrix(policies, states, scenario), scenario
+    return regret_matrix(policies, states, scenario)
 
 
 def cmd_regret_table(args, config: RunConfig) -> int:
     config = _with_econ(config, args.alpha, args.beta)
     outdir = _outdir(args, config)
-    matrix, _ = _matrix_for(config)
+    matrix = _matrix_for(config, config.to_scenario())
     stamp = not args.no_timestamp
     if "csv" in config.formats:
         _write(os.path.join(outdir, "regret_matrix.csv"),
@@ -181,8 +182,7 @@ def cmd_regret_table(args, config: RunConfig) -> int:
 
 def cmd_mmr(args, config: RunConfig) -> int:
     config = _with_econ(config, args.alpha, args.beta)
-    matrix, _ = _matrix_for(config)
-    policy, value = mmr_select(matrix)
+    policy, value = mmr_select(_matrix_for(config, config.to_scenario()))
     print(f"alpha={config.econ.alpha:g} beta={config.econ.beta:g}")
     print(f"minimax-regret policy: {policy.label()}")
     print(f"maximum regret: {value:.6f}")
@@ -201,19 +201,19 @@ def cmd_tmax(args, config: RunConfig) -> int:
                 raise ParseError("--delta and --model must be given together")
             delta, model = args.delta, config.model(args.model)
         else:
-            chosen, _ = mmr_select(_matrix_for(config)[0])
+            chosen, _ = mmr_select(_matrix_for(config, scenario))
             delta, model = chosen.delta, chosen.model
-        # solved once here, so the peak search under each model reuses the path
-        policy = Policy.from_solution(solve_optimal(delta, model, scenario))
+        policy = Policy.from_solution(optimal_path(delta, model, scenario))
+    # the peak time does not depend on the model, which only scales E(t)
+    (peak,) = peak_search([policy.path], scenario, root_tol=config.tolerances.root_tol)
     shown = [f"policy: {policy.label()}"]
     lines = ["model,ccr,years_to_peak,tmax_degc"]
     for model in config.ensemble:
         try:
-            years, peak = tmax(policy, model, scenario,
-                               root_tol=config.tolerances.root_tol)
+            years, peak_degc = peak.tmax(model, policy.label())
             shown.append(f"  {model.name:<6} peak in {years:7.1f} years, "
-                         f"Tmax = {peak:.3f} degC")
-            lines.append(f"{model.name},{model.ccr!r},{years:.1f},{peak!r}")
+                         f"Tmax = {peak_degc:.3f} degC")
+            lines.append(f"{model.name},{model.ccr!r},{years:.1f},{peak_degc!r}")
         except NoPeak as exc:
             note = ("" if exc.asymptote_degc is None
                     else f" (asymptote {exc.asymptote_degc:.2f} degC)")

@@ -13,16 +13,19 @@ Schema (see README for the full key list)::
     [economy]    alpha, beta
     [uncertainty] deltas, alpha_grid, beta_grid   (space separated)
     [ensemble]   NAME = ccr   (one per model, order defines m1..mN)
-    [tolerances] root_tol   (bisection tolerance of the peak search)
+    [tolerances] root_tol   (bracket width of the peak search, years)
     [output]     directory, formats   (a nonempty subset of csv txt svg)
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass
 from importlib.resources import files
+
+import numpy as np
 
 from .baseline import (
     BASELINE_VARIANT,
@@ -30,9 +33,9 @@ from .baseline import (
     baseline_exppoly,
     cumulative_baseline,
 )
-from .control import ScenarioConfig
+from .control import ScenarioConfig, closed_loop_integrals
 from .economy import ClimateModel, EconParams
-from .errors import ParseError, ValidationError
+from .errors import NonConvergence, ParseError, ValidationError
 from .regret import ROOT_TOL
 
 ENV_CONFIG = "MMRCLIMATE_CONFIG"
@@ -67,10 +70,10 @@ class RunConfig:
     formats: tuple
 
     def __post_init__(self):
-        if len(set(self.deltas)) != len(self.deltas) or any(
-            d <= 0 for d in self.deltas
+        if len(set(self.deltas)) != len(self.deltas) or not all(
+            math.isfinite(d) and d > 0 for d in self.deltas
         ):
-            raise ValidationError("deltas must be positive and distinct")
+            raise ValidationError("deltas must be positive, finite and distinct")
         ccrs = [m.ccr for m in self.ensemble]
         if len(set(ccrs)) != len(ccrs) or any(c <= 0 for c in ccrs):
             raise ValidationError("ensemble responses must be positive and distinct")
@@ -100,13 +103,25 @@ class RunConfig:
         return e0
 
     def to_scenario(self) -> ScenarioConfig:
-        """Build the solver scenario."""
-        return ScenarioConfig(
+        """Build the solver scenario, bounding the initial stock here, once
+        for every subcommand, by what the cost engine needs: the no-abatement
+        cost integrals, which grow like e0**2 / delta, must be finite at
+        every configured discount rate.  Past that (near e0 = 1e154 GtC at
+        the bundled rates) no policy can be costed, and a printed path or
+        peak temperature would mean nothing; NonConvergence (a numerical
+        failure) is raised.
+        """
+        scenario = ScenarioConfig(
             baseline=baseline_exppoly(self.baseline),
             e0=self.resolved_e0(),
             econ=self.econ,
             start_year=self.start_year,
         )
+        if not np.all(np.isfinite(closed_loop_integrals([None], self.deltas, scenario))):
+            raise NonConvergence(
+                f"cost integrals are not finite at e0 = {scenario.e0!r}: the "
+                "initial stock is too large for double precision")
+        return scenario
 
 
 def _floats(text: str) -> tuple:

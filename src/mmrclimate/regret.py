@@ -20,24 +20,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .control import (
     OptimalPath,
     ScenarioConfig,
-    char_roots,
     closed_loop_integrals,
     optimal_path,
     weighted_costs,
 )
-from .economy import ClimateModel, EconParams, net_cumulative_emissions
+from .economy import ClimateModel, EconParams
 from .errors import MmrClimateError, NoPeak, ValidationError
 from .exppoly import ExpPoly
 
 NONNEG_TOL = 1e-9
 _PEAK_HORIZON = 3000.0   # years scanned for the emissions peak
-ROOT_TOL = 1e-6          # default bisection tolerance of the peak search, years
+ROOT_TOL = 1e-6          # default bracket width of the peak search, years
+_REFINE_BITS = 5         # halvings per refinement round of the peak search
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,31 @@ class Policy:
     @staticmethod
     def no_abatement() -> "Policy":
         return Policy(delta=None, model=None, path=ExpPoly.zero())
+
+
+class Peak(NamedTuple):
+    """Where a path's net cumulative emissions E(t) peak: ``time`` in
+    years, 0.0 when the stock only drains, or None when E never stops
+    rising; ``emissions`` is E itself, in GtC."""
+
+    time: float | None
+    emissions: ExpPoly
+
+    def tmax(self, model: ClimateModel, label: str):
+        """(years to peak, peak degC) if ``model`` is the true model.  No
+        peak raises NoPeak, naming the policy ``label`` and carrying the
+        asymptotic temperature when it is finite."""
+        if self.time is None:
+            try:
+                asymptote = model.ccr * self.emissions.limit_at_infinity()
+            except ValueError:
+                asymptote = None
+            raise NoPeak(
+                f"net cumulative emissions are nondecreasing under {label}; "
+                "the supremum is at the horizon",
+                asymptote_degc=asymptote,
+            )
+        return float(self.time), float(model.ccr * self.emissions(self.time))
 
 
 def _check_ensemble(deltas, ensemble):
@@ -168,26 +194,31 @@ def _regret_matrices(policies, states, scenarios) -> list:
     so a matrix is the same to the last bit whichever scenarios share
     the call.
     """
-    pairs = dict.fromkeys(list(states) + [p for p in policies if not p.is_no_abatement])
-    keyed = []
-    for scenario in scenarios:
-        econ = scenario.econ
-        loop_of = {pair: (pair.delta, char_roots(pair.delta, pair.model.ccr,
-                                                 econ.alpha, econ.beta).stiffness)
-                   for pair in pairs}
-        keyed.append(([None if p.is_no_abatement else loop_of[p] for p in policies],
-                      [loop_of[s] for s in states]))
-    loops = list(dict.fromkeys(key for cell in keyed for side in cell for key in side))
+    pair_index = {pair: i for i, pair in enumerate(dict.fromkeys(
+        list(states) + [p for p in policies if not p.is_no_abatement]))}
+    # k = beta m^2 / alpha over (scenario, pair), in char_roots' order of
+    # operations, so each key is the same to the bit
+    delta = np.array([pair.delta for pair in pair_index], dtype=float)
+    m = np.array([pair.model.ccr for pair in pair_index], dtype=float)
+    beta = np.array([[s.econ.beta] for s in scenarios])
+    alpha = np.array([[s.econ.alpha] for s in scenarios])
+    k = beta * m * m / alpha
+    keys = list(zip(np.broadcast_to(delta, k.shape).ravel().tolist(), k.ravel().tolist()))
+    loops = list(dict.fromkeys(keys)) + [None]   # no abatement last
     index = {key: i for i, key in enumerate(loops)}
+    # per scenario: the loop of each pair, then of no abatement
+    loop_of = np.full((len(scenarios), len(pair_index) + 1), len(loops) - 1)
+    loop_of[:, :-1] = np.reshape([index[key] for key in keys], k.shape)
+    policy_at = [-1 if p.is_no_abatement else pair_index[p] for p in policies]
+    state_at = [pair_index[s] for s in states]
     rates = sorted({s.delta for s in states})
     i_a, i_e = closed_loop_integrals(loops, rates, scenarios[0])
 
     rows = np.array([rates.index(s.delta) for s in states])
     ccr = np.array([s.model.ccr for s in states], dtype=float)
     matrices = []
-    for scenario, (policy_loops, optimal_loops) in zip(scenarios, keyed):
-        cols = np.array([index[key] for key in policy_loops])
-        diag = np.array([index[key] for key in optimal_loops])
+    for scenario, loop in zip(scenarios, loop_of):
+        cols, diag = loop[policy_at], loop[state_at]
         costs = weighted_costs(i_a[cols[None, :], rows[:, None]],
                                i_e[cols[None, :], rows[:, None]], ccr[:, None], scenario)
         j_opt = weighted_costs(i_a[diag, rows], i_e[diag, rows], ccr, scenario)
@@ -203,67 +234,135 @@ def mmr_select(matrix: RegretMatrix):
     return matrix.policies[idx], float(matrix.max_regret[idx])
 
 
+def peak_search(paths, scenario: ScenarioConfig, root_tol: float = ROOT_TOL) -> list:
+    """The emissions peak of each abatement path: one :class:`Peak` per path.
+
+    A peak is a root of the slope dE/dt = B - A where it goes from > 0 to
+    <= 0.  Every slope is scanned on a yearly grid over 3000 years, and
+    a bracket opens where one year's value is > 0 and the next is <= 0
+    (a nan opens none).  Every bracket of every path is then refined
+    together, in dyadic rounds, to a width <= ``root_tol``, which must be
+    positive and finite.  A round splits each bracket into 2**5 equal
+    steps, evaluates every interior point of every bracket in one array
+    expression and keeps the step bisection would reach from those
+    values.  The rounds make bisection's number of halvings, so the
+    final bracket is bisection's, even where rounding noise makes the
+    slope change sign several times inside it.  The peak is the final
+    bracket's midpoint; with several, the one with the highest emissions
+    wins.  A slope never positive on the grid peaks at time zero (the
+    stock only drains); one positive somewhere but never crossing to
+    <= 0 has no peak.
+    """
+    halvings = _halvings(root_tol)
+    slopes = [scenario.baseline - path for path in paths]
+    grid = np.arange(0.0, _PEAK_HORIZON + 1.0)
+    values = np.empty((len(slopes), len(grid)))
+    for row, slope in zip(values, slopes):
+        row[:] = slope(grid)
+    above = values > 0
+    rising = above.any(axis=1)
+    owner, year = np.nonzero(above[:, :-1] & (values[:, 1:] <= 0))
+    # the terms of each bracket's slope, padded with zero terms
+    table = np.zeros((len(owner), max((len(s.terms) for s in slopes), default=0), 3))
+    for row, i in enumerate(owner.tolist()):
+        table[row, :len(slopes[i].terms)] = slopes[i].terms
+    coeffs, powers, rates = table[..., 0], table[..., 1].astype(int), table[..., 2]
+    lo, width = grid[year], 1.0
+    while halvings and len(lo):
+        bits = min(_REFINE_BITS, halvings)
+        halvings -= bits
+        width /= 2**bits
+        inner = _slope_values(coeffs, powers, rates,
+                              lo[:, None] + width * np.arange(1, 2**bits))
+        # keep the sub-step bisection reaches from these values
+        tested, right = _BISECTION[bits]
+        reached = ((inner > 0)[:, tested] == right).all(axis=2)
+        lo = lo + width * np.argmax(reached, axis=1)
+
+    crossings = [[] for _ in slopes]
+    midpoints = 0.5 * (lo + (lo + width))   # bisection's 0.5 * (lo + hi)
+    for i, t in zip(owner.tolist(), midpoints.tolist()):
+        crossings[i].append(t)
+    peaks = []
+    for slope, times, positive in zip(slopes, crossings, rising):
+        emissions = ExpPoly.constant(scenario.e0) + slope.cumulative()
+        if times:
+            peaks.append(Peak(max(times, key=emissions), emissions))
+        else:
+            peaks.append(Peak(None if positive else 0.0, emissions))
+    return peaks
+
+
+def _bisection(bits: int):
+    """Bisection of a bracket split into 2**bits sub-steps, as a table: on
+    its way to sub-step k it tests point ``tested[k, level]`` (counting
+    interior points from 0) and goes right, to a point > 0, exactly when
+    ``right[k, level]``.  Sub-step k is bisection's bracket when every
+    test agrees."""
+    levels, steps = range(bits - 1, -1, -1), range(2**bits)
+    tested = [[(k >> (s + 1) << (s + 1)) + (1 << s) - 1 for s in levels] for k in steps]
+    right = [[(k >> s) & 1 == 1 for s in levels] for k in steps]
+    return np.array(tested), np.array(right)
+
+
+_BISECTION = {bits: _bisection(bits) for bits in range(1, _REFINE_BITS + 1)}
+
+
+def _halvings(root_tol: float) -> int:
+    """Halvings that bring a one-year bracket to width <= root_tol: the
+    smallest s >= 0 with 2**-s <= root_tol."""
+    if not (math.isfinite(root_tol) and root_tol > 0):
+        # no number of halvings reaches a width <= 0
+        raise ValidationError(f"root_tol must be positive and finite, got {root_tol}")
+    return max(0, 1 - math.frexp(root_tol)[1])
+
+
+def _slope_values(coeffs, powers, rates, t):
+    """Each row's sum of c t^n e^{mu t} over its terms in order, at that
+    row of the points ``t`` (rows x points): the arithmetic of
+    :meth:`ExpPoly.__call__`, so every value is the same to the bit.
+    Padded terms have c = 0 and add exactly zero."""
+    t_powers = np.stack([t**n for n in range(powers.max(initial=0) + 1)])
+    terms = (coeffs[..., None] * t_powers[powers, np.arange(len(t))[:, None]]
+             * np.exp(rates[..., None] * t[:, None, :]))
+    out = np.zeros(terms.shape[::2])
+    for j in range(terms.shape[1]):
+        out = out + terms[:, j]
+    return out
+
+
+def _abatement(policy: Policy, scenario: ScenarioConfig) -> ExpPoly:
+    """The policy's path, solved under ``scenario`` when it carries none;
+    a solver failure keeps its type and attributes and names the pair."""
+    if policy.path is not None:
+        return policy.path
+    try:
+        return optimal_path(policy.delta, policy.model, scenario).abatement
+    except MmrClimateError as exc:
+        # keep the type, its attributes and its exit code
+        exc.args = (f"solver failed for policy pair (delta={policy.delta}, "
+                    f"model={policy.model.name}): {exc}",) + exc.args[1:]
+        raise
+
+
 def tmax(policy: Policy, model: ClimateModel, scenario: ScenarioConfig,
          root_tol: float = ROOT_TOL):
     """Peak temperature under a policy if ``model`` is the true model.
 
-    Returns (years to peak, peak degC).  The emissions peak is the root
-    of B - A with a + to - sign change (yearly scan over 3000 years plus
-    bisection to ``root_tol``, which must be positive and finite); with
-    several such roots the one with the highest emissions wins.  The
-    peak time does not depend on the model, which only scales the
-    temperature.  Temperature is ccr * E including the initial stock,
-    matching the published convention.  Nondecreasing emissions (the
-    no-abatement case) raise NoPeak carrying the asymptotic temperature
-    when it is finite; a path that only drains the stock peaks at time
-    zero, at ccr * e0.  A policy without a path is solved under
-    ``scenario`` first; a solver failure keeps its type and attributes
-    and names the pair.
+    Returns (years to peak, peak degC): the one-path case of
+    :func:`peak_search` (a yearly scan, then the bracket refined in
+    dyadic rounds to a width <= ``root_tol``, which must be positive and
+    finite), times the model's ccr.  Temperature is ccr * E including the
+    initial stock, matching the published convention.  Nondecreasing
+    emissions (the no-abatement case) raise NoPeak carrying the
+    asymptotic temperature when it is finite; a path that only drains
+    the stock peaks at time zero, at ccr * e0.  A policy without a path
+    is solved under ``scenario`` first; a solver failure keeps its type
+    and attributes and names the pair.
     """
-    if not (math.isfinite(root_tol) and root_tol > 0):
-        # the bisection below never ends for a tolerance <= 0
-        raise ValidationError(f"root_tol must be positive and finite, got {root_tol}")
-    path = policy.path
-    if path is None:
-        try:
-            path = optimal_path(policy.delta, policy.model, scenario).abatement
-        except MmrClimateError as exc:
-            # keep the type, its attributes and its exit code
-            exc.args = (f"solver failed for policy pair (delta={policy.delta}, "
-                        f"model={policy.model.name}): {exc}",) + exc.args[1:]
-            raise
-    slope = scenario.baseline - path   # dE/dt
-    emissions = net_cumulative_emissions(path, scenario.baseline, scenario.e0)
-    grid = np.arange(0.0, _PEAK_HORIZON + 1.0)
-    values = slope(grid)
-
-    crossings = []
-    sign = np.sign(values)
-    for i in np.flatnonzero((sign[:-1] > 0) & (sign[1:] <= 0)):
-        lo, hi = grid[i], grid[i + 1]
-        while hi - lo > root_tol:
-            mid = 0.5 * (lo + hi)
-            if slope(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        crossings.append(0.5 * (lo + hi))
-
-    if crossings:
-        t_peak = max(crossings, key=emissions)
-    elif np.any(values > 0):
-        try:
-            asymptote = model.ccr * emissions.limit_at_infinity()
-        except ValueError:
-            asymptote = None
-        raise NoPeak(
-            f"net cumulative emissions are nondecreasing under "
-            f"{policy.label()}; the supremum is at the horizon",
-            asymptote_degc=asymptote,
-        )
-    else:
-        t_peak = 0.0   # the stock only drains; the maximum sits at the start
-    return float(t_peak), float(model.ccr * emissions(t_peak))
+    _halvings(root_tol)   # before any solve
+    (peak,) = peak_search([_abatement(policy, scenario)], scenario, root_tol)
+    return peak.tmax(model, policy.label())
 
 
 @dataclass(frozen=True)
@@ -295,10 +394,12 @@ def sweep(alphas, betas, deltas, ensemble, scenario: ScenarioConfig,
     Each cell is the scenario with its cost and damage weights replaced.
     The regret matrices of all cells come from one engine call over the
     distinct loops of the grid, and each cell's matrix is the same as a
-    lone :func:`regret_matrix` for it.  A cell's MMR policy is then
-    solved and its peak is :func:`tmax` under the highest-response
-    model, the worst case a planner can prepare for, with bisection to
-    ``root_tol``: one path solve and one peak search per cell.
+    lone :func:`regret_matrix` for it.  Each cell's MMR policy is then
+    solved, and one :func:`peak_search` over every cell's path (a yearly
+    scan, then every bracket refined in dyadic rounds to a width <=
+    ``root_tol``) gives each cell's peak under the highest-response
+    model, the worst case a planner can prepare for: the same numbers as
+    :func:`tmax` per cell.
     """
     if not alphas or not betas:
         raise ValidationError("alpha and beta grids must be nonempty")
@@ -308,15 +409,18 @@ def sweep(alphas, betas, deltas, ensemble, scenario: ScenarioConfig,
     grid = [(alpha, beta) for alpha in alphas for beta in betas]
     scenarios = [replace(scenario, econ=EconParams(alpha=alpha, beta=beta))
                  for alpha, beta in grid]
-    matrices = _regret_matrices(policies, states, scenarios)
+    chosen = [mmr_select(matrix)
+              for matrix in _regret_matrices(policies, states, scenarios)]
+    peaks = peak_search([_abatement(policy, cell_scenario)
+                         for (policy, _), cell_scenario in zip(chosen, scenarios)],
+                        scenario, root_tol)
     cells = []
-    for (alpha, beta), cell_scenario, matrix in zip(grid, scenarios, matrices):
-        policy, value = mmr_select(matrix)
-        years, peak = tmax(policy, worst_model, cell_scenario, root_tol)
+    for (alpha, beta), (policy, value), peak in zip(grid, chosen, peaks):
+        years, peak_degc = peak.tmax(worst_model, policy.label())
         cells.append(SweepCell(
             alpha=alpha, beta=beta,
             policy_delta=policy.delta, policy_model=policy.model.name,
-            mmr_value=value, years_to_peak=years, tmax_degc=peak,
+            mmr_value=value, years_to_peak=years, tmax_degc=peak_degc,
             tmax_model=worst_model.name,
         ))
     return SweepReport(alphas=tuple(alphas), betas=tuple(betas),

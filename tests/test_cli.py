@@ -13,7 +13,7 @@ import mmrclimate
 from mmrclimate import cli
 from mmrclimate.cli import main
 from mmrclimate.config import bundled_data_path, load_config, save_config
-from mmrclimate.control import optimal_path, solve_optimal
+from mmrclimate.control import solve_optimal
 
 
 @pytest.fixture()
@@ -160,6 +160,44 @@ class TestBadInput:
         assert "nan" not in (out + err).lower()
         assert not outdir.exists()
 
+    SUBCOMMANDS = [
+        ["fit-baseline"], ["solve", "--delta", "0.05", "--model", "HAD"],
+        ["regret-table"], ["mmr"], ["tmax"], ["tmax", "--delta", "0.05", "--model", "IPSL"],
+        ["tmax", "--no-abatement"], ["sweep"],
+    ]
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS, ids=" ".join)
+    @pytest.mark.parametrize("e0", ["1e160", "1e200", "1e308"])
+    def test_oversized_e0_is_numerical_failure_everywhere(self, command, e0,
+                                                          tmp_path, capsys):
+        # the stock is bounded where the scenario is built, so a subcommand
+        # that reads no cost cannot print a peak of ~1e157 degC or more
+        path = self._default_config_with(tmp_path, r"^e0 = auto$", f"e0 = {e0}")
+        outdir = tmp_path / "o"
+        assert run(command, outdir, config=path) == 3
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and "not finite" in err
+        assert "degC" not in out
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS, ids=" ".join)
+    @pytest.mark.parametrize("e0", [None, "1e6"])
+    def test_e0_within_bound_runs(self, command, e0, tmp_path, capsys):
+        path = None if e0 is None else self._default_config_with(
+            tmp_path, r"^e0 = auto$", f"e0 = {e0}")
+        assert run(command, tmp_path / "o", config=path) == 0
+
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_non_finite_configured_delta_is_config_error(self, delta, tmp_path,
+                                                         capsys):
+        # caught where the config is read, before the scenario's e0 bound
+        # integrates at the configured rates, so even a subcommand that
+        # reads no rate stops there
+        path = self._default_config_with(tmp_path, r"^deltas = .*$",
+                                         f"deltas = 0.01 {delta}")
+        assert run(["tmax", "--no-abatement"], tmp_path / "o", config=path) == 2
+        assert "deltas must be positive, finite" in capsys.readouterr().err
+
     def test_output_dir_that_is_a_file_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "taken"
         path.write_text("")
@@ -257,25 +295,28 @@ class TestMmrAndTmax:
 
     def test_tmax_reports_every_model(self, outdir, small_config_path, capsys,
                                       monkeypatch):
-        # the policy's path is solved once and shared by every model's
-        # peak search, whether the policy is named or the MMR choice
-        calls = []
+        # one path, built without a cost-engine call, and one peak search
+        # serve every model, whether the policy is named or the MMR choice
+        calls = {}
 
-        def counting(solver):
+        def counting(name, function):
             def counted(*args, **kwargs):
-                calls.append(args)
-                return solver(*args, **kwargs)
+                calls[name] = calls.get(name, 0) + 1
+                return function(*args, **kwargs)
             return counted
 
-        monkeypatch.setattr(cli, "solve_optimal", counting(solve_optimal))
-        monkeypatch.setattr(importlib.import_module("mmrclimate.regret"),
-                            "optimal_path", counting(optimal_path))
+        regret = importlib.import_module("mmrclimate.regret")
+        for module, name in ((cli, "solve_optimal"), (cli, "optimal_path"),
+                             (cli, "peak_search"), (regret, "optimal_path")):
+            monkeypatch.setattr(module, name,
+                                counting(f"{module.__name__}.{name}", getattr(module, name)))
         for args in (["tmax", "--delta", "0.02", "--model", "HAD"], ["tmax"]):
             calls.clear()
             assert run(args, outdir, small_config_path) == 0
             out = capsys.readouterr().out
             assert out.count("Tmax =") == 2
-            assert len(calls) == 1
+            assert calls == {"mmrclimate.cli.optimal_path": 1,
+                             "mmrclimate.cli.peak_search": 1}
             assert os.path.exists(os.path.join(outdir, "tmax.csv"))
 
     def test_tmax_no_abatement_reports_asymptote(self, outdir, small_config_path,

@@ -3,9 +3,11 @@
 ``tests/data/golden/`` holds the ``--no-timestamp`` files of
 ``fit-baseline`` and ``sweep`` and the stdout of ``tmax``, recorded
 before the as-printed baseline form and the single-value options were
-deleted, and the ``regret-table`` text table and heatmap and the stdout
-of ``mmr``, recorded before states and policies became one type.  The
-fit's full-precision floats in ``fit_report.txt`` and
+deleted, the ``regret-table`` text table and heatmap and the stdout
+of ``mmr``, recorded before states and policies became one type, and
+the stdout of ``tmax --delta 0.05 --model IPSL`` and ``tmax
+--no-abatement``, recorded before the peak search was batched over
+paths.  The fit's full-precision floats in ``fit_report.txt`` and
 ``fitted_config.ini`` are already held to the bundled config's exact
 bits by ``test_fit_writes_report_and_config``.  Files that print
 full-precision ``repr`` floats of costs and paths (``regret_matrix.csv``,
@@ -50,6 +52,14 @@ def test_files_match_golden(run_default, tmp_path, command, names):
 
 def test_tmax_stdout_matches_golden(run_default):
     assert run_default("tmax") == (GOLDEN / "tmax_stdout.txt").read_text()
+
+
+@pytest.mark.parametrize("args, name", [
+    (("--delta", "0.05", "--model", "IPSL"), "tmax_ipsl_stdout.txt"),
+    (("--no-abatement",), "tmax_no_abatement_stdout.txt"),
+])
+def test_tmax_variant_stdout_matches_golden(run_default, args, name):
+    assert run_default("tmax", *args) == (GOLDEN / name).read_text()
 
 
 def test_mmr_stdout_matches_golden(run_default):

@@ -225,6 +225,15 @@ class TestTmax:
             tmax(grow, config.model("HAD"), scenario)
         assert err.value.asymptote_degc is None
 
+    def test_tolerance_below_float_spacing_ends(self, scenario, config):
+        # bisection to 1e-20 never ended (a midpoint of adjacent floats is
+        # one of them); the rounds make a fixed number of halvings
+        policy = Policy(delta=0.02, model=config.model("IPSL"))
+        model = config.model("MIROC")
+        fine = tmax(policy, model, scenario, root_tol=1e-20)
+        assert fine == pytest.approx(tmax(policy, model, scenario, root_tol=1e-9),
+                                     abs=1e-9)
+
     @pytest.mark.parametrize("root_tol", [0.0, -1.0, math.nan, math.inf])
     def test_root_tol_must_be_positive_and_finite(self, scenario, config, root_tol):
         # a tolerance <= 0 would never end the bisection
@@ -267,6 +276,19 @@ class TestSweep:
             years, peak = tmax(policy, config.model(cell.tmax_model), cell_scenario)
             assert cell.years_to_peak == years
             assert cell.tmax_degc == peak
+
+    def test_one_peak_search_serves_every_cell(self, config, scenario, monkeypatch):
+        regret = importlib.import_module("mmrclimate.regret")
+        search, calls = regret.peak_search, []
+
+        def counted(paths, *args):
+            calls.append(len(paths))
+            return search(paths, *args)
+
+        monkeypatch.setattr(regret, "peak_search", counted)
+        report = sweep(config.alpha_grid, config.beta_grid, config.deltas,
+                       config.ensemble, scenario)
+        assert calls == [len(report.cells)] == [9]
 
     def test_root_tol_reaches_the_peak_search(self, config, scenario):
         report = sweep(config.alpha_grid[:2], config.beta_grid[:2],
