@@ -130,26 +130,42 @@ def char_roots(delta: float, m: float, alpha: float, beta: float) -> CharRoots:
         raise ValidationError("alpha must be positive")
     if beta < 0.0 or m < 0.0:
         raise ValidationError("beta and m must be nonnegative")
-    return _roots(delta, beta * m * m / alpha)
+    k = beta * m * m / alpha
+    lam_plus, lam_minus = _roots(delta, k)
+    return CharRoots(lam_plus=float(lam_plus), lam_minus=float(lam_minus), stiffness=k)
 
 
-def _roots(delta: float, k: float) -> CharRoots:
-    s = math.sqrt(delta * delta + 4.0 * k)
-    return CharRoots(lam_plus=0.5 * (delta + s), lam_minus=0.5 * (delta - s),
-                     stiffness=k)
+@np.errstate(over="ignore", invalid="ignore")   # non-finite roots raise below
+def _roots(delta, k):
+    """(lam_plus, lam_minus), the roots of lam^2 - delta lam - k = 0,
+    elementwise over arrays.  Roots that are not finite, where delta^2 +
+    4k overflows double precision, raise ValidationError naming the first
+    such delta and k."""
+    root = np.sqrt(delta * delta + 4.0 * k)
+    lam_plus = 0.5 * (delta + root)
+    bad = ~np.isfinite(lam_plus)   # lam_minus is finite wherever lam_plus is
+    if bad.any():
+        d_bad, k_bad = (float(v[bad][0]) for v in np.broadcast_arrays(delta, k))
+        raise ValidationError(
+            f"characteristic roots are not finite at delta = {d_bad!r}, k = {k_bad!r}: "
+            "delta^2 + 4k overflows double precision")
+    return lam_plus, 0.5 * (delta - root)
 
 
 def solve_optimal(delta: float, model: ClimateModel,
                   scenario: ScenarioConfig) -> OptimalSolution:
     """Exact optimal abatement for one {delta, model} pair and its cost.
 
-    The path is :func:`optimal_path`.  ``j_star`` comes from
-    :func:`closed_loop_costs` at the requested rate, which needs no
-    nudge; under a zero climate response it is exactly 0.
+    The path is :func:`optimal_path`.  ``j_star`` is the cost of the
+    pair's own loop at the requested rate, from
+    :func:`closed_loop_integrals` (which needs no nudge) weighed by
+    :func:`weighted_costs`; under a zero climate response it is exactly 0.
     """
     path = optimal_path(delta, model, scenario)
-    j_star = 0.0 if model.ccr == 0.0 else float(closed_loop_costs(
-        [(delta, path.roots.stiffness)], [(delta, model.ccr)], scenario)[0, 0])
+    j_star = 0.0
+    if model.ccr != 0.0:
+        i_a, i_e = closed_loop_integrals([(delta, path.roots.stiffness)], [delta], scenario)
+        j_star = float(weighted_costs(i_a[0, 0], i_e[0, 0], model.ccr, scenario))
     return OptimalSolution(**vars(path), j_star=j_star)
 
 
@@ -247,24 +263,6 @@ def _feedback(g, c, lam_plus, lam_minus):
     return np.linalg.solve(g_shift, (lam_minus[..., None] * c)[..., None])[..., 0]
 
 
-def closed_loop_costs(loops, evaluations, scenario: ScenarioConfig) -> np.ndarray:
-    """Discounted total cost of closed-loop policies in evaluation states.
-
-    ``loops`` holds (delta, k) pairs, each the optimal feedback for that
-    discount rate and stiffness k = beta m^2 / alpha, or None for no
-    abatement.  ``evaluations`` holds (delta_eval, ccr_eval) pairs.
-    Returns an array of shape (len(evaluations), len(loops)) of
-    alpha/2 I_A + beta ccr_eval^2 / 2 I_E, the integrals coming from one
-    :func:`closed_loop_integrals` call over the distinct evaluation
-    rates and the weighting from :func:`weighted_costs`.
-    """
-    rates = sorted({d for d, _ in evaluations})
-    i_a, i_e = closed_loop_integrals(loops, rates, scenario)
-    col = [rates.index(d) for d, _ in evaluations]
-    ccr = np.array([m for _, m in evaluations], dtype=float)
-    return weighted_costs(i_a[:, col].T, i_e[:, col].T, ccr[:, None], scenario)
-
-
 @np.errstate(over="ignore", invalid="ignore")   # non-finite costs raise below
 def weighted_costs(i_a, i_e, ccr, scenario: ScenarioConfig) -> np.ndarray:
     """alpha/2 I_A + beta ccr^2 / 2 I_E under the scenario's weights,
@@ -285,9 +283,12 @@ def closed_loop_integrals(loops, rates, scenario: ScenarioConfig):
     """The weight-free integrals of the closed loops, I_A and I_E, each
     of shape (len(loops), len(rates)).
 
-    ``loops`` is as in :func:`closed_loop_costs`; ``rates`` are the
-    evaluation discount rates.  Only the scenario's baseline and e0 are
-    read, so one call serves every (alpha, beta) weighting of the loops.
+    ``loops`` holds (delta, k) pairs, each the optimal feedback for that
+    discount rate and stiffness k = beta m^2 / alpha, or None for no
+    abatement; ``rates`` are the evaluation discount rates.  Only the
+    scenario's baseline and e0 are read, so one call serves every
+    (alpha, beta) weighting of the loops; :func:`weighted_costs` weighs
+    them.
     On x = (E, w) each loop is dx/dt = F x, A = q.x, x(0) = (e0, w0), and
     Y = integral of x x^T e^{-delta_eval t} solves
     (F - delta_eval/2) Y + Y (F - delta_eval/2)^T = -x0 x0^T, so
@@ -304,8 +305,7 @@ def closed_loop_integrals(loops, rates, scenario: ScenarioConfig):
     # no abatement is the k = 0 loop: lam_minus = 0 makes s = 0 and A = 0
     delta, k = np.array([(1.0, 0.0) if loop is None else loop for loop in loops],
                         dtype=float).reshape(-1, 2).T
-    root = np.sqrt(delta * delta + 4.0 * k)      # as in _roots
-    lam_plus, lam_minus = 0.5 * (delta + root), 0.5 * (delta - root)
+    lam_plus, lam_minus = _roots(delta, k)
     s = _feedback(g, c, lam_plus, lam_minus)
 
     # x = (E, w) with each Jordan block reversed, higher powers first:

@@ -244,14 +244,13 @@ def peak_search(paths, scenario: ScenarioConfig, root_tol: float = ROOT_TOL) -> 
     together, in dyadic rounds, to a width <= ``root_tol``, which must be
     positive and finite.  A round splits each bracket into 2**5 equal
     steps, evaluates every interior point of every bracket in one array
-    expression and keeps the step bisection would reach from those
-    values.  The rounds make bisection's number of halvings, so the
-    final bracket is bisection's, even where rounding noise makes the
-    slope change sign several times inside it.  The peak is the final
-    bracket's midpoint; with several, the one with the highest emissions
-    wins.  A slope never positive on the grid peaks at time zero (the
-    stock only drains); one positive somewhere but never crossing to
-    <= 0 has no peak.
+    expression, then bisects each bracket over those values.  The rounds
+    make bisection's number of halvings, so the final bracket is
+    bisection's, even where rounding noise makes the slope change sign
+    several times inside it.  The peak is the final bracket's midpoint;
+    with several, the one with the highest emissions wins.  A slope never
+    positive on the grid peaks at time zero (the stock only drains); one
+    positive somewhere but never crossing to <= 0 has no peak.
     """
     halvings = _halvings(root_tol)
     slopes = [scenario.baseline - path for path in paths]
@@ -273,11 +272,17 @@ def peak_search(paths, scenario: ScenarioConfig, root_tol: float = ROOT_TOL) -> 
         halvings -= bits
         width /= 2**bits
         inner = _slope_values(coeffs, powers, rates,
-                              lo[:, None] + width * np.arange(1, 2**bits))
-        # keep the sub-step bisection reaches from these values
-        tested, right = _BISECTION[bits]
-        reached = ((inner > 0)[:, tested] == right).all(axis=2)
-        lo = lo + width * np.argmax(reached, axis=1)
+                              lo[:, None] + width * np.arange(1, 2**bits)) > 0
+        # bisect each bracket over these values: the midpoint of sub-steps
+        # [step, step + 2**(level + 1)] is interior point step + 2**level - 1
+        steps = []
+        for positive in inner.tolist():
+            step = 0
+            for level in range(bits - 1, -1, -1):
+                if positive[step + 2**level - 1]:
+                    step += 2**level
+            steps.append(step)
+        lo = lo + width * np.array(steps)
 
     crossings = [[] for _ in slopes]
     midpoints = 0.5 * (lo + (lo + width))   # bisection's 0.5 * (lo + hi)
@@ -291,21 +296,6 @@ def peak_search(paths, scenario: ScenarioConfig, root_tol: float = ROOT_TOL) -> 
         else:
             peaks.append(Peak(None if positive else 0.0, emissions))
     return peaks
-
-
-def _bisection(bits: int):
-    """Bisection of a bracket split into 2**bits sub-steps, as a table: on
-    its way to sub-step k it tests point ``tested[k, level]`` (counting
-    interior points from 0) and goes right, to a point > 0, exactly when
-    ``right[k, level]``.  Sub-step k is bisection's bracket when every
-    test agrees."""
-    levels, steps = range(bits - 1, -1, -1), range(2**bits)
-    tested = [[(k >> (s + 1) << (s + 1)) + (1 << s) - 1 for s in levels] for k in steps]
-    right = [[(k >> s) & 1 == 1 for s in levels] for k in steps]
-    return np.array(tested), np.array(right)
-
-
-_BISECTION = {bits: _bisection(bits) for bits in range(1, _REFINE_BITS + 1)}
 
 
 def _halvings(root_tol: float) -> int:

@@ -198,6 +198,34 @@ class TestBadInput:
         assert run(["tmax", "--no-abatement"], tmp_path / "o", config=path) == 2
         assert "deltas must be positive, finite" in capsys.readouterr().err
 
+    @staticmethod
+    def _assert_names_rate(code, rate, outdir, capsys):
+        # exit 2 with one error line naming the rate, and no file written
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and repr(float(rate)) in err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("delta", ["1e200", "1e308"])
+    @pytest.mark.parametrize("command", ["solve", "tmax"])
+    def test_huge_delta_is_usage_error(self, command, delta, tmp_path, capsys):
+        # delta^2 overflows, so the characteristic roots are not finite
+        outdir = tmp_path / "o"
+        code = run([command, "--delta", delta, "--model", "IPSL"], outdir)
+        self._assert_names_rate(code, delta, outdir, capsys)
+
+    @pytest.mark.parametrize("command", ["regret-table", "mmr", "sweep", "tmax"])
+    def test_huge_configured_delta_is_config_error(self, command, tmp_path, capsys):
+        # the e0 in the scenario is fine; the rate is what overflows
+        path = self._default_config_with(tmp_path, r"^(deltas = .*)$", r"\1 1e308")
+        outdir = tmp_path / "o"
+        code = run([command], outdir, config=path)
+        self._assert_names_rate(code, "1e308", outdir, capsys)
+
+    def test_large_delta_within_bound_runs(self, tmp_path):
+        assert run(["solve", "--delta", "1e150", "--model", "IPSL"], tmp_path / "o") == 0
+
     def test_output_dir_that_is_a_file_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "taken"
         path.write_text("")

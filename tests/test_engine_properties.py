@@ -20,9 +20,10 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from mmrclimate.control import (  # noqa: E402
     ScenarioConfig,
     char_roots,
-    closed_loop_costs,
+    closed_loop_integrals,
     numeric_oracle,
     solve_optimal,
+    weighted_costs,
 )
 from mmrclimate.economy import ClimateModel, EconParams, discounted_total_cost  # noqa: E402
 from mmrclimate.exppoly import ExpPoly  # noqa: E402
@@ -74,10 +75,10 @@ def test_engine_matches_exppoly_closed_form(baseline, econ, e0, delta, m,
     model = ClimateModel("m", m)
     sol = solve_optimal(delta, model, scenario)
     assert sol.abatement.max_rate() < 0.5 * delta
+    i_a, i_e = closed_loop_integrals([(delta, sol.roots.stiffness)], [delta_eval], scenario)
     for d, ccr, got in [
         (delta, m, sol.j_star),
-        (delta_eval, m_eval, closed_loop_costs([(delta, sol.roots.stiffness)],
-                                               [(delta_eval, m_eval)], scenario)[0, 0]),
+        (delta_eval, m_eval, weighted_costs(i_a[0, 0], i_e[0, 0], m_eval, scenario)),
     ]:
         expected = discounted_total_cost(sol.abatement, econ, ClimateModel("x", ccr),
                                          d, baseline, e0)
@@ -124,7 +125,8 @@ def _exact_no_abatement_cost(baseline, e0, delta, beta, ccr):
 def test_no_abatement_cost_is_exact(baseline, econ, e0, delta_eval, m_eval):
     assume(e0 > 0 or not baseline.is_zero)
     scenario = ScenarioConfig(baseline=baseline, e0=e0, econ=econ)
-    got = closed_loop_costs([None], [(delta_eval, m_eval)], scenario)[0, 0]
+    i_a, i_e = closed_loop_integrals([None], [delta_eval], scenario)
+    got = weighted_costs(i_a[0, 0], i_e[0, 0], m_eval, scenario)
     expected = _exact_no_abatement_cost(baseline, e0, delta_eval, econ.beta, m_eval)
     assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
@@ -178,7 +180,8 @@ def test_engine_matches_schur_lyapunov(baseline, econ, e0, delta, m, gap, pick,
         k = econ.beta * m * m / econ.alpha
     scenario = ScenarioConfig(baseline=baseline, e0=e0, econ=econ)
     loops = [(delta, k), None]
-    got = closed_loop_costs(loops, [(delta_eval, m_eval)], scenario)[0]
+    i_a, i_e = closed_loop_integrals(loops, [delta_eval], scenario)
+    got = weighted_costs(i_a[:, 0], i_e[:, 0], m_eval, scenario)
     for loop, cost in zip(loops, got):
         expected = _schur_lyapunov_cost(baseline, e0, econ, loop, delta_eval, m_eval)
         assert cost == pytest.approx(expected, rel=1e-12, abs=0.0)

@@ -26,7 +26,9 @@ PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
 
 CONFIG = load_config()
 SCENARIO = CONFIG.to_scenario()
-ROOT_TOLS = st.sampled_from([1e-9, 1e-6, 0.3, 1.0, 5.0])
+# 1e-4 takes 14 halvings, in rounds of 5, 5 and 4, and 2**-5 one full
+# round, so full rounds are also checked before a partial one
+ROOT_TOLS = st.sampled_from([1e-9, 1e-6, 1e-4, 2**-5, 0.3, 1.0, 5.0])
 
 
 @st.composite

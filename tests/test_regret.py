@@ -337,8 +337,6 @@ class TestSweep:
         integrals = counting("integrals", control.closed_loop_integrals)
         for module in (control, regret_module):
             monkeypatch.setattr(module, "closed_loop_integrals", integrals)
-        monkeypatch.setattr(control, "closed_loop_costs",
-                            counting("costs", control.closed_loop_costs))
         report = sweep(config.alpha_grid, config.beta_grid, config.deltas,
                        config.ensemble, scenario)
         assert len(report.cells) == 9
