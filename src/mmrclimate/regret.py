@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -131,7 +132,9 @@ def build_policy_set(deltas, ensemble, scenario: ScenarioConfig) -> list:
 @dataclass(frozen=True)
 class RegretMatrix:
     """Rows: actual states.  Columns: policies.  Values are regrets in
-    percent of the present value of output."""
+    percent of the present value of output.  ``values`` is read-only by
+    contract: :attr:`max_regret` and :attr:`mmr_index` are computed once
+    per matrix and kept."""
 
     states: tuple
     policies: tuple
@@ -147,12 +150,12 @@ class RegretMatrix:
                 "not actually optimal"
             )
 
-    @property
+    @cached_property
     def max_regret(self) -> np.ndarray:
         """Worst-case regret of each policy (column maxima)."""
         return self.values.max(axis=0)
 
-    @property
+    @cached_property
     def mmr_index(self) -> int:
         """Column of the policy minimizing the worst-case regret.  Ties go
         to the lower discount rate, then the lower climate response, with

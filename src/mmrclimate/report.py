@@ -3,13 +3,15 @@
 Everything here is deterministic byte-for-byte given the same inputs,
 except the single optional timestamp header line, which callers disable
 with ``timestamp=False``.  No plotting library is used; the heatmap is
-written as self-contained SVG markup.
+written as self-contained SVG markup.  Each writer reads its matrix or
+path columns as Python floats once, formats every value once and joins
+its lines in one call; what is fixed per row or per column (labels, the
+``*`` marker, coordinates, constant tag text) is formatted once too.
 """
 
 from __future__ import annotations
 
 import datetime
-import io
 
 import numpy as np
 
@@ -27,39 +29,40 @@ def _stamp(timestamp: bool) -> str:
     return f"# generated {now.strftime('%Y-%m-%dT%H:%M:%SZ')}\n"
 
 
+def _text(lines) -> str:
+    """``lines``, each ended by a newline (without copying the result)."""
+    lines.append("")
+    return "\n".join(lines)
+
+
 def solution_csv(solution, scenario, horizon_years: int = 500,
                  timestamp: bool = True) -> str:
     """Annual path samples: baseline, abatement, net cumulative emissions
     under the policy and under no abatement, temperature."""
     no_abate = net_cumulative_emissions(ExpPoly.zero(), scenario.baseline,
                                         scenario.e0)
-    out = io.StringIO()
-    out.write(_stamp(timestamp))
-    out.write("year,t_years,baseline_gtc_yr,abatement_gtc_yr,"
-              "net_cumulative_gtc,net_cumulative_no_abatement_gtc,"
-              "temperature_degc\n")
     t = np.arange(horizon_years + 1.0)
-    columns = zip(scenario.baseline(t), solution.abatement(t),
-                  solution.net_emissions(t), no_abate(t), solution.temperature(t))
-    for year, (base, abate, net, net_passive, temp) in enumerate(columns):
-        out.write(
-            f"{scenario.start_year + year},{year},{base:.6f},{abate:.6f},"
-            f"{net:.4f},{net_passive:.4f},{temp:.6f}\n"
-        )
-    return out.getvalue()
+    columns = (scenario.baseline, solution.abatement, solution.net_emissions,
+               no_abate, solution.temperature)
+    rows = zip(*(f(t).tolist() for f in columns))
+    start = scenario.start_year
+    lines = [_stamp(timestamp) + "year,t_years,baseline_gtc_yr,"
+             "abatement_gtc_yr,net_cumulative_gtc,"
+             "net_cumulative_no_abatement_gtc,temperature_degc"]
+    lines += [f"{start + year},{year},{base:.6f},{abate:.6f},{net:.4f},"
+              f"{net_passive:.4f},{temp:.6f}"
+              for year, (base, abate, net, net_passive, temp) in enumerate(rows)]
+    return _text(lines)
 
 
 def matrix_csv(matrix: RegretMatrix, timestamp: bool = True) -> str:
     """Full-precision regret matrix plus the max-regret row."""
-    out = io.StringIO()
-    out.write(_stamp(timestamp))
-    out.write("actual_world," + ",".join(p.label() for p in matrix.policies) + "\n")
-    for state, row in zip(matrix.states, matrix.values):
-        out.write(state.label() + ","
-                  + ",".join(repr(float(v)) for v in row) + "\n")
-    out.write("max_regret,"
-              + ",".join(repr(float(v)) for v in matrix.max_regret) + "\n")
-    return out.getvalue()
+    lines = [_stamp(timestamp) + "actual_world,"
+             + ",".join(p.label() for p in matrix.policies)]
+    lines += [state.label() + "," + ",".join(map(repr, row.tolist()))
+              for state, row in zip(matrix.states, matrix.values)]
+    lines.append("max_regret," + ",".join(map(repr, matrix.max_regret.tolist())))
+    return _text(lines)
 
 
 def matrix_table(matrix: RegretMatrix, timestamp: bool = True) -> str:
@@ -68,60 +71,45 @@ def matrix_table(matrix: RegretMatrix, timestamp: bool = True) -> str:
     The minimax-regret column is flagged with a trailing ``*`` in its
     header and on its max-regret entry.
     """
+    width = 13
     mmr_idx = matrix.mmr_index
     n = len(matrix.policies)
-    parts = [
-        list(range(start, min(start + POLICY_COLUMNS_PER_PART, n)))
-        for start in range(0, n, POLICY_COLUMNS_PER_PART)
-    ]
+    starts = list(range(0, n, POLICY_COLUMNS_PER_PART))
     # fold a short trailing part (the no-abatement column) into the last one
-    if len(parts) > 1 and len(parts[-1]) <= 1:
-        parts[-2].extend(parts.pop())
+    if len(starts) > 1 and n - starts[-1] <= 1:
+        starts.pop()
+    parts = list(zip(starts, starts[1:] + [n]))
+    mark = [""] * n
+    mark[mmr_idx] = "*"
 
-    width = 13
-    out = io.StringIO()
-    out.write(_stamp(timestamp))
-    out.write("Regrets (percent of present value of output)\n")
-    for part_no, cols in enumerate(parts, start=1):
-        out.write(f"\nPart {part_no} of {len(parts)}\n")
-        header = "actual world".ljust(width)
-        for j in cols:
-            label = matrix.policies[j].label()
-            if j == mmr_idx:
-                label += "*"
-            header += label.rjust(width)
-        out.write(header + "\n")
-        for state, row in zip(matrix.states, matrix.values):
-            line = state.label().ljust(width)
-            for j in cols:
-                line += f"{row[j]:.3f}".rjust(width)
-            out.write(line + "\n")
-        line = "max regret".ljust(width)
-        for j in cols:
-            cell = f"{matrix.max_regret[j]:.3f}"
-            if j == mmr_idx:
-                cell += "*"
-            line += cell.rjust(width)
-        out.write(line + "\n")
-    out.write("\n* minimax-regret policy\n")
-    return out.getvalue()
+    header = [(p.label() + m).rjust(width) for p, m in zip(matrix.policies, mark)]
+    labels = [state.label().ljust(width) for state in matrix.states]
+    max_row = [f"{v:.3f}{m}".rjust(width)
+               for v, m in zip(matrix.max_regret.tolist(), mark)]
+
+    lines = [_stamp(timestamp) + "Regrets (percent of present value of output)"]
+    for part_no, (a, b) in enumerate(parts, start=1):
+        lines += ["", f"Part {part_no} of {len(parts)}",
+                  "actual world".ljust(width) + "".join(header[a:b])]
+        lines += [label + "".join([f"{v:.3f}".rjust(width) for v in row])
+                  for label, row in zip(labels, matrix.values[:, a:b].tolist())]
+        lines.append("max regret".ljust(width) + "".join(max_row[a:b]))
+    lines += ["", "* minimax-regret policy"]
+    return _text(lines)
 
 
-def _heat_color(value: float, vmax: float) -> str:
-    """White at exactly zero, saturating toward red at the matrix max.
-
-    A quartic-root ramp keeps the small-regret structure visible despite
-    the no-abatement column dominating the linear scale.
-    """
-    if vmax <= 0 or value <= 0:
-        return "#ffffff"
-    s = min(1.0, (value / vmax) ** 0.25)
-    level = int(round(255 - 225 * s))
-    return f"#ff{level:02x}{level:02x}"
+# Heatmap fills by level, white (255) down to the saturated red (30).
+_FILLS = tuple(f"#ff{level:02x}{level:02x}" for level in range(256))
 
 
 def svg_heatmap(matrix: RegretMatrix, timestamp: bool = True) -> str:
-    """Color-shaded plot of every regret and the max-regret row."""
+    """Color-shaded plot of every regret and the max-regret row.
+
+    A cell is white where its regret is not positive (or no regret is),
+    saturating toward red at the matrix max.  A quartic-root ramp keeps
+    the small-regret structure visible despite the no-abatement column
+    dominating the linear scale.
+    """
     left, top, cell = 110, 70, 14   # margins and cell side, px
     n_rows, n_cols = matrix.values.shape
     width = left + n_cols * cell + 20
@@ -129,60 +117,62 @@ def svg_heatmap(matrix: RegretMatrix, timestamp: bool = True) -> str:
     vmax = float(matrix.values.max())
     mmr_idx = matrix.mmr_index
 
-    out = io.StringIO()
-    out.write('<?xml version="1.0" encoding="UTF-8"?>\n')
+    def fills(row):
+        if vmax <= 0:
+            return [_FILLS[255]] * len(row)
+        return [_FILLS[255] if v <= 0
+                else _FILLS[round(255 - 225 * min(1.0, (v / vmax) ** 0.25))]
+                for v in row.tolist()]
+
+    def rects(y, row, stroke, stroke_width):
+        # only x and the fill vary along a row: the rest is formatted once
+        mid = f'" y="{y}" width="{cell}" height="{cell}" fill="'
+        end = f'" stroke="{stroke}" stroke-width="{stroke_width}"/>'
+        return "\n".join([f'<rect x="{x}{mid}{fill}{end}'
+                          for x, fill in zip(xs, fills(row))])
+
+    xs = [str(left + j * cell) for j in range(n_cols)]
+    x_mid = [left + j * cell + cell // 2 for j in range(n_cols)]
+    lines = ['<?xml version="1.0" encoding="UTF-8"?>']
     if timestamp:
         stamp_text = _stamp(True).strip("# \n")
-        out.write(f"<!-- {stamp_text} -->\n")
-    out.write(
+        lines.append(f"<!-- {stamp_text} -->")
+    lines += [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">\n'
-    )
-    out.write(f'<rect width="{width}" height="{height}" fill="white"/>\n')
-    out.write(f'<text x="{left}" y="20" font-family="sans-serif" font-size="13">'
-              f'Regret by actual world (rows) and policy (columns)</text>\n')
-
-    for j, policy in enumerate(matrix.policies):
-        x = left + j * cell + cell // 2
-        label = policy.label() + ("*" if j == mmr_idx else "")
-        out.write(
-            f'<text x="{x}" y="{top - 6}" font-family="sans-serif" '
-            f'font-size="6" text-anchor="start" '
-            f'transform="rotate(-60 {x} {top - 6})">{label}</text>\n'
-        )
-    for i, state in enumerate(matrix.states):
-        y = top + i * cell + cell - 4
-        out.write(f'<text x="{left - 6}" y="{y}" font-family="sans-serif" '
-                  f'font-size="7" text-anchor="end">{state.label()}</text>\n')
-        for j in range(n_cols):
-            color = _heat_color(float(matrix.values[i, j]), vmax)
-            out.write(f'<rect x="{left + j * cell}" y="{top + i * cell}" '
-                      f'width="{cell}" height="{cell}" fill="{color}" '
-                      f'stroke="#cccccc" stroke-width="0.5"/>\n')
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{left}" y="20" font-family="sans-serif" font-size="13">'
+        f'Regret by actual world (rows) and policy (columns)</text>',
+    ]
+    y_label = top - 6
+    lines += [f'<text x="{x}" y="{y_label}" font-family="sans-serif" '
+              f'font-size="6" text-anchor="start" '
+              f'transform="rotate(-60 {x} {y_label})">'
+              f'{policy.label()}{"*" if j == mmr_idx else ""}</text>'
+              for j, (x, policy) in enumerate(zip(x_mid, matrix.policies))]
+    for i, (state, row) in enumerate(zip(matrix.states, matrix.values)):
+        y = top + i * cell
+        lines.append(f'<text x="{left - 6}" y="{y + cell - 4}" '
+                     f'font-family="sans-serif" font-size="7" '
+                     f'text-anchor="end">{state.label()}</text>')
+        lines.append(rects(y, row, "#cccccc", 0.5))
 
     y_max = top + (n_rows + 1) * cell
-    out.write(f'<text x="{left - 6}" y="{y_max + cell - 4}" '
-              f'font-family="sans-serif" font-size="7" '
-              f'text-anchor="end">max regret</text>\n')
-    for j in range(n_cols):
-        color = _heat_color(float(matrix.max_regret[j]), vmax)
-        out.write(f'<rect x="{left + j * cell}" y="{y_max}" width="{cell}" '
-                  f'height="{cell}" fill="{color}" stroke="#999999" '
-                  f'stroke-width="0.8"/>\n')
-    out.write("</svg>\n")
-    return out.getvalue()
+    lines.append(f'<text x="{left - 6}" y="{y_max + cell - 4}" '
+                 f'font-family="sans-serif" font-size="7" '
+                 f'text-anchor="end">max regret</text>')
+    lines.append(rects(y_max, matrix.max_regret, "#999999", 0.8))
+    lines.append("</svg>")
+    return _text(lines)
 
 
 def sweep_csv(report: SweepReport, timestamp: bool = True) -> str:
-    out = io.StringIO()
-    out.write(_stamp(timestamp))
-    out.write("alpha,beta,mmr_delta,mmr_model,mmr_value,"
-              "years_to_peak,tmax_model,tmax_degc\n")
-    for c in report.cells:
-        out.write(f"{c.alpha!r},{c.beta!r},{c.policy_delta!r},{c.policy_model},"
-                  f"{c.mmr_value!r},{c.years_to_peak:.1f},{c.tmax_model},"
-                  f"{c.tmax_degc!r}\n")
-    return out.getvalue()
+    lines = [_stamp(timestamp) + "alpha,beta,mmr_delta,mmr_model,mmr_value,"
+             "years_to_peak,tmax_model,tmax_degc"]
+    lines += [f"{c.alpha!r},{c.beta!r},{c.policy_delta!r},{c.policy_model},"
+              f"{c.mmr_value!r},{c.years_to_peak:.1f},{c.tmax_model},"
+              f"{c.tmax_degc!r}" for c in report.cells]
+    return _text(lines)
 
 
 def _blocks_side_by_side(blocks, gap="    "):

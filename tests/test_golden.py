@@ -7,13 +7,17 @@ deleted, the ``regret-table`` text table and heatmap and the stdout
 of ``mmr``, recorded before states and policies became one type, and
 the stdout of ``tmax --delta 0.05 --model IPSL`` and ``tmax
 --no-abatement``, recorded before the peak search was batched over
-paths.  The fit's full-precision floats in ``fit_report.txt`` and
-``fitted_config.ini`` are already held to the bundled config's exact
-bits by ``test_fit_writes_report_and_config``.  Files that print
-full-precision ``repr`` floats of costs and paths (``regret_matrix.csv``,
+paths, and the path samples of ``solve --delta 0.02 --model IPSL``
+(fixed-decimal fields only), recorded before the report writers were
+rewritten to format each value once.  The fit's full-precision floats
+in ``fit_report.txt`` and ``fitted_config.ini`` are already held to
+the bundled config's exact bits by
+``test_fit_writes_report_and_config``.  Files that print full-precision
+``repr`` floats of costs and paths (``regret_matrix.csv``,
 ``sweep_summary.csv``, ``tmax.csv``) are left out: their last digits
 follow the platform's ``exp``, and the acceptance tests hold those
-values to tolerances instead.
+values to tolerances instead (``test_report.py`` holds
+``regret_matrix.csv`` to the matrix it prints, bit for bit).
 """
 
 from pathlib import Path
@@ -43,9 +47,10 @@ def run_default(tmp_path, monkeypatch, capsys):
     ("fit-baseline", ("fit_report.txt", "fitted_config.ini")),
     ("sweep", ("sweep_mmr.txt", "sweep_tmax.txt")),
     ("regret-table", ("regret_table.txt", "regret_heatmap.svg")),
+    ("solve --delta 0.02 --model IPSL", ("solution_d0.02_IPSL.csv",)),
 ])
 def test_files_match_golden(run_default, tmp_path, command, names):
-    run_default(command)
+    run_default(*command.split())
     for name in names:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
