@@ -58,19 +58,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--horizon", type=int, default=500, help="years of annual samples")
 
-    p = sub.add_parser("regret-table", help="full regret matrix: CSV, "
-                       "three-part table, SVG heatmap")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
+    weights = argparse.ArgumentParser(add_help=False)
+    weights.add_argument("--alpha", type=float)
+    weights.add_argument("--beta", type=float)
+    sub.add_parser("regret-table", parents=[weights], help="full regret matrix: "
+                   "CSV, three-part table, SVG heatmap")
+    sub.add_parser("mmr", parents=[weights], help="print the minimax-regret policy")
 
-    p = sub.add_parser("mmr", help="print the minimax-regret policy")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-
-    p = sub.add_parser("tmax", help="peak temperature of a policy under "
-                       "every ensemble model")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
+    p = sub.add_parser("tmax", parents=[weights], help="peak temperature of a "
+                       "policy under every ensemble model")
     p.add_argument("--delta", type=float, help="policy provenance rate "
                    "(default: the MMR policy)")
     p.add_argument("--model", help="policy provenance model")

@@ -105,7 +105,7 @@ class RunConfig:
     def to_scenario(self) -> ScenarioConfig:
         """Build the solver scenario, bounding the initial stock here, once
         for every subcommand, by what the cost engine needs: the no-abatement
-        cost integrals, which grow like e0**2 / delta, must be finite at
+        (k = 0) cost integrals, which grow like e0**2 / delta, must be finite at
         every configured discount rate.  Past that (near e0 = 1e154 GtC at
         the bundled rates) no policy can be costed, and a printed path or
         peak temperature would mean nothing; NonConvergence (a numerical
@@ -117,7 +117,8 @@ class RunConfig:
             econ=self.econ,
             start_year=self.start_year,
         )
-        if not np.all(np.isfinite(closed_loop_integrals([None], self.deltas, scenario))):
+        passive = closed_loop_integrals([1.0], [0.0], self.deltas, scenario)
+        if not np.all(np.isfinite(passive)):
             raise NonConvergence(
                 f"cost integrals are not finite at e0 = {scenario.e0!r}: the "
                 "initial stock is too large for double precision")

@@ -164,7 +164,7 @@ def solve_optimal(delta: float, model: ClimateModel,
     path = optimal_path(delta, model, scenario)
     j_star = 0.0
     if model.ccr != 0.0:
-        i_a, i_e = closed_loop_integrals([(delta, path.roots.stiffness)], [delta], scenario)
+        i_a, i_e = closed_loop_integrals([delta], [path.roots.stiffness], [delta], scenario)
         j_star = float(weighted_costs(i_a[0, 0], i_e[0, 0], model.ccr, scenario))
     return OptimalSolution(**vars(path), j_star=j_star)
 
@@ -267,25 +267,27 @@ def _feedback(g, c, lam_plus, lam_minus):
 def weighted_costs(i_a, i_e, ccr, scenario: ScenarioConfig) -> np.ndarray:
     """alpha/2 I_A + beta ccr^2 / 2 I_E under the scenario's weights,
     elementwise over broadcast arrays.  A cost that is not finite (an
-    initial stock or baseline too large for double precision) raises
-    NonConvergence."""
+    initial stock, baseline or weight too large for double precision)
+    raises NonConvergence naming the weights and the stock."""
     econ = scenario.econ
     costs = 0.5 * econ.alpha * i_a + 0.5 * econ.beta * ccr ** 2 * i_e
     if not np.all(np.isfinite(costs)):
         raise NonConvergence(
-            f"closed-loop costs are not finite at e0 = {scenario.e0!r}: "
-            "the cost integrals overflow double precision")
+            f"closed-loop costs are not finite at alpha = {econ.alpha!r}, "
+            f"beta = {econ.beta!r}, e0 = {scenario.e0!r}: the weighted cost "
+            "integrals overflow double precision")
     return costs
 
 
 @np.errstate(over="ignore", invalid="ignore")   # weighted_costs raises on them
-def closed_loop_integrals(loops, rates, scenario: ScenarioConfig):
+def closed_loop_integrals(delta, k, rates, scenario: ScenarioConfig):
     """The weight-free integrals of the closed loops, I_A and I_E, each
-    of shape (len(loops), len(rates)).
+    of shape (len(delta), len(rates)).
 
-    ``loops`` holds (delta, k) pairs, each the optimal feedback for that
-    discount rate and stiffness k = beta m^2 / alpha, or None for no
-    abatement; ``rates`` are the evaluation discount rates.  Only the
+    Loop i is the optimal feedback for discount rate ``delta[i]`` and
+    stiffness ``k[i]`` = beta m^2 / alpha, two equal-length 1-D arrays;
+    k = 0 is no abatement (lam_minus = 0 makes s = 0 and A = 0, at any
+    delta).  ``rates`` are the evaluation discount rates.  Only the
     scenario's baseline and e0 are read, so one call serves every
     (alpha, beta) weighting of the loops; :func:`weighted_costs` weighs
     them.
@@ -302,10 +304,7 @@ def closed_loop_integrals(loops, rates, scenario: ScenarioConfig):
         raise InvalidDiscount(
             f"evaluation discount rates must be positive and finite, got {rates}")
     g, c, w0, basis = _forcing(scenario.baseline)
-    # no abatement is the k = 0 loop: lam_minus = 0 makes s = 0 and A = 0
-    delta, k = np.array([(1.0, 0.0) if loop is None else loop for loop in loops],
-                        dtype=float).reshape(-1, 2).T
-    lam_plus, lam_minus = _roots(delta, k)
+    lam_plus, lam_minus = _roots(*np.array([delta, k], dtype=float))
     s = _feedback(g, c, lam_plus, lam_minus)
 
     # x = (E, w) with each Jordan block reversed, higher powers first:

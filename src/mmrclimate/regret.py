@@ -32,7 +32,7 @@ from .control import (
     optimal_path,
     weighted_costs,
 )
-from .economy import ClimateModel, EconParams
+from .economy import ClimateModel, EconParams, net_cumulative_emissions
 from .errors import MmrClimateError, NoPeak, ValidationError
 from .exppoly import ExpPoly
 
@@ -186,41 +186,39 @@ def _regret_matrices(policies, states, scenarios) -> list:
     """One regret matrix per scenario; the scenarios differ only in their
     weights (alpha, beta).
 
-    Each policy, and each state's own optimal policy, is a closed loop
-    keyed by its (delta, k) provenance, and a state shares its key with
-    the policy optimal for it.  Every distinct loop of every scenario is
-    integrated once, at every distinct state discount rate, in one
-    :func:`closed_loop_integrals` call; each scenario then weighs the
-    entries of its own loops.  A state's optimal cost is the cost of its
-    own loop, so wherever that loop is also a column the regret is
-    exactly zero.  Each entry depends on its own (loop, rate) pair alone,
-    so a matrix is the same to the last bit whichever scenarios share
-    the call.
+    Each distinct {delta, model} pair of the states and policies is a
+    closed loop under each scenario, of stiffness k = beta m^2 / alpha; a
+    state shares its pair with the policy optimal for it.  One
+    :func:`closed_loop_integrals` call integrates loop s P + i, pair i of
+    P under scenario s, then no abatement as the k = 0 loop, at every
+    distinct state discount rate; each scenario weighs its own loops.  A
+    state's optimal cost is the cost of its own loop, so wherever that
+    loop is also a column the regret is exactly zero.  Each entry depends
+    on its own (loop, rate) pair alone, so a matrix is the same to the
+    last bit whichever scenarios share the call.
     """
     pair_index = {pair: i for i, pair in enumerate(dict.fromkeys(
         list(states) + [p for p in policies if not p.is_no_abatement]))}
     # k = beta m^2 / alpha over (scenario, pair), in char_roots' order of
-    # operations, so each key is the same to the bit
+    # operations, so each loop is the same to the bit
     delta = np.array([pair.delta for pair in pair_index], dtype=float)
     m = np.array([pair.model.ccr for pair in pair_index], dtype=float)
     beta = np.array([[s.econ.beta] for s in scenarios])
     alpha = np.array([[s.econ.alpha] for s in scenarios])
     k = beta * m * m / alpha
-    keys = list(zip(np.broadcast_to(delta, k.shape).ravel().tolist(), k.ravel().tolist()))
-    loops = list(dict.fromkeys(keys)) + [None]   # no abatement last
-    index = {key: i for i, key in enumerate(loops)}
-    # per scenario: the loop of each pair, then of no abatement
-    loop_of = np.full((len(scenarios), len(pair_index) + 1), len(loops) - 1)
-    loop_of[:, :-1] = np.reshape([index[key] for key in keys], k.shape)
+    rates = sorted({s.delta for s in states})
+    i_a, i_e = closed_loop_integrals(
+        np.append(np.broadcast_to(delta, k.shape), 1.0), np.append(k, 0.0),
+        rates, scenarios[0])
     policy_at = [-1 if p.is_no_abatement else pair_index[p] for p in policies]
     state_at = [pair_index[s] for s in states]
-    rates = sorted({s.delta for s in states})
-    i_a, i_e = closed_loop_integrals(loops, rates, scenarios[0])
 
     rows = np.array([rates.index(s.delta) for s in states])
     ccr = np.array([s.model.ccr for s in states], dtype=float)
     matrices = []
-    for scenario, loop in zip(scenarios, loop_of):
+    for n, scenario in enumerate(scenarios):
+        # the loop of each pair under this scenario, then no abatement (-1)
+        loop = np.append(n * len(pair_index) + np.arange(len(pair_index)), k.size)
         cols, diag = loop[policy_at], loop[state_at]
         costs = weighted_costs(i_a[cols[None, :], rows[:, None]],
                                i_e[cols[None, :], rows[:, None]], ccr[:, None], scenario)
@@ -292,8 +290,8 @@ def peak_search(paths, scenario: ScenarioConfig, root_tol: float = ROOT_TOL) -> 
     for i, t in zip(owner.tolist(), midpoints.tolist()):
         crossings[i].append(t)
     peaks = []
-    for slope, times, positive in zip(slopes, crossings, rising):
-        emissions = ExpPoly.constant(scenario.e0) + slope.cumulative()
+    for path, times, positive in zip(paths, crossings, rising):
+        emissions = net_cumulative_emissions(path, scenario.baseline, scenario.e0)
         if times:
             peaks.append(Peak(max(times, key=emissions), emissions))
         else:
@@ -385,8 +383,8 @@ def sweep(alphas, betas, deltas, ensemble, scenario: ScenarioConfig,
     """MMR selection and peak warming across an (alpha, beta) grid.
 
     Each cell is the scenario with its cost and damage weights replaced.
-    The regret matrices of all cells come from one engine call over the
-    distinct loops of the grid, and each cell's matrix is the same as a
+    The regret matrices of all cells come from one engine call over one
+    loop per (cell, pair) of the grid, and each cell's matrix is the same as a
     lone :func:`regret_matrix` for it.  Each cell's MMR policy is then
     solved, and one :func:`peak_search` over every cell's path (a yearly
     scan, then every bracket refined in dyadic rounds to a width <=

@@ -223,6 +223,17 @@ class TestBadInput:
         code = run([command], outdir, config=path)
         self._assert_names_rate(code, "1e308", outdir, capsys)
 
+    @pytest.mark.parametrize("command", ["mmr", "regret-table"])
+    def test_huge_beta_is_numerical_failure_naming_beta(self, command, tmp_path,
+                                                        capsys):
+        # the scenario's e0 is fine; beta is what makes the costs overflow
+        outdir = tmp_path / "o"
+        assert run([command, "--beta", "1e308"], outdir) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and "beta" in err and "not finite" in err
+        assert not outdir.exists()
+
     def test_large_delta_within_bound_runs(self, tmp_path):
         assert run(["solve", "--delta", "1e150", "--model", "IPSL"], tmp_path / "o") == 0
 

@@ -170,7 +170,7 @@ class TestSolveOptimal:
         m = math.sqrt(k * scenario.econ.alpha / scenario.econ.beta)
         sol = solve_optimal(delta, ClimateModel("near", m), scenario)
         assert abs(sol.roots.lam_minus + theta) < 2e-5
-        i_a, i_e = closed_loop_integrals([(delta, sol.roots.stiffness)], [0.06], scenario)
+        i_a, i_e = closed_loop_integrals([delta], [sol.roots.stiffness], [0.06], scenario)
         j = weighted_costs(i_a[0, 0], i_e[0, 0], 0.00244, scenario)
         a, e = sol.abatement, sol.net_emissions
         alpha, beta = scenario.econ.alpha, scenario.econ.beta

@@ -75,7 +75,7 @@ def test_engine_matches_exppoly_closed_form(baseline, econ, e0, delta, m,
     model = ClimateModel("m", m)
     sol = solve_optimal(delta, model, scenario)
     assert sol.abatement.max_rate() < 0.5 * delta
-    i_a, i_e = closed_loop_integrals([(delta, sol.roots.stiffness)], [delta_eval], scenario)
+    i_a, i_e = closed_loop_integrals([delta], [sol.roots.stiffness], [delta_eval], scenario)
     for d, ccr, got in [
         (delta, m, sol.j_star),
         (delta_eval, m_eval, weighted_costs(i_a[0, 0], i_e[0, 0], m_eval, scenario)),
@@ -125,10 +125,22 @@ def _exact_no_abatement_cost(baseline, e0, delta, beta, ccr):
 def test_no_abatement_cost_is_exact(baseline, econ, e0, delta_eval, m_eval):
     assume(e0 > 0 or not baseline.is_zero)
     scenario = ScenarioConfig(baseline=baseline, e0=e0, econ=econ)
-    i_a, i_e = closed_loop_integrals([None], [delta_eval], scenario)
+    i_a, i_e = closed_loop_integrals([1.0], [0.0], [delta_eval], scenario)
     got = weighted_costs(i_a[0, 0], i_e[0, 0], m_eval, scenario)
     expected = _exact_no_abatement_cost(baseline, e0, delta_eval, econ.beta, m_eval)
     assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@PROPERTY
+@given(baseline=baselines(), e0=stocks, delta=st.floats(1e-3, 10.0),
+       delta_eval=deltas)
+def test_zero_stiffness_is_no_abatement_at_any_rate(baseline, e0, delta, delta_eval):
+    # k = 0 gives lam_minus = 0 and s = 0 whatever the loop's own rate, so
+    # the loop never abates and its I_E is the delta = 1.0 loop's, bit for bit
+    scenario = ScenarioConfig(baseline=baseline, e0=e0, econ=EconParams(1e-4, 0.01))
+    i_a, i_e = closed_loop_integrals([delta, 1.0], [0.0, 0.0], [delta_eval], scenario)
+    assert i_a[0, 0] == 0.0
+    assert i_e[0, 0].tobytes() == i_e[1, 0].tobytes()
 
 
 def _schur_lyapunov_cost(baseline, e0, econ, loop, delta_eval, m_eval):
@@ -179,10 +191,10 @@ def test_engine_matches_schur_lyapunov(baseline, econ, e0, delta, m, gap, pick,
     else:
         k = econ.beta * m * m / econ.alpha
     scenario = ScenarioConfig(baseline=baseline, e0=e0, econ=econ)
-    loops = [(delta, k), None]
-    i_a, i_e = closed_loop_integrals(loops, [delta_eval], scenario)
+    # the loop, then no abatement (k = 0); the reference builds its own
+    i_a, i_e = closed_loop_integrals([delta, 1.0], [k, 0.0], [delta_eval], scenario)
     got = weighted_costs(i_a[:, 0], i_e[:, 0], m_eval, scenario)
-    for loop, cost in zip(loops, got):
+    for loop, cost in zip([(delta, k), None], got):
         expected = _schur_lyapunov_cost(baseline, e0, econ, loop, delta_eval, m_eval)
         assert cost == pytest.approx(expected, rel=1e-12, abs=0.0)
 

@@ -14,6 +14,7 @@ from mmrclimate.errors import NoPeak, ValidationError
 from mmrclimate.exppoly import ExpPoly
 from mmrclimate.regret import (
     Policy,
+    _regret_matrices,
     build_policy_set,
     build_states,
     mmr_select,
@@ -320,6 +321,28 @@ class TestSweep:
                                                              policy.model.name)
             assert (cell.mmr_value, cell.years_to_peak, cell.tmax_degc) == (
                 value, years, peak)
+
+    def test_cells_sharing_beta_over_alpha_equal_their_lone_matrices(
+            self, config, scenario):
+        # (1e-4, 0.01) and (2e-4, 0.02) share every stiffness k = beta m^2 /
+        # alpha to the bit, so their loops repeat in the grid's engine call;
+        # each cell must still be its lone matrix bit for bit
+        alphas, betas = [1e-4, 2e-4], [0.01, 0.02]
+        states = build_states(config.deltas, config.ensemble)
+        policies = build_policy_set(config.deltas, config.ensemble, scenario)
+        scenarios = [replace(scenario, econ=EconParams(alpha=a, beta=b))
+                     for a in alphas for b in betas]
+        lone = [regret_matrix(policies, states, s) for s in scenarios]
+        for together, alone in zip(_regret_matrices(policies, states, scenarios), lone):
+            assert together.values.tobytes() == alone.values.tobytes()
+            assert together.j_opt.tobytes() == alone.j_opt.tobytes()
+        report = sweep(alphas, betas, config.deltas, config.ensemble, scenario)
+        worst = max(config.ensemble, key=lambda m: m.ccr)
+        for cell, matrix, cell_scenario in zip(report.cells, lone, scenarios):
+            policy, value = mmr_select(matrix)
+            assert (cell.policy_delta, cell.policy_model, cell.mmr_value) == (
+                policy.delta, policy.model.name, value)
+            assert (cell.years_to_peak, cell.tmax_degc) == tmax(policy, worst, cell_scenario)
 
     def test_one_engine_call_and_no_j_star(self, config, scenario, monkeypatch):
         # a 3x3 sweep integrates all its loops in one engine call and
