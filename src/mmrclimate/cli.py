@@ -190,6 +190,8 @@ def cmd_tmax(args, config: RunConfig) -> int:
     outdir = _outdir(args, config)
     scenario = config.to_scenario()
     if args.no_abatement:
+        if args.delta is not None or args.model is not None:
+            raise ParseError("--no-abatement takes no --delta or --model")
         policy = Policy.no_abatement()
     else:
         if args.delta is not None or args.model is not None:

@@ -54,7 +54,13 @@ class ClimateModel:
 def net_cumulative_emissions(abatement: ExpPoly, baseline: ExpPoly,
                              e0: float) -> ExpPoly:
     """E(t) = E0 + integral over [0, t] of (B - A), exact."""
-    return ExpPoly.constant(e0) + (baseline - abatement).cumulative()
+    return emissions_from_slope(baseline - abatement, e0)
+
+
+def emissions_from_slope(slope: ExpPoly, e0: float) -> ExpPoly:
+    """E(t) = E0 + integral over [0, t] of ``slope``, exact: the
+    :func:`net_cumulative_emissions` of a slope B - A already built."""
+    return ExpPoly.constant(e0) + slope.cumulative()
 
 
 def discounted_total_cost(abatement: ExpPoly, econ: EconParams,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -32,7 +32,7 @@ from .control import (
     optimal_path,
     weighted_costs,
 )
-from .economy import ClimateModel, EconParams, net_cumulative_emissions
+from .economy import ClimateModel, EconParams, emissions_from_slope
 from .errors import MmrClimateError, NoPeak, ValidationError
 from .exppoly import ExpPoly
 
@@ -290,8 +290,8 @@ def peak_search(paths, scenario: ScenarioConfig, root_tol: float = ROOT_TOL) -> 
     for i, t in zip(owner.tolist(), midpoints.tolist()):
         crossings[i].append(t)
     peaks = []
-    for path, times, positive in zip(paths, crossings, rising):
-        emissions = net_cumulative_emissions(path, scenario.baseline, scenario.e0)
+    for slope, times, positive in zip(slopes, crossings, rising):
+        emissions = emissions_from_slope(slope, scenario.e0)
         if times:
             peaks.append(Peak(max(times, key=emissions), emissions))
         else:
@@ -350,10 +350,22 @@ def tmax(policy: Policy, model: ClimateModel, scenario: ScenarioConfig,
     the stock peaks at time zero, at ccr * e0.  A policy without a path
     is solved under ``scenario`` first; a solver failure keeps its type
     and attributes and names the pair.
+
+    Repeated calls on an equal path, scenario and ``root_tol`` share one
+    search, since the model only scales E; the last 16 searches are kept.
     """
     _halvings(root_tol)   # before any solve
-    (peak,) = peak_search([_abatement(policy, scenario)], scenario, root_tol)
+    peak = _peak(_abatement(policy, scenario), scenario, root_tol)
     return peak.tmax(model, policy.label())
+
+
+@lru_cache(maxsize=16)
+def _peak(path: ExpPoly, scenario: ScenarioConfig, root_tol: float) -> Peak:
+    """The one-path :func:`peak_search`, kept for :func:`tmax`'s calls
+    under each model.  Paths and scenarios are frozen and compare by
+    value, equal values give the same peak to the bit, and a Peak is
+    immutable, so a kept one serves every equal key."""
+    return peak_search([path], scenario, root_tol)[0]
 
 
 @dataclass(frozen=True)

@@ -234,6 +234,19 @@ class TestBadInput:
         assert "Traceback" not in err and "beta" in err and "not finite" in err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("pair", [["--delta", "0.02", "--model", "IPSL"],
+                                      ["--delta", "0.02"], ["--model", "IPSL"]],
+                             ids=" ".join)
+    def test_no_abatement_takes_no_policy_pair(self, pair, tmp_path, capsys):
+        # a pair cannot apply to the passive path, so it is refused, not ignored
+        outdir = tmp_path / "o"
+        assert run(["tmax", "--no-abatement", *pair], outdir) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--no-abatement" in err and "Traceback" not in err
+        assert "no peak" not in out
+        assert not outdir.exists()
+
     def test_large_delta_within_bound_runs(self, tmp_path):
         assert run(["solve", "--delta", "1e150", "--model", "IPSL"], tmp_path / "o") == 0
 

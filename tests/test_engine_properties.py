@@ -8,6 +8,7 @@ The solved paths themselves are held against a 50-digit reference."""
 
 import math
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from scipy.linalg import solve_continuous_lyapunov
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
+from mmrclimate.config import load_config  # noqa: E402
 from mmrclimate.control import (  # noqa: E402
     ScenarioConfig,
     char_roots,
@@ -27,7 +29,12 @@ from mmrclimate.control import (  # noqa: E402
 )
 from mmrclimate.economy import ClimateModel, EconParams, discounted_total_cost  # noqa: E402
 from mmrclimate.exppoly import ExpPoly  # noqa: E402
-from mmrclimate.regret import build_policy_set, build_states, regret_matrix  # noqa: E402
+from mmrclimate.regret import (  # noqa: E402
+    build_policy_set,
+    build_states,
+    mmr_select,
+    regret_matrix,
+)
 
 # deterministic draws, so the suite is reproducible and writes no example
 # database into the checkout
@@ -213,6 +220,29 @@ def test_regret_diagonal_zero_and_nonnegative(baseline, econ, e0, rates, ccrs):
     for i, j in pairs:
         assert matrix.values[i, j] == 0.0
     assert matrix.values.min() >= -1e-9
+
+
+CONFIG = load_config()
+
+
+def _choice(deltas, ensemble, scenario):
+    """(MMR label, its max regret, {label: column max}), floats as hex."""
+    matrix = regret_matrix(build_policy_set(deltas, ensemble, scenario),
+                           build_states(deltas, ensemble), scenario)
+    policy, value = mmr_select(matrix)
+    return policy.label(), value.hex(), {
+        p.label(): v.hex() for p, v in zip(matrix.policies, matrix.max_regret.tolist())}
+
+
+@PROPERTY
+@given(econ=econs, models=st.permutations(CONFIG.ensemble),
+       rates=st.permutations(CONFIG.deltas))
+def test_permuting_the_ensemble_keeps_the_choice(econ, models, rates):
+    # each cost depends on its own (loop, rate) alone and the tie-break on
+    # (delta, ccr), so the order of the ensemble cannot move a bit
+    scenario = replace(CONFIG.to_scenario(), econ=econ)
+    assert _choice(rates, models, scenario) == _choice(CONFIG.deltas,
+                                                       CONFIG.ensemble, scenario)
 
 
 @PROPERTY

@@ -235,6 +235,55 @@ class TestTmax:
         assert fine == pytest.approx(tmax(policy, model, scenario, root_tol=1e-9),
                                      abs=1e-9)
 
+    def test_one_search_serves_every_model(self, config, scenario, monkeypatch):
+        regret = importlib.import_module("mmrclimate.regret")
+        regret._peak.cache_clear()
+        search, calls = regret.peak_search, []
+
+        def counted(paths, *args):
+            calls.append(len(paths))
+            return search(paths, *args)
+
+        monkeypatch.setattr(regret, "peak_search", counted)
+        policy = Policy.from_solution(solve_optimal(0.02, config.model("IPSL"), scenario))
+        got = [tmax(policy, model, scenario) for model in config.ensemble]
+        assert calls == [1]
+        (peak,) = search([policy.path], scenario)
+        assert got == [peak.tmax(model, policy.label()) for model in config.ensemble]
+
+    def test_kept_peaks_are_keyed_by_scenario_and_tolerance(self, config, scenario):
+        regret = importlib.import_module("mmrclimate.regret")
+        policy = Policy.from_solution(solve_optimal(0.02, config.model("IPSL"), scenario))
+        model = config.model("MIROC")
+        # the same path under another stock, another baseline, another tolerance
+        requests = [(scenario, 1e-6), (replace(scenario, e0=scenario.e0 + 100.0), 1e-6),
+                    (replace(scenario, baseline=scenario.baseline * 1.1), 1e-6),
+                    (scenario, 1e-3)]
+        fresh = [repr(regret.peak_search([policy.path], s, tol)[0].tmax(model, policy.label()))
+                 for s, tol in requests]
+        assert len(set(fresh)) == len(fresh)
+        for order in (requests, requests[::-1]):
+            regret._peak.cache_clear()
+            for s, tol in order + order:
+                got = tmax(policy, model, s, root_tol=tol)
+                assert repr(got) == fresh[requests.index((s, tol))]
+
+    def test_no_peak_names_each_policy_sharing_a_path(self, config, scenario):
+        regret = importlib.import_module("mmrclimate.regret")
+        regret._peak.cache_clear()
+        passive = [Policy.no_abatement(),
+                   Policy(delta=0.05, model=config.model("HAD"), path=ExpPoly.zero())]
+        model = config.model("HAD")
+        for policy, other in zip(passive + passive[::-1], passive[::-1] + passive):
+            with pytest.raises(NoPeak) as err:
+                tmax(policy, model, scenario)
+            assert policy.label() in str(err.value)
+            assert other.label() not in str(err.value)
+            assert err.value.asymptote_degc == pytest.approx(
+                model.ccr * (scenario.e0 + scenario.baseline.discounted_integral(0.0)),
+                rel=1e-12)
+        assert regret._peak.cache_info()[:2] == (3, 1)   # (hits, misses)
+
     @pytest.mark.parametrize("root_tol", [0.0, -1.0, math.nan, math.inf])
     def test_root_tol_must_be_positive_and_finite(self, scenario, config, root_tol):
         # a tolerance <= 0 would never end the bisection
