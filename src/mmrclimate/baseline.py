@@ -200,7 +200,8 @@ def fit_baseline(series: EmissionsSeries) -> BaselineParams:
             lam *= 10.0
             continue
         r_trial = residuals(trial)
-        ssr_trial = float(r_trial @ r_trial)
+        with np.errstate(over="ignore"):   # a step whose SSR overflows is rejected
+            ssr_trial = float(r_trial @ r_trial)
         if not math.isfinite(ssr_trial) or ssr_trial >= ssr:
             lam *= 10.0
             if lam > 1e12:

@@ -56,7 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "{delta, model} pair")
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--horizon", type=int, default=500, help="years of annual samples")
 
     weights = argparse.ArgumentParser(add_help=False)
     weights.add_argument("--alpha", type=float)
@@ -136,16 +135,13 @@ def cmd_fit_baseline(args, config: RunConfig) -> int:
 
 
 def cmd_solve(args, config: RunConfig) -> int:
-    if args.horizon < 0:
-        raise ValidationError(f"--horizon must be >= 0, got {args.horizon}")
     outdir = _outdir(args, config)
     model = config.model(args.model)
     scenario = config.to_scenario()
     sol = solve_optimal(args.delta, model, scenario)
     name = f"solution_d{args.delta:g}_{model.name}.csv"
     _write(os.path.join(outdir, name),
-           report.solution_csv(sol, scenario, horizon_years=args.horizon,
-                               timestamp=not args.no_timestamp))
+           report.solution_csv(sol, scenario, timestamp=not args.no_timestamp))
     print(f"J* = {sol.j_star:.6f} (percent of present value of output)")
     print(f"roots: lam+ = {sol.roots.lam_plus:.6f}, lam- = {sol.roots.lam_minus:.6f}")
     return 0
@@ -191,12 +187,12 @@ def cmd_tmax(args, config: RunConfig) -> int:
     scenario = config.to_scenario()
     if args.no_abatement:
         if args.delta is not None or args.model is not None:
-            raise ParseError("--no-abatement takes no --delta or --model")
+            raise ValidationError("--no-abatement takes no --delta or --model")
         policy = Policy.no_abatement()
     else:
         if args.delta is not None or args.model is not None:
             if args.delta is None or args.model is None:
-                raise ParseError("--delta and --model must be given together")
+                raise ValidationError("--delta and --model must be given together")
             delta, model = args.delta, config.model(args.model)
         else:
             chosen, _ = mmr_select(_matrix_for(config, scenario))

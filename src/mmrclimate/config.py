@@ -20,7 +20,6 @@ Schema (see README for the full key list)::
 from __future__ import annotations
 
 import configparser
-import math
 import os
 from dataclasses import dataclass
 from importlib.resources import files
@@ -36,7 +35,7 @@ from .baseline import (
 from .control import ScenarioConfig, closed_loop_integrals
 from .economy import ClimateModel, EconParams
 from .errors import NonConvergence, ParseError, ValidationError
-from .regret import ROOT_TOL
+from .regret import ROOT_TOL, _halvings, build_states
 
 ENV_CONFIG = "MMRCLIMATE_CONFIG"
 FORMATS = ("csv", "txt", "svg")
@@ -54,6 +53,10 @@ class ToleranceConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A parsed config, held to the library's rules for its ensemble, grid
+    cells and ``root_tol``, plus its own: every response positive (``e0 =
+    auto`` divides by the anchor's) and both grids nonempty."""
+
     start_year: int
     e0_setting: str                  # "auto" or a float literal
     anchor_temp_degc: float
@@ -70,15 +73,15 @@ class RunConfig:
     formats: tuple
 
     def __post_init__(self):
-        if len(set(self.deltas)) != len(self.deltas) or not all(
-            math.isfinite(d) and d > 0 for d in self.deltas
-        ):
-            raise ValidationError("deltas must be positive, finite and distinct")
-        ccrs = [m.ccr for m in self.ensemble]
-        if len(set(ccrs)) != len(ccrs) or any(c <= 0 for c in ccrs):
-            raise ValidationError("ensemble responses must be positive and distinct")
+        build_states(self.deltas, self.ensemble)
+        _halvings(self.tolerances.root_tol)
+        if any(m.ccr <= 0 for m in self.ensemble):
+            raise ValidationError("ensemble responses must be positive")
         if not self.alpha_grid or not self.beta_grid:
             raise ValidationError("alpha/beta grids must be nonempty")
+        for alpha in self.alpha_grid:
+            for beta in self.beta_grid:
+                EconParams(alpha=alpha, beta=beta)
 
     def model(self, name: str) -> ClimateModel:
         for m in self.ensemble:

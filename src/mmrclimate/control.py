@@ -159,13 +159,11 @@ def solve_optimal(delta: float, model: ClimateModel,
     The path is :func:`optimal_path`.  ``j_star`` is the cost of the
     pair's own loop at the requested rate, from
     :func:`closed_loop_integrals` (which needs no nudge) weighed by
-    :func:`weighted_costs`; under a zero climate response it is exactly 0.
+    :func:`weighted_costs`; a zero response is the k = 0 loop, of cost +0.0.
     """
     path = optimal_path(delta, model, scenario)
-    j_star = 0.0
-    if model.ccr != 0.0:
-        i_a, i_e = closed_loop_integrals([delta], [path.roots.stiffness], [delta], scenario)
-        j_star = float(weighted_costs(i_a[0, 0], i_e[0, 0], model.ccr, scenario))
+    i_a, i_e = closed_loop_integrals([delta], [path.roots.stiffness], [delta], scenario)
+    j_star = float(weighted_costs(i_a[0, 0], i_e[0, 0], model.ccr, scenario))
     return OptimalSolution(**vars(path), j_star=j_star)
 
 

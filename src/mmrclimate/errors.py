@@ -13,7 +13,7 @@ class MmrClimateError(Exception):
 
 
 class ParseError(MmrClimateError):
-    """Malformed input file (bad row, missing header, empty file)."""
+    """A file that cannot be read, parsed or written."""
 
     exit_code = 2
 

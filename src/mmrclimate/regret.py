@@ -101,10 +101,10 @@ class Peak(NamedTuple):
 def _check_ensemble(deltas, ensemble):
     if not deltas or not ensemble:
         raise ValidationError("need at least one discount rate and one model")
-    if not all(math.isfinite(d) and d > 0 for d in deltas):
-        raise ValidationError("all discount rates must be positive and finite")
-    if len(set(deltas)) != len(deltas):
-        raise ValidationError("duplicate discount rate in ensemble")
+    if len(set(deltas)) != len(deltas) or not all(
+        math.isfinite(d) and d > 0 for d in deltas
+    ):
+        raise ValidationError("deltas must be positive, finite and distinct")
     ccrs = [m.ccr for m in ensemble]
     if len(set(ccrs)) != len(ccrs):
         raise ValidationError("duplicate climate response in ensemble")
@@ -200,12 +200,13 @@ def _regret_matrices(policies, states, scenarios) -> list:
     pair_index = {pair: i for i, pair in enumerate(dict.fromkeys(
         list(states) + [p for p in policies if not p.is_no_abatement]))}
     # k = beta m^2 / alpha over (scenario, pair), in char_roots' order of
-    # operations, so each loop is the same to the bit
+    # operations, so each loop is the same to the bit (_roots refuses inf)
     delta = np.array([pair.delta for pair in pair_index], dtype=float)
     m = np.array([pair.model.ccr for pair in pair_index], dtype=float)
     beta = np.array([[s.econ.beta] for s in scenarios])
     alpha = np.array([[s.econ.alpha] for s in scenarios])
-    k = beta * m * m / alpha
+    with np.errstate(over="ignore"):
+        k = beta * m * m / alpha
     rates = sorted({s.delta for s in states})
     i_a, i_e = closed_loop_integrals(
         np.append(np.broadcast_to(delta, k.shape), 1.0), np.append(k, 0.0),

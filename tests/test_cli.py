@@ -14,6 +14,7 @@ from mmrclimate import cli
 from mmrclimate.cli import main
 from mmrclimate.config import bundled_data_path, load_config, save_config
 from mmrclimate.control import solve_optimal
+from mmrclimate.errors import ValidationError
 
 
 @pytest.fixture()
@@ -102,12 +103,30 @@ class TestBadInput:
         ["solve", "--delta", "inf", "--model", "HAD"],
         ["solve", "--delta", "nan", "--model", "HAD"],
         ["mmr", "--beta", "inf"],
-        ["solve", "--delta", "0.05", "--model", "HAD", "--horizon", "-5"],
-    ], ids=["delta-inf", "delta-nan", "beta-inf", "negative-horizon"])
+    ], ids=["delta-inf", "delta-nan", "beta-inf"])
     def test_usage_error_exit_code(self, args, outdir, capsys):
         assert run(args, outdir) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not os.path.exists(outdir) or not os.listdir(outdir)
+
+    @pytest.mark.parametrize("horizon", ["5", "100000000000"])
+    def test_solve_takes_no_horizon(self, horizon, outdir, capsys):
+        # solve always writes 500 years; an unknown option is argparse's exit 2
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", "--delta", "0.02", "--model", "IPSL", "--horizon", horizon],
+                outdir)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --horizon" in err and "Traceback" not in err
+        assert not os.path.exists(outdir)
+
+    @pytest.mark.parametrize("args", [["--no-abatement", "--delta", "0.02"],
+                                      ["--delta", "0.02"], ["--model", "IPSL"]],
+                             ids=" ".join)
+    def test_tmax_flag_combinations_are_usage_errors(self, args):
+        parsed = cli.build_parser().parse_args(["tmax", *args])
+        with pytest.raises(ValidationError):
+            cli.cmd_tmax(parsed, load_config())
 
     @pytest.mark.parametrize("root_tol", ["0", "-1", "nan"])
     @pytest.mark.parametrize("command", ["tmax", "sweep"])
@@ -197,6 +216,23 @@ class TestBadInput:
                                          f"deltas = 0.01 {delta}")
         assert run(["tmax", "--no-abatement"], tmp_path / "o", config=path) == 2
         assert "deltas must be positive, finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("alpha_grid", "nan", "alpha and beta must be positive and finite"),
+        ("beta_grid", "-1 0.018", "alpha and beta must be positive and finite"),
+        ("root_tol", "nan", "root_tol must be positive and finite"),
+    ])
+    def test_bad_sweep_setting_is_config_error(self, key, value, message,
+                                               tmp_path, capsys):
+        # each obeys the library's own rule where the config is read, so
+        # fit-baseline cannot write a config that sweep would then refuse
+        path = self._default_config_with(tmp_path, rf"^{key} = .*$", f"{key} = {value}")
+        outdir = tmp_path / "o"
+        assert run(["fit-baseline"], outdir, config=path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not outdir.exists()
 
     @staticmethod
     def _assert_names_rate(code, rate, outdir, capsys):

@@ -65,7 +65,8 @@ class TestSolveOptimal:
     def test_zero_response_never_abates(self, scenario):
         sol = solve_optimal(0.05, ClimateModel("null", 0.0), scenario)
         assert sol.abatement.is_zero
-        assert sol.j_star == pytest.approx(0.0, abs=1e-12)
+        # the k = 0 loop weighs no damage and abates nothing: +0.0 exactly
+        assert sol.j_star == 0.0 and math.copysign(1.0, sol.j_star) == 1.0
 
     def test_abatement_lags_then_overtakes_baseline(self, scenario):
         # At the worked-example parameters abatement is partial through

@@ -272,3 +272,18 @@ def test_exact_resonance(baseline, econ, e0, delta, pick):
     # the oracle's default horizon covers the slowest decaying mode
     oracle = numeric_oracle(delta, model, scenario).j_estimate
     assert oracle == pytest.approx(j_exact, rel=5e-3)
+
+
+@PROPERTY
+@given(econ=econs, c=st.floats(1e-2, 1e2))
+def test_joint_weight_scaling_scales_regret(econ, c):
+    # every policy depends on beta / alpha alone and every cost is linear
+    # in (alpha, beta) jointly, so scaling both scales the matrix by c
+    scenario = replace(CONFIG.to_scenario(), econ=econ)
+    scaled = replace(scenario, econ=EconParams(c * econ.alpha, c * econ.beta))
+    base, moved = (regret_matrix(build_policy_set(CONFIG.deltas, CONFIG.ensemble, s),
+                                 build_states(CONFIG.deltas, CONFIG.ensemble), s)
+                   for s in (scenario, scaled))
+    expected = c * base.values
+    assert np.abs(moved.values - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert mmr_select(moved)[0].label() == mmr_select(base)[0].label()
