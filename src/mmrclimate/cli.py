@@ -1,10 +1,10 @@
 """Command line batch surface.
 
 Subcommands: fit-baseline, solve, regret-table, mmr, tmax, sweep.
-Configuration comes from --config, the MMRCLIMATE_CONFIG environment
-variable, or the bundled default (which reproduces the published middle
-case).  Exit codes: 0 success, 2 usage or configuration error,
-3 numerical failure.
+Configuration comes from --config or else the bundled default, which
+reproduces the published middle case; fit-baseline fits its data series.
+Every subcommand writes its files to the output directory.  Exit codes:
+0 success, 2 usage or configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -38,19 +38,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Closed-form climate abatement control and "
                     "minimax-regret policy choice.",
     )
-    parser.add_argument("--config", help="config file (default: "
-                        "$MMRCLIMATE_CONFIG or the bundled default)")
+    parser.add_argument("--config", help="config file (default: the bundled one)")
     parser.add_argument("--output-dir", help="override the configured output directory")
     parser.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp header from emitted files")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fit-baseline", help="fit the baseline curve to an "
-                       "emissions series and write the updated config")
-    p.add_argument("--data", help="CSV with header year,emissions_gtc "
-                   "(default: the configured series)")
-    p.add_argument("--write-config", help="where to write the updated config "
-                   "(default: OUTPUT_DIR/fitted_config.ini)")
+    sub.add_parser("fit-baseline", help="fit the baseline curve to the configured "
+                   "emissions series and write the updated config")
 
     p = sub.add_parser("solve", help="closed-form optimal paths for one "
                        "{delta, model} pair")
@@ -107,8 +102,8 @@ def _write(path: str, content: str):
         fh.write(content)
 
 
-def _resolve_data(config: RunConfig, override) -> str:
-    path = override or config.data_file
+def _resolve_data(config: RunConfig) -> str:
+    path = config.data_file
     if os.path.exists(path):
         return path
     bundled = bundled_data_path(path)
@@ -119,14 +114,14 @@ def _resolve_data(config: RunConfig, override) -> str:
 
 def cmd_fit_baseline(args, config: RunConfig) -> int:
     outdir = _outdir(args, config)
-    series = load_emissions(_resolve_data(config, args.data), config.start_year)
+    series = load_emissions(_resolve_data(config), config.start_year)
     params = fit_baseline(series)
     fitted = replace(config, baseline=params)
     fitted.to_scenario()   # every other subcommand builds one from the written config
     stamp = not args.no_timestamp
     _write(os.path.join(outdir, "fit_report.txt"),
            report.fit_report(params, series, timestamp=stamp))
-    target = args.write_config or os.path.join(outdir, "fitted_config.ini")
+    target = os.path.join(outdir, "fitted_config.ini")
     with _output(target):
         save_config(fitted, target)
     print(f"fit: theta={params.theta:.6g} phi={params.phi:.6g} "

@@ -1,18 +1,22 @@
 """Run configuration: a flat INI file with one section per concern.
 
 The bundled ``data/default_config.ini`` reproduces the published middle
-case.  ``e0 = auto`` resolves the initial cumulative-emissions stock
-from the asymptotic-temperature anchor: the no-abatement temperature
-limit under the anchor model equals ``anchor_temp_degc``, so
-E0 = anchor / ccr - total baseline emissions.  Any float overrides it.
+case; :func:`load_config` reads it when given no path.  ``e0 = auto``
+resolves the initial cumulative-emissions stock from the
+asymptotic-temperature anchor: the no-abatement temperature limit under
+the anchor model equals ``anchor_temp_degc``, so E0 = anchor / ccr -
+total baseline emissions.  Any float overrides it.
 
 Schema (see README for the full key list)::
 
     [scenario]   start_year, e0, anchor_temp_degc, anchor_model
-    [baseline]   variant (theta-scaled only), theta, phi, b0, r_squared, data
+    [baseline]   variant (theta-scaled only), theta, phi, b0, r_squared,
+                 data   (the series fit-baseline fits)
     [economy]    alpha, beta
     [uncertainty] deltas, alpha_grid, beta_grid   (space separated)
-    [ensemble]   NAME = ccr   (one per model, order defines m1..mN)
+    [ensemble]   NAME = ccr   (one per model, order defines m1..mN; each
+                 loop's k = beta ccr^2 / alpha keeps finite roots under
+                 every weight)
     [tolerances] root_tol   (bracket width of the peak search, years)
     [output]     directory, formats   (a nonempty subset of csv txt svg)
 """
@@ -20,7 +24,6 @@ Schema (see README for the full key list)::
 from __future__ import annotations
 
 import configparser
-import os
 from dataclasses import dataclass
 from importlib.resources import files
 
@@ -32,12 +35,11 @@ from .baseline import (
     baseline_exppoly,
     cumulative_baseline,
 )
-from .control import ScenarioConfig, closed_loop_integrals
+from .control import ScenarioConfig, _roots, _stiffness, closed_loop_integrals
 from .economy import ClimateModel, EconParams
 from .errors import NonConvergence, ParseError, ValidationError
 from .regret import ROOT_TOL, _halvings, build_states
 
-ENV_CONFIG = "MMRCLIMATE_CONFIG"
 FORMATS = ("csv", "txt", "svg")
 
 
@@ -55,7 +57,10 @@ class ToleranceConfig:
 class RunConfig:
     """A parsed config, held to the library's rules for its ensemble, grid
     cells and ``root_tol``, plus its own: every response positive (``e0 =
-    auto`` divides by the anchor's) and both grids nonempty."""
+    auto`` divides by the anchor's) and both grids nonempty.  The engine's
+    root rule holds for every model's closed loop under the weights and
+    under each grid cell, at every rate, so no subcommand meets a model
+    whose stiffness k = beta m^2 / alpha overflows."""
 
     start_year: int
     e0_setting: str                  # "auto" or a float literal
@@ -79,9 +84,22 @@ class RunConfig:
             raise ValidationError("ensemble responses must be positive")
         if not self.alpha_grid or not self.beta_grid:
             raise ValidationError("alpha/beta grids must be nonempty")
+        weights = [(self.econ.alpha, self.econ.beta)]
         for alpha in self.alpha_grid:
             for beta in self.beta_grid:
                 EconParams(alpha=alpha, beta=beta)
+                weights.append((alpha, beta))
+        deltas = np.array(self.deltas)
+        _roots(deltas, 0.0)   # a rate whose square overflows is named alone
+        # the roots grow with k, so every loop passes if the stiffest does
+        model = max(self.ensemble, key=lambda m: m.ccr)
+        alpha, beta = max(weights, key=lambda w: _stiffness(*w, model.ccr))
+        try:
+            _roots(deltas, _stiffness(alpha, beta, model.ccr))
+        except ValidationError as exc:
+            raise ValidationError(
+                f"[ensemble] {model.name} = {model.ccr!r} under alpha = {alpha!r}, "
+                f"beta = {beta!r}: {exc}") from None
 
     def model(self, name: str) -> ClimateModel:
         for m in self.ensemble:
@@ -133,10 +151,9 @@ def _floats(text: str) -> tuple:
 
 
 def load_config(path: str | None = None) -> RunConfig:
-    """Read a config file; fall back to $MMRCLIMATE_CONFIG, then the
-    bundled default."""
+    """Read a config file, by default the bundled one."""
     if path is None:
-        path = os.environ.get(ENV_CONFIG) or bundled_data_path("default_config.ini")
+        path = bundled_data_path("default_config.ini")
     parser = configparser.ConfigParser(delimiters=("=",), comment_prefixes=("#",),
                                        inline_comment_prefixes=("#",))
     parser.optionxform = str

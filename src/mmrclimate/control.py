@@ -130,9 +130,17 @@ def char_roots(delta: float, m: float, alpha: float, beta: float) -> CharRoots:
         raise ValidationError("alpha must be positive")
     if beta < 0.0 or m < 0.0:
         raise ValidationError("beta and m must be nonnegative")
-    k = beta * m * m / alpha
+    k = _stiffness(alpha, beta, m)
     lam_plus, lam_minus = _roots(delta, k)
     return CharRoots(lam_plus=float(lam_plus), lam_minus=float(lam_minus), stiffness=k)
+
+
+@np.errstate(over="ignore")   # an infinite k makes _roots raise
+def _stiffness(alpha, beta, m):
+    """k = beta m^2 / alpha, the stiffness of the closed loop, elementwise
+    over broadcast arrays; this order of operations makes every caller's
+    k the same to the bit."""
+    return beta * m * m / alpha
 
 
 @np.errstate(over="ignore", invalid="ignore")   # non-finite roots raise below

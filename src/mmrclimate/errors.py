@@ -28,9 +28,10 @@ class DivergentIntegral(MmrClimateError):
     """Discounted integral does not converge at the requested rate."""
 
 
-class InvalidDiscount(MmrClimateError):
+class InvalidDiscount(ValidationError):
     """Discount rate must be strictly positive; at zero the infinite
-    horizon problem has no solution (the transversality condition fails)."""
+    horizon problem has no solution (the transversality condition fails).
+    Every rate checked is an input, so this is a usage or config error."""
 
 
 class ResonantForcing(MmrClimateError):

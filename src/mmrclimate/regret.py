@@ -28,6 +28,7 @@ import numpy as np
 from .control import (
     OptimalPath,
     ScenarioConfig,
+    _stiffness,
     closed_loop_integrals,
     optimal_path,
     weighted_costs,
@@ -199,14 +200,11 @@ def _regret_matrices(policies, states, scenarios) -> list:
     """
     pair_index = {pair: i for i, pair in enumerate(dict.fromkeys(
         list(states) + [p for p in policies if not p.is_no_abatement]))}
-    # k = beta m^2 / alpha over (scenario, pair), in char_roots' order of
-    # operations, so each loop is the same to the bit (_roots refuses inf)
+    # k of each loop over (scenario, pair); _roots refuses an infinite one
     delta = np.array([pair.delta for pair in pair_index], dtype=float)
-    m = np.array([pair.model.ccr for pair in pair_index], dtype=float)
-    beta = np.array([[s.econ.beta] for s in scenarios])
-    alpha = np.array([[s.econ.alpha] for s in scenarios])
-    with np.errstate(over="ignore"):
-        k = beta * m * m / alpha
+    k = _stiffness(np.array([[s.econ.alpha] for s in scenarios]),
+                   np.array([[s.econ.beta] for s in scenarios]),
+                   np.array([pair.model.ccr for pair in pair_index], dtype=float))
     rates = sorted({s.delta for s in states})
     i_a, i_e = closed_loop_integrals(
         np.append(np.broadcast_to(delta, k.shape), 1.0), np.append(k, 0.0),

@@ -6,11 +6,13 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 import mmrclimate
 from mmrclimate import cli
+from mmrclimate.baseline import fit_baseline, load_emissions
 from mmrclimate.cli import main
 from mmrclimate.config import bundled_data_path, load_config, save_config
 from mmrclimate.control import solve_optimal
@@ -87,7 +89,7 @@ class TestSolve:
 
     def test_zero_discount_refused(self, outdir, capsys):
         code = run(["solve", "--delta", "0", "--model", "HAD"], outdir)
-        assert code == 3
+        assert code == 2
         assert "transversality" in capsys.readouterr().err
 
     def test_unknown_model_lists_ensemble(self, outdir, capsys):
@@ -102,8 +104,11 @@ class TestBadInput:
     @pytest.mark.parametrize("args", [
         ["solve", "--delta", "inf", "--model", "HAD"],
         ["solve", "--delta", "nan", "--model", "HAD"],
+        ["solve", "--delta", "-1", "--model", "HAD"],
+        ["tmax", "--delta", "0", "--model", "IPSL"],
         ["mmr", "--beta", "inf"],
-    ], ids=["delta-inf", "delta-nan", "beta-inf"])
+    ], ids=["delta-inf", "delta-nan", "delta-negative", "tmax-delta-zero",
+            "beta-inf"])
     def test_usage_error_exit_code(self, args, outdir, capsys):
         assert run(args, outdir) == 2
         assert capsys.readouterr().err.startswith("error: ")
@@ -221,6 +226,8 @@ class TestBadInput:
         ("alpha_grid", "nan", "alpha and beta must be positive and finite"),
         ("beta_grid", "-1 0.018", "alpha and beta must be positive and finite"),
         ("root_tol", "nan", "root_tol must be positive and finite"),
+        ("GFDL", "1e300", "[ensemble] GFDL = 1e+300 under alpha = 0.000125"),
+        ("alpha_grid", "7.5e-05 1e-318", "[ensemble] MIROC = 0.00244 under alpha = 1e-318"),
     ])
     def test_bad_sweep_setting_is_config_error(self, key, value, message,
                                                tmp_path, capsys):
@@ -232,6 +239,24 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS + [
+        [*args, "--alpha", "1e-320"] for args in SUBCOMMANDS
+        if args[0] in ("regret-table", "mmr", "tmax")], ids=" ".join)
+    def test_overflowing_stiffness_is_config_error_everywhere(self, command, tmp_path,
+                                                              capsys):
+        # k = beta m^2 / alpha is infinite for GFDL = 1e300 under any weights,
+        # and for every model under alpha = 1e-320; the config check names a
+        # model, its response and the weights, even where no such loop is solved
+        config = None if "--alpha" in command else self._default_config_with(
+            tmp_path, r"^GFDL = .*$", "GFDL = 1e300")
+        outdir = tmp_path / "o"
+        assert run(command, outdir, config=config) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: [ensemble] ") and err.count("\n") == 1
+        assert ("GFDL = 1e+300" if config else "alpha = 1e-320") in err
+        assert "degC" not in out
         assert not outdir.exists()
 
     @staticmethod
@@ -304,13 +329,12 @@ class TestBadInput:
 
 
 class TestFitBaseline:
-    def test_fit_writes_report_and_config(self, outdir, tmp_path, capsys):
-        target = tmp_path / "fitted.ini"
-        code = run(["fit-baseline", "--write-config", str(target)], outdir)
+    def test_fit_writes_report_and_config(self, outdir, capsys):
+        code = run(["fit-baseline"], outdir)
         assert code == 0
         assert "r_squared=0.92" in capsys.readouterr().out
         assert os.path.exists(os.path.join(outdir, "fit_report.txt"))
-        refit = load_config(str(target))
+        refit = load_config(os.path.join(outdir, "fitted_config.ini"))
         original = load_config()
         assert refit.baseline.theta == original.baseline.theta
         assert refit.baseline.phi == original.baseline.phi
@@ -323,16 +347,48 @@ class TestFitBaseline:
         again = load_config(str(path))
         assert again == cfg
 
-    def test_missing_data_file(self, outdir, capsys):
-        code = run(["fit-baseline", "--data", "/nonexistent.csv"], outdir)
-        assert code == 2
+    @staticmethod
+    def _config_with_data(tmp_path, data):
+        path = tmp_path / "data.ini"
+        save_config(replace(load_config(), data_file=str(data)), str(path))
+        return path
+
+    def test_missing_data_file(self, outdir, tmp_path, capsys):
+        config = self._config_with_data(tmp_path, "/nonexistent.csv")
+        assert run(["fit-baseline"], outdir, config) == 2
         assert "no such data file" in capsys.readouterr().err
         assert not os.path.exists(outdir)
 
-    def test_config_target_directory_is_created(self, outdir, tmp_path, capsys):
-        target = tmp_path / "new" / "sub" / "fitted.ini"
-        assert run(["fit-baseline", "--write-config", str(target)], outdir) == 0
-        assert load_config(str(target)).baseline == load_config().baseline
+    def test_config_target_directory_is_created(self, tmp_path, capsys):
+        outdir = tmp_path / "new" / "sub"
+        assert run(["fit-baseline"], outdir) == 0
+        fitted = load_config(str(outdir / "fitted_config.ini"))
+        assert fitted.baseline == load_config().baseline
+
+    def test_fits_and_names_the_configured_series(self, outdir, tmp_path, capsys):
+        # the written config names the series it was fitted to, and its
+        # baseline is that series' fit (a halved series halves b0)
+        bundled = open(bundled_data_path("extended_rcp85_emissions.csv")).read()
+        rows = [line.split(",") for line in bundled.splitlines()[3:]]
+        half = tmp_path / "half.csv"
+        half.write_text("year,emissions_gtc\n" + "".join(
+            f"{year},{float(value) * 0.5!r}\n" for year, value in rows))
+        assert run(["fit-baseline"], outdir, self._config_with_data(tmp_path, half)) == 0
+        fitted = load_config(os.path.join(outdir, "fitted_config.ini"))
+        assert fitted.data_file == str(half)
+        start_year = load_config().start_year
+        assert fitted.baseline == fit_baseline(load_emissions(str(half), start_year))
+        assert fitted.baseline.b0 != load_config().baseline.b0
+
+    @pytest.mark.parametrize("flag", ["--data", "--write-config"])
+    def test_takes_no_second_data_or_config_path(self, flag, outdir, tmp_path, capsys):
+        # the series is the config's data key and the fitted config goes to
+        # the output directory; an unknown option is argparse's exit 2
+        with pytest.raises(SystemExit) as exc:
+            run(["fit-baseline", flag, str(tmp_path / "x")], outdir)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
 
 class TestRegretTable:
@@ -499,11 +555,13 @@ class TestReportScale:
 
 
 class TestConfigHandling:
-    def test_env_var_selects_config(self, outdir, small_config_path, capsys,
-                                    monkeypatch):
-        monkeypatch.setenv("MMRCLIMATE_CONFIG", small_config_path)
+    def test_environment_does_not_select_config(self, tmp_path, capsys, monkeypatch):
+        # only --config names a config; the variable once read is ignored
+        monkeypatch.setenv("MMRCLIMATE_CONFIG", str(tmp_path / "missing.ini"))
         assert run(["mmr"]) == 0
-        assert "minimax-regret" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert run(["mmr"], config=bundled_data_path("default_config.ini")) == 0
+        assert out == capsys.readouterr().out
 
     def test_empty_grid_is_config_error(self, tmp_path, capsys):
         text = open(bundled_data_path("default_config.ini")).read()

@@ -33,7 +33,6 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
 def run_default(tmp_path, monkeypatch, capsys):
     """Run one subcommand on the bundled config in an empty directory;
     return its stdout."""
-    monkeypatch.delenv("MMRCLIMATE_CONFIG", raising=False)
     monkeypatch.chdir(tmp_path)
 
     def run(*args):

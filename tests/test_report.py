@@ -118,8 +118,7 @@ class TestMmrMarker:
                           ("173", "no-abatement")]
 
 
-def test_regret_matrix_csv_round_trips(default_matrix, tmp_path, monkeypatch):
-    monkeypatch.delenv("MMRCLIMATE_CONFIG", raising=False)
+def test_regret_matrix_csv_round_trips(default_matrix, tmp_path):
     assert main(["--no-timestamp", "--output-dir", str(tmp_path),
                  "regret-table"]) == 0
     with open(os.path.join(tmp_path, "regret_matrix.csv")) as fh:
