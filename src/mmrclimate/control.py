@@ -21,12 +21,17 @@ A = -lam_minus E + s.w with (G - lam_plus I)^T s = lam_minus c.
 The bounded particular response is E_p = p.w with
 (G - lam_minus I)^T p = c - s.  Each component of w is a term
 t^j e^{mu t} / j!, so the optimal paths are exact ExpPoly objects,
-built in double precision.  Near resonance (a baseline rate close to
-lam_minus) the particular response and the stable mode carry large
-coefficients of opposite sign; the path's error grows like 1/gap^2 times
-the rounding unit (about 1e-9 of max|E| at a root gap of 1e-5, 1e-7 at
-1e-6).  Only an exact collision, where G - lam_minus I is singular,
-needs the discount-rate nudge in :func:`optimal_path`.
+built in double precision.  :func:`_paths` solves the roots, s and p of
+many loops at once, one stacked solve each; :func:`optimal_path` is its
+one-loop case and the only place an ExpPoly path is built, and
+:func:`_slopes` turns the same arrays into the slopes dE/dt a sweep's
+peak search scans, equal to the bit to the paths' own.  Near resonance
+(a baseline rate close to lam_minus) the particular response and the
+stable mode carry large coefficients of opposite sign; the path's error
+grows like 1/gap^2 times the rounding unit (about 1e-9 of max|E| at a
+root gap of 1e-5, 1e-7 at 1e-6).  Only an exact collision, where
+G - lam_minus I is singular, needs the discount-rate nudge, which lives
+in :func:`_paths`.
 
 Costs come from one engine, :func:`closed_loop_integrals`.  On
 x = (E, w) the closed loop is dx/dt = F x, and each discounted quadratic
@@ -39,7 +44,7 @@ and the baseline rates, and Y follows by back substitution, vectorised
 over every loop and evaluation rate.  Every divisor is a sum of two
 diagonal entries minus the evaluation rate, so it is negative even at
 exact resonance, and costs need no discount-rate nudge; only the
-ExpPoly paths do.  The integrals do not depend on the weights alpha and
+paths do.  The integrals do not depend on the weights alpha and
 beta, which :func:`weighted_costs` applies afterwards, so one engine
 call serves a whole (alpha, beta) sweep.
 
@@ -181,52 +186,29 @@ def optimal_path(delta: float, model: ClimateModel,
 
     A zero climate response makes damages insensitive to emissions, so
     the strictly convex cost pins abatement at exactly zero: the path is
-    the passive one, E0 plus the cumulative baseline.  If a baseline rate
-    collides with a characteristic root (within RESONANCE_TOL) the
-    discount rate is nudged with a warning until the resonance clears;
-    this moves the answer by far less than any published tolerance.
-    Merely *near*-resonant solutions keep the requested rate.  The path
-    is the particular response, read off the Jordan form of
-    :func:`_forcing`, plus the stable mode, in double precision at any
-    root gap (see the module notes on its accuracy).  Abatement is
-    B - dE/dt, so the state equation holds exactly.
+    the passive one, E0 plus the cumulative baseline.  Otherwise the
+    path is the one-loop case of :func:`_paths`, which nudges the
+    discount rate with a warning if a baseline rate collides with a
+    characteristic root: the particular response, read off the Jordan
+    form of :func:`_forcing`, plus the stable mode, in double precision
+    at any root gap (see the module notes on its accuracy).  Abatement
+    is B - dE/dt, so the state equation holds exactly.
     """
     econ = scenario.econ
     baseline = scenario.baseline
+    roots = char_roots(delta, model.ccr, econ.alpha, econ.beta)
 
     if model.ccr == 0.0:
         emissions = net_cumulative_emissions(ExpPoly.zero(), baseline, scenario.e0)
         return OptimalPath(
             abatement=ExpPoly.zero(), net_emissions=emissions,
             temperature=emissions * model.ccr, model=model, delta=delta,
-            roots=char_roots(delta, 0.0, econ.alpha, econ.beta),
-            delta_solved=delta)
+            roots=roots, delta_solved=delta)
 
-    delta_used = delta
-    for attempt in range(6):
-        roots = char_roots(delta_used, model.ccr, econ.alpha, econ.beta)
-        # every baseline rate is < 0 < delta < lam_plus: only lam_minus collides
-        gap = min((abs(mu - roots.lam_minus) for mu in baseline.rates()),
-                  default=math.inf)
-        if gap > RESONANCE_TOL:
-            break
-        delta_used = delta + RESONANCE_TOL * 3.0 ** (attempt + 1)
-        warnings.warn(
-            f"baseline rate within {RESONANCE_TOL} of a characteristic root; "
-            f"perturbing discount rate to {delta_used!r}",
-            stacklevel=3,   # the caller of solve_optimal or tmax
-        )
-    else:
-        raise ResonantForcing(
-            f"could not separate baseline rates from characteristic roots "
-            f"near delta = {delta}"
-        )
-
-    # bounded particular response E_p = p.w: A_p = -lam_minus E_p + s.w
-    # and dE_p/dt = B - A_p give (G - lam_minus I)^T p = c - s
-    g, c, _, basis = _forcing(baseline)
-    s = _feedback(g, c, roots.lam_plus, roots.lam_minus)
-    p = np.linalg.solve(g.T - roots.lam_minus * np.eye(len(c)), c - s)
+    (lam_plus,), (lam_minus,), (delta_solved,), (p,), basis = _paths(
+        [delta], [roots.stiffness], scenario)
+    roots = CharRoots(lam_plus=float(lam_plus), lam_minus=float(lam_minus),
+                      stiffness=roots.stiffness)
     e_part = ExpPoly(tuple((p_i / math.factorial(j), j, mu)
                            for p_i, (j, mu) in zip(p, basis)))
     c_stable = scenario.e0 - e_part(0.0)
@@ -238,8 +220,90 @@ def optimal_path(delta: float, model: ClimateModel,
         model=model,
         delta=delta,
         roots=roots,
-        delta_solved=delta_used,
+        delta_solved=float(delta_solved),
     )
+
+
+def _paths(delta, k, scenario: ScenarioConfig):
+    """The optimal paths of the loops of discount rates ``delta`` and
+    stiffnesses ``k`` = beta m^2 / alpha, two equal-length 1-D arrays, as
+    (lam_plus, lam_minus, delta_solved, p, basis): per loop the roots at
+    the rate ``delta_solved`` and the bounded particular response E_p =
+    p.w over the ``basis`` of :func:`_forcing`.
+
+    Every baseline rate is < 0 < delta < lam_plus, so only lam_minus
+    collides.  A loop whose lam_minus is within RESONANCE_TOL of a
+    baseline rate is solved at delta + RESONANCE_TOL 3^r instead, with
+    one warning per nudge, in rounds r = 1, 2, ... until the resonance
+    clears; this moves the answer by far less than any published
+    tolerance.  Other loops, merely *near*-resonant ones included, keep
+    their rate.  A loop still colliding after six rounds raises
+    ResonantForcing, whose ``loop`` is its index.
+    """
+    delta = np.asarray(delta, dtype=float)
+    k = np.asarray(k, dtype=float)
+    g, c, _, basis = _forcing(scenario.baseline)
+    solved = delta.copy()
+    for attempt in range(6):
+        lam_plus, lam_minus = _roots(solved, k)
+        # the diagonal of G holds every baseline rate
+        gap = np.abs(g.diagonal() - lam_minus[:, None]).min(axis=1, initial=math.inf)
+        collide = np.flatnonzero(gap <= RESONANCE_TOL).tolist()
+        if not collide:
+            break
+        for i in collide:
+            solved[i] = delta[i] + RESONANCE_TOL * 3.0 ** (attempt + 1)
+            warnings.warn(
+                f"baseline rate within {RESONANCE_TOL} of a characteristic root; "
+                f"perturbing discount rate to {float(solved[i])!r}",
+                stacklevel=4,   # the caller of solve_optimal or sweep
+            )
+    else:
+        raise ResonantForcing(
+            f"could not separate baseline rates from characteristic roots "
+            f"near delta = {float(delta[collide[0]])}", loop=collide[0])
+
+    # bounded particular response E_p = p.w: A_p = -lam_minus E_p + s.w
+    # and dE_p/dt = B - A_p give (G - lam_minus I)^T p = c - s
+    s = _feedback(g, c, lam_plus, lam_minus)
+    p = np.linalg.solve(g.T - lam_minus[:, None, None] * np.eye(len(c)),
+                        (c - s)[..., None])[..., 0]
+    return lam_plus, lam_minus, solved, p, basis
+
+
+def _slopes(delta, k, scenario: ScenarioConfig) -> list:
+    """The slope dE/dt = B - A of each loop's optimal path, from the
+    arrays of :func:`_paths`, equal to the bit to ``scenario.baseline -
+    optimal_path(...).abatement``: E is p_i / j! plus the stable mode
+    (e0 - E_p(0)) e^{lam_minus t}, dE/dt follows the order of operations
+    of :meth:`ExpPoly.derivative`, and a baseline term b becomes
+    b - (b - e'), as the path's two subtractions leave it.  A k = 0 loop
+    is passive: its slope is the baseline.
+    """
+    baseline = scenario.baseline
+    _, lam_minus, _, p, basis = _paths(delta, k, scenario)
+    powers = [j for j, _ in basis]
+    rates = [mu for _, mu in basis]
+    e = p / np.array([math.factorial(j) for j in powers], dtype=float)
+    # E_p(0): the power-0 terms by ascending rate, as ExpPoly sorts them
+    e_part0 = np.zeros(len(p))
+    for i, j in enumerate(powers):
+        if j == 0:
+            e_part0 = e_part0 + e[:, i]
+    stable = scenario.e0 - e_part0
+    # c_j mu, then c_{j+1} (j + 1) from the next power of the same rate
+    de = e * np.array(rates)
+    for i in range(len(basis) - 1):
+        if powers[i + 1]:
+            de[:, i] = de[:, i] + e[:, i + 1] * powers[i + 1]
+    b = np.zeros(len(basis))
+    for c, n, mu in baseline.terms:
+        b[basis.index((n, mu))] = c
+    terms = b - (b - de)   # 0 - (0 - e') is e' to the bit
+    return [baseline if kk == 0.0 else
+            ExpPoly(tuple(zip(row, powers, rates)) + ((c_s * lam, 0, lam),))
+            for row, c_s, lam, kk in zip(terms.tolist(), stable.tolist(),
+                                         lam_minus.tolist(), np.asarray(k).tolist())]
 
 
 def _forcing(baseline: ExpPoly):

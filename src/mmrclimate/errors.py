@@ -36,7 +36,12 @@ class InvalidDiscount(ValidationError):
 
 class ResonantForcing(MmrClimateError):
     """A forcing rate coincides with a characteristic root and the
-    automatic rate perturbation could not separate them."""
+    automatic rate perturbation could not separate them.  ``loop`` is
+    the index of that loop in a batched path solve."""
+
+    def __init__(self, message, loop=0):
+        super().__init__(message)
+        self.loop = loop
 
 
 class NonConvergence(MmrClimateError):

@@ -28,13 +28,14 @@ import numpy as np
 from .control import (
     OptimalPath,
     ScenarioConfig,
+    _slopes,
     _stiffness,
     closed_loop_integrals,
     optimal_path,
     weighted_costs,
 )
 from .economy import ClimateModel, EconParams, emissions_from_slope
-from .errors import MmrClimateError, NoPeak, ValidationError
+from .errors import MmrClimateError, NoPeak, ResonantForcing, ValidationError
 from .exppoly import ExpPoly
 
 NONNEG_TOL = 1e-9
@@ -235,12 +236,19 @@ def mmr_select(matrix: RegretMatrix):
 
 
 def peak_search(paths, scenario: ScenarioConfig, root_tol: float = ROOT_TOL) -> list:
-    """The emissions peak of each abatement path: one :class:`Peak` per path.
+    """The emissions peak of each abatement path A: one :class:`Peak` per
+    path, the :func:`_peaks` of its slope B - A."""
+    return _peaks([scenario.baseline - path for path in paths], scenario, root_tol)
 
-    A peak is a root of the slope dE/dt = B - A where it goes from > 0 to
-    <= 0.  Every slope is scanned on a yearly grid over 3000 years, and
+
+def _peaks(slopes, scenario: ScenarioConfig, root_tol: float) -> list:
+    """The emissions peak of each slope dE/dt = B - A, an ExpPoly: one
+    :class:`Peak` per slope, E being e0 plus the slope's running integral.
+
+    A peak is a root of the slope where it goes from > 0 to <= 0.  Every
+    slope is scanned on a yearly grid over 3000 years, and
     a bracket opens where one year's value is > 0 and the next is <= 0
-    (a nan opens none).  Every bracket of every path is then refined
+    (a nan opens none).  Every bracket of every slope is then refined
     together, in dyadic rounds, to a width <= ``root_tol``, which must be
     positive and finite.  A round splits each bracket into 2**5 equal
     steps, evaluates every interior point of every bracket in one array
@@ -253,7 +261,6 @@ def peak_search(paths, scenario: ScenarioConfig, root_tol: float = ROOT_TOL) -> 
     positive somewhere but never crossing to <= 0 has no peak.
     """
     halvings = _halvings(root_tol)
-    slopes = [scenario.baseline - path for path in paths]
     grid = np.arange(0.0, _PEAK_HORIZON + 1.0)
     values = np.empty((len(slopes), len(grid)))
     for row, slope in zip(values, slopes):
@@ -329,10 +336,15 @@ def _abatement(policy: Policy, scenario: ScenarioConfig) -> ExpPoly:
     try:
         return optimal_path(policy.delta, policy.model, scenario).abatement
     except MmrClimateError as exc:
-        # keep the type, its attributes and its exit code
-        exc.args = (f"solver failed for policy pair (delta={policy.delta}, "
-                    f"model={policy.model.name}): {exc}",) + exc.args[1:]
+        _name_pair(exc, policy)
         raise
+
+
+def _name_pair(exc: MmrClimateError, policy: Policy) -> None:
+    """Prefix a solver failure's message with the policy pair, keeping
+    its type, its attributes and its exit code."""
+    exc.args = (f"solver failed for policy pair (delta={policy.delta}, "
+                f"model={policy.model.name}): {exc}",) + exc.args[1:]
 
 
 def tmax(policy: Policy, model: ClimateModel, scenario: ScenarioConfig,
@@ -396,12 +408,15 @@ def sweep(alphas, betas, deltas, ensemble, scenario: ScenarioConfig,
     Each cell is the scenario with its cost and damage weights replaced.
     The regret matrices of all cells come from one engine call over one
     loop per (cell, pair) of the grid, and each cell's matrix is the same as a
-    lone :func:`regret_matrix` for it.  Each cell's MMR policy is then
-    solved, and one :func:`peak_search` over every cell's path (a yearly
-    scan, then every bracket refined in dyadic rounds to a width <=
-    ``root_tol``) gives each cell's peak under the highest-response
-    model, the worst case a planner can prepare for: the same numbers as
-    :func:`tmax` per cell.
+    lone :func:`regret_matrix` for it.  One batched path solve then gives
+    the slope dE/dt of every cell's MMR policy (``control._slopes``, the
+    same to the bit as the slope of its :func:`optimal_path`; no
+    abatement is the k = 0 loop), and one peak search over those slopes
+    (a yearly scan, then every bracket refined in dyadic rounds to a
+    width <= ``root_tol``) gives each cell's peak under the
+    highest-response model, the worst case a planner can prepare for:
+    the same numbers as :func:`tmax` per cell.  A solver failure keeps
+    its type and attributes and names the cell's pair.
     """
     if not alphas or not betas:
         raise ValidationError("alpha and beta grids must be nonempty")
@@ -413,9 +428,16 @@ def sweep(alphas, betas, deltas, ensemble, scenario: ScenarioConfig,
                  for alpha, beta in grid]
     chosen = [mmr_select(matrix)
               for matrix in _regret_matrices(policies, states, scenarios)]
-    peaks = peak_search([_abatement(policy, cell_scenario)
-                         for (policy, _), cell_scenario in zip(chosen, scenarios)],
-                        scenario, root_tol)
+    delta, ccr = np.array([(1.0, 0.0) if policy.is_no_abatement
+                           else (policy.delta, policy.model.ccr)
+                           for policy, _ in chosen]).T
+    k = _stiffness(*np.array(grid).T, ccr)
+    try:
+        slopes = _slopes(delta, k, scenario)
+    except ResonantForcing as exc:
+        _name_pair(exc, chosen[exc.loop][0])
+        raise
+    peaks = _peaks(slopes, scenario, root_tol)
     cells = []
     for (alpha, beta), (policy, value), peak in zip(grid, chosen, peaks):
         years, peak_degc = peak.tmax(worst_model, policy.label())

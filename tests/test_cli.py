@@ -504,6 +504,19 @@ class TestSweep:
             years = {row["model"]: row["years_to_peak"] for row in csv.DictReader(fh)}
         assert cell["years_to_peak"] == years[cell["tmax_model"]]
 
+    def test_unseparable_resonance_is_numerical_failure(self, outdir, small_config_path,
+                                                        capsys, monkeypatch):
+        # no nudge clears a gap of 1 per year: exit 3, naming the cell's pair
+        control = importlib.import_module("mmrclimate.control")
+        monkeypatch.setattr(control, "RESONANCE_TOL", 1.0)
+        with pytest.warns(UserWarning, match="perturbing"):
+            code = run(["sweep"], outdir, small_config_path)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: solver failed for policy pair (delta=")
+        assert err.count("\n") == 1 and "could not separate" in err
+        assert not os.path.exists(os.path.join(outdir, "sweep_summary.csv"))
+
 
 class TestSinglePair:
     def test_one_state_matrix_has_two_policies(self, tmp_path, capsys):

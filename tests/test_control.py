@@ -187,17 +187,18 @@ class TestSolveOptimal:
     @pytest.mark.parametrize("gap", [3e-3, 1e-3, 1e-4, 1e-5])
     def test_near_resonant_path_matches_high_precision(self, scenario, gap,
                                                        decimal_emissions):
-        # the float path against an independent 50-digit reference
+        # the float path against an independent 50-digit reference, at
+        # rates across the configured range
         theta = -scenario.baseline.rates()[0]
-        delta = 0.04
-        k = (theta + gap) ** 2 + delta * (theta + gap)
-        m = math.sqrt(k * scenario.econ.alpha / scenario.econ.beta)
-        sol = solve_optimal(delta, ClimateModel("near", m), scenario)
-        assert abs(sol.roots.lam_minus + theta) == pytest.approx(gap, rel=1e-6)
         times = np.arange(0.0, 1001.0, 5.0)
-        exact = decimal_emissions(scenario, delta, sol.roots.stiffness, times)
-        error = np.abs(sol.net_emissions(times) - exact).max()
-        assert error <= 1e-9 * np.abs(exact).max()
+        for delta in (0.01, 0.02, 0.04, 0.07):
+            k = (theta + gap) ** 2 + delta * (theta + gap)
+            m = math.sqrt(k * scenario.econ.alpha / scenario.econ.beta)
+            sol = solve_optimal(delta, ClimateModel("near", m), scenario)
+            assert abs(sol.roots.lam_minus + theta) == pytest.approx(gap, rel=1e-6)
+            exact = decimal_emissions(scenario, delta, sol.roots.stiffness, times)
+            error = np.abs(sol.net_emissions(times) - exact).max()
+            assert error <= 1e-9 * np.abs(exact).max(), f"delta = {delta}"
 
 
 class TestNoAbatement:

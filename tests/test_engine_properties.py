@@ -4,7 +4,8 @@ baselines with one or two decay rates, powers up to 2, or no baseline at
 all.  Each cost is held against a method that shares no code with the
 engine: the ExpPoly closed form on the solved path, exact rational
 arithmetic, a Schur-based Lyapunov solve, or the brute-force oracle.
-The solved paths themselves are held against a 50-digit reference."""
+The solved paths themselves are held against a 50-digit reference, and
+the batched slopes a sweep searches against each pair's own path."""
 
 import math
 import warnings
@@ -16,14 +17,18 @@ import pytest
 from scipy.linalg import solve_continuous_lyapunov
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from mmrclimate.config import load_config  # noqa: E402
 from mmrclimate.control import (  # noqa: E402
     ScenarioConfig,
+    _paths,
+    _slopes,
+    _stiffness,
     char_roots,
     closed_loop_integrals,
     numeric_oracle,
+    optimal_path,
     solve_optimal,
     weighted_costs,
 )
@@ -287,3 +292,70 @@ def test_joint_weight_scaling_scales_regret(econ, c):
     expected = c * base.values
     assert np.abs(moved.values - expected).max() <= 1e-12 * np.abs(expected).max()
     assert mmr_select(moved)[0].label() == mmr_select(base)[0].label()
+
+
+# two rates, one of them with a power-2 term
+TWO_RATES = ExpPoly(((4.6, 0, -0.0125), (0.9, 1, -0.0125), (-0.01, 2, -0.0125),
+                     (2.0, 0, -0.05)))
+# a loop: its kind, discount rate, response and which baseline rate a
+# resonant loop sits on; a passive loop has response 0, so k = 0
+loop_specs = st.lists(st.tuples(st.sampled_from(["drawn"] * 3 + ["resonant", "passive"]),
+                                deltas, responses, st.integers(0, 1)),
+                      min_size=1, max_size=6)
+
+
+def _bits(poly):
+    return [(c.hex(), n, mu.hex()) for c, n, mu in poly.terms]
+
+
+def _recorded(call, *args):
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        return call(*args), len(record)
+
+
+@PROPERTY
+@given(baseline=baselines(), econ=econs, e0=stocks, specs=loop_specs)
+@example(baseline=TWO_RATES, econ=EconParams(1.25e-4, 0.018), e0=500.0,
+         specs=[("resonant", 0.005, 0.002, 0), ("drawn", 0.02, 0.0024, 0),
+                ("passive", 0.03, 0.002, 0), ("resonant", 0.04, 0.002, 1)])
+def test_batched_slopes_equal_each_optimal_path(baseline, econ, e0, specs):
+    # the slope a sweep searches is B - A of the pair's own optimal path
+    # to the bit, nudges included; a nudge warns as often in the batch
+    # as alone, and a loop that does not collide keeps its rate
+    rates = baseline.rates()
+    loops = []
+    for kind, delta, m, pick in specs:
+        if kind == "resonant" and rates:
+            mu = rates[pick % len(rates)]
+            m = math.sqrt((mu * mu - delta * mu) * econ.alpha / econ.beta)
+        loops.append((delta, 0.0 if kind == "passive" else m))
+    scenario = ScenarioConfig(baseline=baseline, e0=e0, econ=econ)
+    delta = np.array([d for d, _ in loops])
+    k = _stiffness(econ.alpha, econ.beta, np.array([m for _, m in loops]))
+    slopes, nudges = _recorded(_slopes, delta, k, scenario)
+    (_, _, solved, _, _), _ = _recorded(_paths, delta, k, scenario)
+    lone_nudges = 0
+    for (d, m), slope, d_solved in zip(loops, slopes, solved.tolist()):
+        path, n = _recorded(optimal_path, d, ClimateModel("m", m), scenario)
+        lone_nudges += n
+        assert _bits(slope) == _bits(scenario.baseline - path.abatement)
+        if m == 0.0:
+            assert slope == baseline
+        assert d_solved == path.delta_solved
+        assert (d_solved != d) == (n > 0)
+    assert nudges == lone_nudges
+
+
+def test_resonant_loop_is_nudged_alone():
+    # lam_minus exactly on the rate -0.0125 at delta = 0.005: one nudge of
+    # 3e-7 moves it by 1.25e-7, past RESONANCE_TOL; the loops beside it,
+    # passive and drawn, keep their rates
+    scenario = ScenarioConfig(baseline=TWO_RATES, e0=500.0, econ=EconParams(1.25e-4, 0.018))
+    mu, delta = -0.0125, np.array([0.03, 0.005, 0.02])
+    k = np.array([0.0, mu * mu - 0.005 * mu, 0.0007])
+    with pytest.warns(UserWarning, match="perturbing") as record:
+        _, lam_minus, solved, _, _ = _paths(delta, k, scenario)
+    assert len(record) == 1
+    assert solved[0] == delta[0] and solved[2] == delta[2]
+    assert solved[1] == delta[1] + 3e-7 and abs(lam_minus[1] - mu) > 1e-7

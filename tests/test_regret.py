@@ -3,14 +3,15 @@
 import importlib
 import math
 import types
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mmrclimate.control import ScenarioConfig, solve_optimal
+from mmrclimate.control import ScenarioConfig, optimal_path, solve_optimal
 from mmrclimate.economy import ClimateModel, EconParams
-from mmrclimate.errors import NoPeak, ValidationError
+from mmrclimate.errors import NoPeak, ResonantForcing, ValidationError
 from mmrclimate.exppoly import ExpPoly
 from mmrclimate.regret import (
     Policy,
@@ -318,27 +319,99 @@ class TestSweep:
         return policy, cell_scenario
 
     def test_cell_peak_is_tmax_of_the_worst_model(self, config, scenario):
-        report = sweep(config.alpha_grid[:2], config.beta_grid[:2],
-                       config.deltas, config.ensemble, scenario)
-        assert len(report.cells) == 4
-        for cell in report.cells:
-            policy, cell_scenario = self._cell_inputs(config, scenario, cell)
-            years, peak = tmax(policy, config.model(cell.tmax_model), cell_scenario)
-            assert cell.years_to_peak == years
-            assert cell.tmax_degc == peak
+        # the batched path solve against one optimal_path and tmax per
+        # cell, on the default 3x3 grid and on a scaled one
+        for fa, fb in [(1.0, 1.0), (1.17, 0.86)]:
+            report = sweep([a * fa for a in config.alpha_grid],
+                           [b * fb for b in config.beta_grid],
+                           config.deltas, config.ensemble, scenario)
+            assert len(report.cells) == 9
+            for cell in report.cells:
+                policy, cell_scenario = self._cell_inputs(config, scenario, cell)
+                years, peak = tmax(policy, config.model(cell.tmax_model), cell_scenario)
+                assert cell.years_to_peak == years
+                assert cell.tmax_degc == peak
+
+    def test_resonant_cell_peak_is_tmax_of_its_nudged_path(self, scenario):
+        # one pair, so each cell's MMR policy is that pair; at alphas[0]
+        # its stable root sits on the baseline rate and is nudged, as in
+        # optimal_path, while the other cell keeps its rate
+        theta, delta = -scenario.baseline.rates()[0], 0.005
+        alphas, beta = [scenario.econ.alpha, 2.0 * scenario.econ.alpha], scenario.econ.beta
+        model = ClimateModel("resonant", math.sqrt(
+            (theta * theta + delta * theta) * alphas[0] / beta))
+        with pytest.warns(UserWarning, match="perturbing") as record:
+            report = sweep(alphas, [beta], [delta], [model], scenario)
+        assert len(record) == 1
+        for cell, alpha in zip(report.cells, alphas):
+            cell_scenario = replace(scenario, econ=EconParams(alpha=alpha, beta=beta))
+            with warnings.catch_warnings(record=True) as lone:
+                warnings.simplefilter("always")
+                path = optimal_path(delta, model, cell_scenario)
+            assert len(lone) == (alpha == alphas[0])
+            assert (path.delta_solved != delta) == (alpha == alphas[0])
+            assert (cell.years_to_peak, cell.tmax_degc) == tmax(
+                Policy.from_solution(path), model, cell_scenario)
 
     def test_one_peak_search_serves_every_cell(self, config, scenario, monkeypatch):
         regret = importlib.import_module("mmrclimate.regret")
-        search, calls = regret.peak_search, []
+        search, calls = regret._peaks, []
 
-        def counted(paths, *args):
-            calls.append(len(paths))
-            return search(paths, *args)
+        def counted(slopes, *args):
+            calls.append(len(slopes))
+            return search(slopes, *args)
 
-        monkeypatch.setattr(regret, "peak_search", counted)
+        monkeypatch.setattr(regret, "_peaks", counted)
         report = sweep(config.alpha_grid, config.beta_grid, config.deltas,
                        config.ensemble, scenario)
         assert calls == [len(report.cells)] == [9]
+
+    def test_one_batched_path_solve(self, config, scenario, monkeypatch):
+        # the baseline's state-space form is built once for the engine and
+        # once for all nine paths, and no ExpPoly path is built
+        control = importlib.import_module("mmrclimate.control")
+        regret_module = importlib.import_module("mmrclimate.regret")
+        forcing, calls = control._forcing, []
+
+        def counted(*args):
+            calls.append("forcing")
+            return forcing(*args)
+
+        def no_path(*args):
+            raise AssertionError("sweep built an ExpPoly path")
+
+        monkeypatch.setattr(control, "_forcing", counted)
+        for module in (control, regret_module):
+            monkeypatch.setattr(module, "optimal_path", no_path)
+        sweep(config.alpha_grid, config.beta_grid, config.deltas,
+              config.ensemble, scenario)
+        assert calls == ["forcing"] * 2
+
+    def test_solver_failure_names_the_cell_pair(self, config, scenario, monkeypatch):
+        # no nudge clears a gap of 1 per year: every path stays resonant
+        control = importlib.import_module("mmrclimate.control")
+        monkeypatch.setattr(control, "RESONANCE_TOL", 1.0)
+        alphas, betas = config.alpha_grid, config.beta_grid
+        first = mmr_select(regret_matrix(
+            build_policy_set(config.deltas, config.ensemble, scenario),
+            build_states(config.deltas, config.ensemble),
+            replace(scenario, econ=EconParams(alpha=alphas[0], beta=betas[0]))))[0]
+        with pytest.warns(UserWarning, match="perturbing"), \
+                pytest.raises(ResonantForcing) as err:
+            sweep(alphas, betas, config.deltas, config.ensemble, scenario)
+        assert err.value.exit_code == 3
+        assert str(err.value).startswith(
+            f"solver failed for policy pair (delta={first.delta}, "
+            f"model={first.model.name}): could not separate")
+
+    def test_no_abatement_choice_has_no_peak(self, config, scenario, monkeypatch):
+        # no abatement is the k = 0 loop, whose slope is the baseline
+        regret_module = importlib.import_module("mmrclimate.regret")
+        monkeypatch.setattr(regret_module, "mmr_select",
+                            lambda matrix: (Policy.no_abatement(), 1.0))
+        with pytest.raises(NoPeak, match="under no-abatement"):
+            sweep(config.alpha_grid, config.beta_grid, config.deltas,
+                  config.ensemble, scenario)
 
     def test_root_tol_reaches_the_peak_search(self, config, scenario):
         report = sweep(config.alpha_grid[:2], config.beta_grid[:2],
