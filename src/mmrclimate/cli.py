@@ -25,11 +25,11 @@ from .regret import (
     build_policy_set,
     build_states,
     mmr_select,
-    peak_search,
     regret_matrix,
     sweep,
+    tmax,
 )
-from .control import optimal_path, solve_optimal
+from .control import solve_optimal
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,18 +188,16 @@ def cmd_tmax(args, config: RunConfig) -> int:
         if args.delta is not None or args.model is not None:
             if args.delta is None or args.model is None:
                 raise ValidationError("--delta and --model must be given together")
-            delta, model = args.delta, config.model(args.model)
+            policy = Policy(args.delta, config.model(args.model))
         else:
-            chosen, _ = mmr_select(_matrix_for(config, scenario))
-            delta, model = chosen.delta, chosen.model
-        policy = Policy.from_solution(optimal_path(delta, model, scenario))
-    # the peak time does not depend on the model, which only scales E(t)
-    (peak,) = peak_search([policy.path], scenario, root_tol=config.tolerances.root_tol)
+            policy, _ = mmr_select(_matrix_for(config, scenario))
     shown = [f"policy: {policy.label()}"]
     lines = ["model,ccr,years_to_peak,tmax_degc"]
     for model in config.ensemble:
+        # one peak search serves every model, which only scales E(t)
         try:
-            years, peak_degc = peak.tmax(model, policy.label())
+            years, peak_degc = tmax(policy, model, scenario,
+                                    root_tol=config.tolerances.root_tol)
             shown.append(f"  {model.name:<6} peak in {years:7.1f} years, "
                          f"Tmax = {peak_degc:.3f} degC")
             lines.append(f"{model.name},{model.ccr!r},{years:.1f},{peak_degc!r}")

@@ -24,7 +24,7 @@ t^j e^{mu t} / j!, so the optimal paths are exact ExpPoly objects,
 built in double precision.  :func:`_paths` solves the roots, s and p of
 many loops at once, one stacked solve each; :func:`optimal_path` is its
 one-loop case and the only place an ExpPoly path is built, and
-:func:`_slopes` turns the same arrays into the slopes dE/dt a sweep's
+:func:`_slopes` turns the same arrays into the slopes dE/dt every
 peak search scans, equal to the bit to the paths' own.  Near resonance
 (a baseline rate close to lam_minus) the particular response and the
 stable mode carry large coefficients of opposite sign; the path's error
@@ -123,6 +123,14 @@ class OptimalSolution(OptimalPath):
 
 def char_roots(delta: float, m: float, alpha: float, beta: float) -> CharRoots:
     """Roots of lam^2 - delta lam - k = 0, ordered lam_plus >= lam_minus."""
+    k = _pair_stiffness(delta, m, alpha, beta)
+    lam_plus, lam_minus = _roots(delta, k)
+    return CharRoots(lam_plus=float(lam_plus), lam_minus=float(lam_minus), stiffness=k)
+
+
+def _pair_stiffness(delta: float, m: float, alpha: float, beta: float) -> float:
+    """k = beta m^2 / alpha of a {delta, model} pair under the weights,
+    once the inputs are checked; :func:`_roots` refuses an infinite k."""
     for name, value in (("delta", delta), ("m", m), ("alpha", alpha), ("beta", beta)):
         if not math.isfinite(value):
             raise ValidationError(f"{name} must be finite, got {value}")
@@ -135,9 +143,7 @@ def char_roots(delta: float, m: float, alpha: float, beta: float) -> CharRoots:
         raise ValidationError("alpha must be positive")
     if beta < 0.0 or m < 0.0:
         raise ValidationError("beta and m must be nonnegative")
-    k = _stiffness(alpha, beta, m)
-    lam_plus, lam_minus = _roots(delta, k)
-    return CharRoots(lam_plus=float(lam_plus), lam_minus=float(lam_minus), stiffness=k)
+    return _stiffness(alpha, beta, m)
 
 
 @np.errstate(over="ignore")   # an infinite k makes _roots raise
@@ -196,7 +202,9 @@ def optimal_path(delta: float, model: ClimateModel,
     """
     econ = scenario.econ
     baseline = scenario.baseline
-    roots = char_roots(delta, model.ccr, econ.alpha, econ.beta)
+    k = _pair_stiffness(delta, model.ccr, econ.alpha, econ.beta)
+    (lam_plus,), (lam_minus,), (delta_solved,), (p,), basis = _paths([delta], [k], scenario)
+    roots = CharRoots(lam_plus=float(lam_plus), lam_minus=float(lam_minus), stiffness=k)
 
     if model.ccr == 0.0:
         emissions = net_cumulative_emissions(ExpPoly.zero(), baseline, scenario.e0)
@@ -205,10 +213,6 @@ def optimal_path(delta: float, model: ClimateModel,
             temperature=emissions * model.ccr, model=model, delta=delta,
             roots=roots, delta_solved=delta)
 
-    (lam_plus,), (lam_minus,), (delta_solved,), (p,), basis = _paths(
-        [delta], [roots.stiffness], scenario)
-    roots = CharRoots(lam_plus=float(lam_plus), lam_minus=float(lam_minus),
-                      stiffness=roots.stiffness)
     e_part = ExpPoly(tuple((p_i / math.factorial(j), j, mu)
                            for p_i, (j, mu) in zip(p, basis)))
     c_stable = scenario.e0 - e_part(0.0)
@@ -237,8 +241,9 @@ def _paths(delta, k, scenario: ScenarioConfig):
     one warning per nudge, in rounds r = 1, 2, ... until the resonance
     clears; this moves the answer by far less than any published
     tolerance.  Other loops, merely *near*-resonant ones included, keep
-    their rate.  A loop still colliding after six rounds raises
-    ResonantForcing, whose ``loop`` is its index.
+    their rate, and so does every k = 0 loop: it is passive, lam_minus
+    = 0 at any rate, and no nudge could move it.  A loop still colliding
+    after six rounds raises ResonantForcing, whose ``loop`` is its index.
     """
     delta = np.asarray(delta, dtype=float)
     k = np.asarray(k, dtype=float)
@@ -248,7 +253,7 @@ def _paths(delta, k, scenario: ScenarioConfig):
         lam_plus, lam_minus = _roots(solved, k)
         # the diagonal of G holds every baseline rate
         gap = np.abs(g.diagonal() - lam_minus[:, None]).min(axis=1, initial=math.inf)
-        collide = np.flatnonzero(gap <= RESONANCE_TOL).tolist()
+        collide = np.flatnonzero((gap <= RESONANCE_TOL) & (k != 0.0)).tolist()
         if not collide:
             break
         for i in collide:

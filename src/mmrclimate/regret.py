@@ -3,9 +3,10 @@
 A *state of the world* is one {delta, model} pair; the candidate
 policies are the optimal policy for every pair plus the passive
 no-abatement benchmark.  Both are :class:`Policy` values, a policy
-being known by the pair it is optimal for, so a state equals its own
-optimal policy: that is the zero regret diagonal.  Costs need nothing
-else, and a path is solved only where a peak is searched.  The regret
+being the pair it is optimal for and nothing more, so a state equals its
+own optimal policy: that is the zero regret diagonal.  Costs and peaks
+need nothing else: every peak is :func:`_peaks` over the
+``control._slopes`` of the pair's loop under the scenario.  The regret
 of a policy in a state is the cost of following that policy when the
 state turns out to be true, minus the cost of the state's own optimal
 policy.  The minimax-regret choice is the policy whose worst-case
@@ -19,7 +20,7 @@ cycling fastest and no abatement as the last column.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -28,10 +29,10 @@ import numpy as np
 from .control import (
     OptimalPath,
     ScenarioConfig,
+    _pair_stiffness,
     _slopes,
     _stiffness,
     closed_loop_integrals,
-    optimal_path,
     weighted_costs,
 )
 from .economy import ClimateModel, EconParams, emissions_from_slope
@@ -47,15 +48,12 @@ _REFINE_BITS = 5         # halvings per refinement round of the peak search
 @dataclass(frozen=True)
 class Policy:
     """A {delta, model} pair: a state of the world, or the policy optimal
-    for it; the no-abatement benchmark has both None.  Costs are computed
-    from the provenance, as the optimal feedback for that pair under the
-    scenario's weights.  ``path`` optionally carries the abatement path
-    already solved for a scenario; without it, :func:`tmax` solves the
-    pair under the scenario it is given."""
+    for it; the no-abatement benchmark has both None.  The pair is the
+    whole policy: costs and peaks are those of the optimal feedback for
+    the pair under the weights of the scenario they are asked under."""
 
     delta: float | None
     model: ClimateModel | None
-    path: ExpPoly | None = field(default=None, compare=False)
 
     @property
     def is_no_abatement(self) -> bool:
@@ -68,20 +66,22 @@ class Policy:
 
     @staticmethod
     def from_solution(sol: OptimalPath) -> "Policy":
-        return Policy(delta=sol.delta, model=sol.model, path=sol.abatement)
+        return Policy(delta=sol.delta, model=sol.model)
 
     @staticmethod
     def no_abatement() -> "Policy":
-        return Policy(delta=None, model=None, path=ExpPoly.zero())
+        return Policy(delta=None, model=None)
 
 
 class Peak(NamedTuple):
     """Where a path's net cumulative emissions E(t) peak: ``time`` in
     years, 0.0 when the stock only drains, or None when E never stops
-    rising; ``emissions`` is E itself, in GtC."""
+    rising; ``emissions`` is E itself, an ExpPoly in GtC, and ``peak``
+    is E at ``time`` (None without a peak)."""
 
     time: float | None
     emissions: ExpPoly
+    peak: float | None
 
     def tmax(self, model: ClimateModel, label: str):
         """(years to peak, peak degC) if ``model`` is the true model.  No
@@ -97,7 +97,7 @@ class Peak(NamedTuple):
                 "the supremum is at the horizon",
                 asymptote_degc=asymptote,
             )
-        return float(self.time), float(model.ccr * self.emissions(self.time))
+        return float(self.time), float(model.ccr * self.peak)
 
 
 def _check_ensemble(deltas, ensemble):
@@ -235,12 +235,6 @@ def mmr_select(matrix: RegretMatrix):
     return matrix.policies[idx], float(matrix.max_regret[idx])
 
 
-def peak_search(paths, scenario: ScenarioConfig, root_tol: float = ROOT_TOL) -> list:
-    """The emissions peak of each abatement path A: one :class:`Peak` per
-    path, the :func:`_peaks` of its slope B - A."""
-    return _peaks([scenario.baseline - path for path in paths], scenario, root_tol)
-
-
 def _peaks(slopes, scenario: ScenarioConfig, root_tol: float) -> list:
     """The emissions peak of each slope dE/dt = B - A, an ExpPoly: one
     :class:`Peak` per slope, E being e0 plus the slope's running integral.
@@ -256,9 +250,10 @@ def _peaks(slopes, scenario: ScenarioConfig, root_tol: float) -> list:
     make bisection's number of halvings, so the final bracket is
     bisection's, even where rounding noise makes the slope change sign
     several times inside it.  The peak is the final bracket's midpoint;
-    with several, the one with the highest emissions wins.  A slope never
-    positive on the grid peaks at time zero (the stock only drains); one
-    positive somewhere but never crossing to <= 0 has no peak.
+    with several, the first with the highest E, evaluated once each,
+    wins.  A slope never positive on the grid peaks at time zero (the
+    stock only drains); one positive somewhere but never crossing to <= 0
+    has no peak.
     """
     halvings = _halvings(root_tol)
     grid = np.arange(0.0, _PEAK_HORIZON + 1.0)
@@ -298,10 +293,12 @@ def _peaks(slopes, scenario: ScenarioConfig, root_tol: float) -> list:
     peaks = []
     for slope, times, positive in zip(slopes, crossings, rising):
         emissions = emissions_from_slope(slope, scenario.e0)
-        if times:
-            peaks.append(Peak(max(times, key=emissions), emissions))
+        if times or not positive:
+            time, peak = max(((t, emissions(t)) for t in times or [0.0]),
+                             key=lambda candidate: candidate[1])
         else:
-            peaks.append(Peak(None if positive else 0.0, emissions))
+            time = peak = None
+        peaks.append(Peak(time, emissions, peak))
     return peaks
 
 
@@ -328,16 +325,14 @@ def _slope_values(coeffs, powers, rates, t):
     return out
 
 
-def _abatement(policy: Policy, scenario: ScenarioConfig) -> ExpPoly:
-    """The policy's path, solved under ``scenario`` when it carries none;
-    a solver failure keeps its type and attributes and names the pair."""
-    if policy.path is not None:
-        return policy.path
-    try:
-        return optimal_path(policy.delta, policy.model, scenario).abatement
-    except MmrClimateError as exc:
-        _name_pair(exc, policy)
-        raise
+def _loop(policy: Policy, scenario: ScenarioConfig):
+    """(delta, k) of the policy's closed loop under the scenario's
+    weights, the pair checked by ``control._pair_stiffness``; no abatement
+    is the k = 0 loop at delta = 1.0."""
+    if policy.is_no_abatement:
+        return 1.0, 0.0
+    return policy.delta, _pair_stiffness(policy.delta, policy.model.ccr,
+                                         scenario.econ.alpha, scenario.econ.beta)
 
 
 def _name_pair(exc: MmrClimateError, policy: Policy) -> None:
@@ -351,32 +346,36 @@ def tmax(policy: Policy, model: ClimateModel, scenario: ScenarioConfig,
          root_tol: float = ROOT_TOL):
     """Peak temperature under a policy if ``model`` is the true model.
 
-    Returns (years to peak, peak degC): the one-path case of
-    :func:`peak_search` (a yearly scan, then the bracket refined in
-    dyadic rounds to a width <= ``root_tol``, which must be positive and
-    finite), times the model's ccr.  Temperature is ccr * E including the
-    initial stock, matching the published convention.  Nondecreasing
-    emissions (the no-abatement case) raise NoPeak carrying the
-    asymptotic temperature when it is finite; a path that only drains
-    the stock peaks at time zero, at ccr * e0.  A policy without a path
-    is solved under ``scenario`` first; a solver failure keeps its type
+    Returns (years to peak, peak degC): the :func:`_peaks` of the slope
+    of the policy's loop under ``scenario`` (a yearly scan, then the
+    bracket refined in dyadic rounds to a width <= ``root_tol``, which
+    must be positive and finite), times the model's ccr.  Temperature is
+    ccr * E including the initial stock, matching the published
+    convention.  Nondecreasing emissions (the no-abatement case) raise
+    NoPeak carrying the asymptotic temperature when it is finite; a path
+    that only drains the stock peaks at time zero, at ccr * e0.  The pair
+    is checked and solved under ``scenario``; a failure keeps its type
     and attributes and names the pair.
 
-    Repeated calls on an equal path, scenario and ``root_tol`` share one
+    Repeated calls on an equal loop, scenario and ``root_tol`` share one
     search, since the model only scales E; the last 16 searches are kept.
     """
     _halvings(root_tol)   # before any solve
-    peak = _peak(_abatement(policy, scenario), scenario, root_tol)
+    try:
+        peak = _peak(*_loop(policy, scenario), scenario, root_tol)
+    except MmrClimateError as exc:
+        _name_pair(exc, policy)
+        raise
     return peak.tmax(model, policy.label())
 
 
 @lru_cache(maxsize=16)
-def _peak(path: ExpPoly, scenario: ScenarioConfig, root_tol: float) -> Peak:
-    """The one-path :func:`peak_search`, kept for :func:`tmax`'s calls
-    under each model.  Paths and scenarios are frozen and compare by
-    value, equal values give the same peak to the bit, and a Peak is
-    immutable, so a kept one serves every equal key."""
-    return peak_search([path], scenario, root_tol)[0]
+def _peak(delta: float, k: float, scenario: ScenarioConfig, root_tol: float) -> Peak:
+    """The peak of one loop, kept for :func:`tmax`'s calls under each
+    model.  Scenarios are frozen and compare by value, equal keys give
+    the same peak to the bit, and a Peak is immutable, so a kept one
+    serves every equal key."""
+    return _peaks(_slopes([delta], [k], scenario), scenario, root_tol)[0]
 
 
 @dataclass(frozen=True)
@@ -408,15 +407,12 @@ def sweep(alphas, betas, deltas, ensemble, scenario: ScenarioConfig,
     Each cell is the scenario with its cost and damage weights replaced.
     The regret matrices of all cells come from one engine call over one
     loop per (cell, pair) of the grid, and each cell's matrix is the same as a
-    lone :func:`regret_matrix` for it.  One batched path solve then gives
-    the slope dE/dt of every cell's MMR policy (``control._slopes``, the
-    same to the bit as the slope of its :func:`optimal_path`; no
-    abatement is the k = 0 loop), and one peak search over those slopes
-    (a yearly scan, then every bracket refined in dyadic rounds to a
-    width <= ``root_tol``) gives each cell's peak under the
+    lone :func:`regret_matrix` for it.  One ``control._slopes`` call
+    then gives the slope dE/dt of the loop of every cell's MMR policy,
+    and one :func:`_peaks` over them gives each cell's peak under the
     highest-response model, the worst case a planner can prepare for:
-    the same numbers as :func:`tmax` per cell.  A solver failure keeps
-    its type and attributes and names the cell's pair.
+    the route, and so the numbers, of :func:`tmax` per cell.  A solver
+    failure keeps its type and attributes and names the cell's pair.
     """
     if not alphas or not betas:
         raise ValidationError("alpha and beta grids must be nonempty")
@@ -428,10 +424,8 @@ def sweep(alphas, betas, deltas, ensemble, scenario: ScenarioConfig,
                  for alpha, beta in grid]
     chosen = [mmr_select(matrix)
               for matrix in _regret_matrices(policies, states, scenarios)]
-    delta, ccr = np.array([(1.0, 0.0) if policy.is_no_abatement
-                           else (policy.delta, policy.model.ccr)
-                           for policy, _ in chosen]).T
-    k = _stiffness(*np.array(grid).T, ccr)
+    delta, k = np.array([_loop(policy, s)
+                         for (policy, _), s in zip(chosen, scenarios)]).T
     try:
         slopes = _slopes(delta, k, scenario)
     except ResonantForcing as exc:

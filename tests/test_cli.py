@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -439,8 +440,9 @@ class TestMmrAndTmax:
 
     def test_tmax_reports_every_model(self, outdir, small_config_path, capsys,
                                       monkeypatch):
-        # one path, built without a cost-engine call, and one peak search
-        # serve every model, whether the policy is named or the MMR choice
+        # one batched path solve, without a cost-engine call or an ExpPoly
+        # path, and one peak search serve every model, whether the policy
+        # is named or the MMR choice
         calls = {}
 
         def counting(name, function):
@@ -449,18 +451,20 @@ class TestMmrAndTmax:
                 return function(*args, **kwargs)
             return counted
 
+        control = importlib.import_module("mmrclimate.control")
         regret = importlib.import_module("mmrclimate.regret")
-        for module, name in ((cli, "solve_optimal"), (cli, "optimal_path"),
-                             (cli, "peak_search"), (regret, "optimal_path")):
+        for module, name in ((cli, "solve_optimal"), (control, "optimal_path"),
+                             (control, "_paths"), (regret, "_peaks")):
             monkeypatch.setattr(module, name,
                                 counting(f"{module.__name__}.{name}", getattr(module, name)))
         for args in (["tmax", "--delta", "0.02", "--model", "HAD"], ["tmax"]):
             calls.clear()
+            regret._peak.cache_clear()
             assert run(args, outdir, small_config_path) == 0
             out = capsys.readouterr().out
             assert out.count("Tmax =") == 2
-            assert calls == {"mmrclimate.cli.optimal_path": 1,
-                             "mmrclimate.cli.peak_search": 1}
+            assert calls == {"mmrclimate.control._paths": 1,
+                             "mmrclimate.regret._peaks": 1}
             assert os.path.exists(os.path.join(outdir, "tmax.csv"))
 
     def test_tmax_no_abatement_reports_asymptote(self, outdir, small_config_path,
@@ -471,9 +475,46 @@ class TestMmrAndTmax:
         assert "no peak" in out
         assert "asymptote 14.7" in out
 
+    def test_tmax_no_abatement_beside_a_zero_baseline_rate(self, tmp_path, capsys):
+        # theta = 1e-300 puts the baseline rate within RESONANCE_TOL of the
+        # passive loop's lam_minus = 0; that loop is never nudged, so the
+        # run warns of nothing and prints the asymptotes as before
+        config = tmp_path / "tiny_theta.ini"
+        text = open(bundled_data_path("default_config.ini")).read()
+        config.write_text(re.sub(r"(?m)^theta = .*$", "theta = 1e-300", text))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["--no-timestamp", "tmax", "--no-abatement"],
+                       tmp_path / "o", config) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out == TINY_THETA_STDOUT.format(path=tmp_path / "o" / "tmax.csv")
+        assert (tmp_path / "o" / "tmax.csv").read_text() == TINY_THETA_CSV
+
     def test_tmax_requires_full_provenance(self, outdir, small_config_path, capsys):
         code = run(["tmax", "--delta", "0.02"], outdir, small_config_path)
         assert code == 2
+
+
+TINY_THETA_STDOUT = """\
+policy: no-abatement
+  GFDL   no peak: emissions keep rising (asymptote 10.10 degC)
+  BCC    no peak: emissions keep rising (asymptote 11.96 degC)
+  FIO    no peak: emissions keep rising (asymptote 12.48 degC)
+  HAD    no peak: emissions keep rising (asymptote 14.70 degC)
+  IPSL   no peak: emissions keep rising (asymptote 15.18 degC)
+  MIROC  no peak: emissions keep rising (asymptote 15.69 degC)
+wrote {path}
+"""
+TINY_THETA_CSV = """\
+model,ccr,years_to_peak,tmax_degc
+GFDL,0.00157,,10.095800524934385
+BCC,0.00186,,11.960629921259844
+FIO,0.00194,,12.475065616797902
+HAD,0.002286,,14.7
+IPSL,0.00236,,15.175853018372704
+MIROC,0.00244,,15.69028871391076
+"""
 
 
 class TestSweep:

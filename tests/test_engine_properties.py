@@ -359,3 +359,17 @@ def test_resonant_loop_is_nudged_alone():
     assert len(record) == 1
     assert solved[0] == delta[0] and solved[2] == delta[2]
     assert solved[1] == delta[1] + 3e-7 and abs(lam_minus[1] - mu) > 1e-7
+
+
+def test_passive_loop_is_never_resonant():
+    # theta = 1e-300 puts the bundled baseline's one rate within
+    # RESONANCE_TOL of lam_minus = 0, the passive loop's stable root at any
+    # rate; no nudge could move it, and none is tried
+    config = load_config()
+    scenario = replace(config, baseline=replace(config.baseline, theta=1e-300)).to_scenario()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (slope,) = _slopes([1.0], [0.0], scenario)
+        (_, lam_minus, solved, _, _) = _paths([1.0], [0.0], scenario)
+    assert slope == scenario.baseline
+    assert solved[0] == 1.0 and lam_minus[0] == 0.0

@@ -1,23 +1,27 @@
 """Property-based checks of the batched peak search against the scalar
 search it replaced: a yearly scan, then bisection of each bracket one
-midpoint at a time.  Paths are optimal paths of the bundled baseline
-over drawn discount rates, every ensemble model and weights scaled
-0.3-3x, plus the passive path and a path that only drains the stock."""
+midpoint at a time.  Slopes dE/dt are those of optimal paths of the
+bundled baseline over drawn discount rates, every ensemble model and
+weights scaled 0.3-3x, plus the passive slope and one that only drains
+the stock.  Library ``tmax`` is held to the route it replaced: the
+ExpPoly path of ``optimal_path``, its slope B - A and the peak search."""
 
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from mmrclimate.config import load_config  # noqa: E402
-from mmrclimate.control import optimal_path  # noqa: E402
-from mmrclimate.economy import EconParams, net_cumulative_emissions  # noqa: E402
+from mmrclimate.control import _pair_stiffness, _slopes, optimal_path  # noqa: E402
+from mmrclimate.economy import ClimateModel, EconParams  # noqa: E402
 from mmrclimate.errors import NoPeak  # noqa: E402
 from mmrclimate.exppoly import ExpPoly  # noqa: E402
-from mmrclimate.regret import Policy, peak_search, tmax  # noqa: E402
+from mmrclimate.regret import Policy, _peaks, tmax  # noqa: E402
 
 # deterministic draws, so the suite is reproducible and writes no example
 # database into the checkout
@@ -32,28 +36,27 @@ ROOT_TOLS = st.sampled_from([1e-9, 1e-6, 1e-4, 2**-5, 0.3, 1.0, 5.0])
 
 
 @st.composite
-def paths(draw):
-    """An abatement path: mostly optimal paths, sometimes the passive
-    one (no peak) or one abating 1 GtC/yr more than the baseline (the
-    stock only drains)."""
+def slopes(draw):
+    """A slope dE/dt: mostly those of optimal paths, sometimes the
+    passive one, the baseline (no peak), or -1 GtC/yr (the stock only
+    drains)."""
     kind = draw(st.sampled_from(["optimal"] * 8 + ["passive", "drain"]))
     if kind == "passive":
-        return ExpPoly.zero()
+        return SCENARIO.baseline
     if kind == "drain":
-        return SCENARIO.baseline + ExpPoly.constant(1.0)
-    econ = EconParams(alpha=CONFIG.econ.alpha * draw(st.floats(0.3, 3.0)),
-                      beta=CONFIG.econ.beta * draw(st.floats(0.3, 3.0)))
-    return optimal_path(draw(st.floats(0.003, 0.12)),
-                        draw(st.sampled_from(CONFIG.ensemble)),
-                        replace(SCENARIO, econ=econ)).abatement
+        return ExpPoly.constant(-1.0)
+    delta = draw(st.floats(0.003, 0.12))
+    k = _pair_stiffness(delta, draw(st.sampled_from(CONFIG.ensemble)).ccr,
+                       CONFIG.econ.alpha * draw(st.floats(0.3, 3.0)),
+                       CONFIG.econ.beta * draw(st.floats(0.3, 3.0)))
+    return _slopes([delta], [k], SCENARIO)[0]
 
 
-def reference_peak(path, root_tol):
+def reference_peak(slope, root_tol):
     """(peak time or None, E) by the scalar search: a bracket opens where
     the yearly slope goes from > 0 to <= 0, and bisection halves it to a
     width <= root_tol, evaluating one midpoint at a time."""
-    slope = SCENARIO.baseline - path
-    emissions = net_cumulative_emissions(path, SCENARIO.baseline, SCENARIO.e0)
+    emissions = ExpPoly.constant(SCENARIO.e0) + slope.cumulative()
     grid = np.arange(0.0, 3001.0)
     values = slope(grid)
     sign = np.sign(values)
@@ -73,19 +76,18 @@ def reference_peak(path, root_tol):
 
 
 @PROPERTY
-@given(path=paths(), root_tol=ROOT_TOLS)
-def test_matches_scalar_bisection_to_the_bit(path, root_tol):
-    want_time, want_emissions = reference_peak(path, root_tol)
-    (peak,) = peak_search([path], SCENARIO, root_tol)
+@given(slope=slopes(), root_tol=ROOT_TOLS)
+def test_matches_scalar_bisection_to_the_bit(slope, root_tol):
+    want_time, want_emissions = reference_peak(slope, root_tol)
+    (peak,) = _peaks([slope], SCENARIO, root_tol)
     assert peak.time == want_time
     assert peak.emissions == want_emissions
-    policy = Policy(delta=0.05, model=CONFIG.ensemble[0], path=path)
     for model in CONFIG.ensemble:
         if want_time is None:
             with pytest.raises(NoPeak):
-                tmax(policy, model, SCENARIO, root_tol)
+                peak.tmax(model, "drawn")
         else:
-            assert tmax(policy, model, SCENARIO, root_tol) == (
+            assert peak.tmax(model, "drawn") == (
                 want_time, float(model.ccr * want_emissions(want_time)))
 
 
@@ -95,29 +97,68 @@ def test_bisection_kept_where_noise_flips_the_sign():
     # times; the first fall of the slope in a round is not bisection's
     econ = EconParams(alpha=CONFIG.econ.alpha * 2.8908595343797683,
                       beta=CONFIG.econ.beta * 2.4310862099073614)
-    path = optimal_path(0.011008526799724472, CONFIG.model("GFDL"),
-                        replace(SCENARIO, econ=econ)).abatement
-    want_time, _ = reference_peak(path, 1e-9)
-    assert peak_search([path], SCENARIO, 1e-9)[0].time == want_time
+    delta = 0.011008526799724472
+    k = _pair_stiffness(delta, CONFIG.model("GFDL").ccr, econ.alpha, econ.beta)
+    (slope,) = _slopes([delta], [k], SCENARIO)
+    want_time, _ = reference_peak(slope, 1e-9)
+    assert _peaks([slope], SCENARIO, 1e-9)[0].time == want_time
 
 
 @PROPERTY
-@given(batch=st.lists(paths(), min_size=1, max_size=5), root_tol=ROOT_TOLS)
+@given(batch=st.lists(slopes(), min_size=1, max_size=5), root_tol=ROOT_TOLS)
 def test_batch_equals_one_path_calls(batch, root_tol):
-    assert peak_search(batch, SCENARIO, root_tol) == [
-        peak_search([path], SCENARIO, root_tol)[0] for path in batch]
+    assert _peaks(batch, SCENARIO, root_tol) == [
+        _peaks([slope], SCENARIO, root_tol)[0] for slope in batch]
 
 
 @PROPERTY
-@given(path=paths(), root_tol=ROOT_TOLS)
-def test_slope_changes_sign_across_the_final_bracket(path, root_tol):
+@given(slope=slopes(), root_tol=ROOT_TOLS)
+def test_slope_changes_sign_across_the_final_bracket(slope, root_tol):
     # dE/dt = 0 at the reported peak: the slope is > 0 at the low end of
     # the bracket whose midpoint is reported and <= 0 at its high end
-    (peak,) = peak_search([path], SCENARIO, root_tol)
+    (peak,) = _peaks([slope], SCENARIO, root_tol)
     if not peak.time:
         return
     width = 1.0
     while width > root_tol:
         width /= 2
-    slope = SCENARIO.baseline - path
     assert slope(peak.time - width / 2) > 0 >= slope(peak.time + width / 2)
+
+
+def _outcome(call):
+    """repr of a (years, degC) result, or of a NoPeak's message and
+    asymptote; any nudge warnings are swallowed."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            return repr(call())
+        except NoPeak as exc:
+            return repr(("NoPeak", str(exc), exc.asymptote_degc))
+
+
+def _resonant_ccr(delta, econ):
+    """The response whose stable root sits exactly on the bundled
+    baseline's one rate, mu: lam_minus = mu when k = mu^2 - delta mu."""
+    (mu,) = SCENARIO.baseline.rates()
+    return math.sqrt((mu * mu - delta * mu) * econ.alpha / econ.beta)
+
+
+@PROPERTY
+@given(delta=st.floats(0.005, 0.1), ccr=st.floats(0.0005, 0.004),
+       scale=st.tuples(st.floats(0.3, 3.0), st.floats(0.3, 3.0)),
+       e0=st.floats(0.0, 1500.0), root_tol=ROOT_TOLS)
+@example(delta=0.005, ccr=_resonant_ccr(0.005, CONFIG.econ), scale=(1.0, 1.0),
+         e0=SCENARIO.e0, root_tol=1e-6)
+def test_tmax_equals_the_optimal_path_route(delta, ccr, scale, e0, root_tol):
+    # tmax takes its peak from the policy's loop; the reference builds the
+    # pair's ExpPoly path and searches B - A, exact resonance included
+    econ = EconParams(alpha=CONFIG.econ.alpha * scale[0],
+                      beta=CONFIG.econ.beta * scale[1])
+    scenario = replace(SCENARIO, econ=econ, e0=e0)
+    policy = Policy(delta=delta, model=ClimateModel("drawn", ccr))
+    for model in CONFIG.ensemble:
+        got = _outcome(lambda: tmax(policy, model, scenario, root_tol))
+        want = _outcome(lambda: _peaks(
+            [scenario.baseline - optimal_path(delta, policy.model, scenario).abatement],
+            scenario, root_tol)[0].tmax(model, policy.label()))
+        assert got == want

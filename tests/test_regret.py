@@ -9,12 +9,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mmrclimate.control import ScenarioConfig, optimal_path, solve_optimal
+from mmrclimate.control import (
+    ScenarioConfig,
+    _pair_stiffness,
+    _slopes,
+    optimal_path,
+    solve_optimal,
+)
 from mmrclimate.economy import ClimateModel, EconParams
 from mmrclimate.errors import NoPeak, ResonantForcing, ValidationError
 from mmrclimate.exppoly import ExpPoly
 from mmrclimate.regret import (
+    ROOT_TOL,
     Policy,
+    _peaks,
     _regret_matrices,
     build_policy_set,
     build_states,
@@ -69,10 +77,11 @@ class TestPolicySet:
                                                     monkeypatch):
         import mmrclimate.regret as regret_module
 
-        def failing_solver(delta, model, scenario):
+        def failing_solver(delta, k, scenario):
             raise NoPeak("no interior maximum", asymptote_degc=1.5)
 
-        monkeypatch.setattr(regret_module, "optimal_path", failing_solver)
+        regret_module._peak.cache_clear()
+        monkeypatch.setattr(regret_module, "_slopes", failing_solver)
         policy = Policy(delta=0.05, model=TWO_MODELS[0])
         with pytest.raises(NoPeak) as err:
             tmax(policy, TWO_MODELS[1], small_scenario)
@@ -85,10 +94,10 @@ class TestPolicySet:
                                        monkeypatch):
         import mmrclimate.regret as regret_module
 
-        def failing_solver(delta, model, scenario):
+        def failing_solver(delta, k, scenario):
             raise NoPeak("no interior maximum")
 
-        monkeypatch.setattr(regret_module, "optimal_path", failing_solver)
+        monkeypatch.setattr(regret_module, "_slopes", failing_solver)
         states = build_states(config.deltas, config.ensemble)
         policies = build_policy_set(config.deltas, config.ensemble, scenario)
         matrix = regret_matrix(policies, states, scenario)
@@ -194,12 +203,11 @@ class TestTmax:
         sol = solve_optimal(0.02, config.model("IPSL"), scenario)
         policy = Policy.from_solution(sol)
         years, peak = tmax(policy, config.model("MIROC"), scenario)
-        slope = scenario.baseline - policy.path
+        slope = scenario.baseline - sol.abatement
         assert slope(years - 1.0) > 0 > slope(years + 1.0)
         assert peak == pytest.approx(
             config.model("MIROC").ccr
-            * (ExpPoly.constant(scenario.e0)
-               + (scenario.baseline - policy.path).cumulative())(years),
+            * (ExpPoly.constant(scenario.e0) + slope.cumulative())(years),
             rel=1e-9)
 
     def test_no_abatement_has_no_peak(self, scenario, config):
@@ -214,17 +222,15 @@ class TestTmax:
 
     def test_draining_path_peaks_at_start(self, scenario, config):
         # abating one GtC/yr more than the baseline: E = e0 - t
-        drain = Policy(delta=0.05, model=config.model("HAD"),
-                       path=scenario.baseline + ExpPoly.constant(1.0))
+        (drain,) = _peaks([ExpPoly.constant(-1.0)], scenario, ROOT_TOL)
         model = config.model("MIROC")
-        assert tmax(drain, model, scenario) == (0.0, model.ccr * scenario.e0)
+        assert drain.tmax(model, "drain") == (0.0, model.ccr * scenario.e0)
 
     def test_unbounded_emissions_have_no_asymptote(self, scenario, config):
         # abating one GtC/yr less than the baseline: E = e0 + t
-        grow = Policy(delta=0.05, model=config.model("HAD"),
-                      path=scenario.baseline - ExpPoly.constant(1.0))
+        (grow,) = _peaks([ExpPoly.constant(1.0)], scenario, ROOT_TOL)
         with pytest.raises(NoPeak) as err:
-            tmax(grow, config.model("HAD"), scenario)
+            grow.tmax(config.model("HAD"), "grow")
         assert err.value.asymptote_degc is None
 
     def test_tolerance_below_float_spacing_ends(self, scenario, config):
@@ -239,28 +245,33 @@ class TestTmax:
     def test_one_search_serves_every_model(self, config, scenario, monkeypatch):
         regret = importlib.import_module("mmrclimate.regret")
         regret._peak.cache_clear()
-        search, calls = regret.peak_search, []
+        search, calls = regret._peaks, []
 
-        def counted(paths, *args):
-            calls.append(len(paths))
-            return search(paths, *args)
+        def counted(slopes, *args):
+            calls.append(len(slopes))
+            return search(slopes, *args)
 
-        monkeypatch.setattr(regret, "peak_search", counted)
+        monkeypatch.setattr(regret, "_peaks", counted)
         policy = Policy.from_solution(solve_optimal(0.02, config.model("IPSL"), scenario))
         got = [tmax(policy, model, scenario) for model in config.ensemble]
         assert calls == [1]
-        (peak,) = search([policy.path], scenario)
+        k = _pair_stiffness(0.02, config.model("IPSL").ccr,
+                           scenario.econ.alpha, scenario.econ.beta)
+        (peak,) = search(_slopes([0.02], [k], scenario), scenario, ROOT_TOL)
         assert got == [peak.tmax(model, policy.label()) for model in config.ensemble]
 
     def test_kept_peaks_are_keyed_by_scenario_and_tolerance(self, config, scenario):
         regret = importlib.import_module("mmrclimate.regret")
-        policy = Policy.from_solution(solve_optimal(0.02, config.model("IPSL"), scenario))
+        policy = Policy(delta=0.02, model=config.model("IPSL"))
         model = config.model("MIROC")
-        # the same path under another stock, another baseline, another tolerance
+        # the same pair under another stock, another baseline, other weights,
+        # another tolerance: each solved under its own scenario
         requests = [(scenario, 1e-6), (replace(scenario, e0=scenario.e0 + 100.0), 1e-6),
                     (replace(scenario, baseline=scenario.baseline * 1.1), 1e-6),
+                    (replace(scenario, econ=EconParams(alpha=2e-4, beta=0.018)), 1e-6),
                     (scenario, 1e-3)]
-        fresh = [repr(regret.peak_search([policy.path], s, tol)[0].tmax(model, policy.label()))
+        fresh = [repr(_peaks([s.baseline - optimal_path(0.02, policy.model, s).abatement],
+                             s, tol)[0].tmax(model, policy.label()))
                  for s, tol in requests]
         assert len(set(fresh)) == len(fresh)
         for order in (requests, requests[::-1]):
@@ -269,11 +280,28 @@ class TestTmax:
                 got = tmax(policy, model, s, root_tol=tol)
                 assert repr(got) == fresh[requests.index((s, tol))]
 
+    def test_equal_policies_give_equal_peaks(self, config, scenario):
+        # a policy is its pair: one solved under another scenario is the
+        # same policy, and its peak is the pair's own under the scenario
+        # it is asked under
+        other = replace(scenario, e0=scenario.e0 + 100.0,
+                        econ=EconParams(alpha=2e-4, beta=0.022))
+        model = config.model("MIROC")
+        solved = Policy.from_solution(solve_optimal(0.02, config.model("IPSL"), scenario))
+        assert solved == Policy(0.02, config.model("IPSL"))
+        got = tmax(solved, model, other)
+        assert got == tmax(Policy(0.02, config.model("IPSL")), model, other)
+        path = optimal_path(0.02, config.model("IPSL"), other).abatement
+        assert got == _peaks([other.baseline - path], other, ROOT_TOL)[0].tmax(
+            model, solved.label())
+
     def test_no_peak_names_each_policy_sharing_a_path(self, config, scenario):
+        # two zero responses: one k = 0 loop, so one kept peak, and the
+        # message names the policy asked about
         regret = importlib.import_module("mmrclimate.regret")
         regret._peak.cache_clear()
-        passive = [Policy.no_abatement(),
-                   Policy(delta=0.05, model=config.model("HAD"), path=ExpPoly.zero())]
+        passive = [Policy(delta=0.05, model=ClimateModel("A", 0.0)),
+                   Policy(delta=0.05, model=ClimateModel("B", 0.0))]
         model = config.model("HAD")
         for policy, other in zip(passive + passive[::-1], passive[::-1] + passive):
             with pytest.raises(NoPeak) as err:
@@ -343,15 +371,17 @@ class TestSweep:
         with pytest.warns(UserWarning, match="perturbing") as record:
             report = sweep(alphas, [beta], [delta], [model], scenario)
         assert len(record) == 1
+        importlib.import_module("mmrclimate.regret")._peak.cache_clear()
         for cell, alpha in zip(report.cells, alphas):
             cell_scenario = replace(scenario, econ=EconParams(alpha=alpha, beta=beta))
             with warnings.catch_warnings(record=True) as lone:
                 warnings.simplefilter("always")
                 path = optimal_path(delta, model, cell_scenario)
-            assert len(lone) == (alpha == alphas[0])
+                peak = tmax(Policy.from_solution(path), model, cell_scenario)
+            # optimal_path and tmax each nudge the resonant cell's pair
+            assert len(lone) == 2 * (alpha == alphas[0])
             assert (path.delta_solved != delta) == (alpha == alphas[0])
-            assert (cell.years_to_peak, cell.tmax_degc) == tmax(
-                Policy.from_solution(path), model, cell_scenario)
+            assert (cell.years_to_peak, cell.tmax_degc) == peak
 
     def test_one_peak_search_serves_every_cell(self, config, scenario, monkeypatch):
         regret = importlib.import_module("mmrclimate.regret")
@@ -370,7 +400,6 @@ class TestSweep:
         # the baseline's state-space form is built once for the engine and
         # once for all nine paths, and no ExpPoly path is built
         control = importlib.import_module("mmrclimate.control")
-        regret_module = importlib.import_module("mmrclimate.regret")
         forcing, calls = control._forcing, []
 
         def counted(*args):
@@ -381,8 +410,7 @@ class TestSweep:
             raise AssertionError("sweep built an ExpPoly path")
 
         monkeypatch.setattr(control, "_forcing", counted)
-        for module in (control, regret_module):
-            monkeypatch.setattr(module, "optimal_path", no_path)
+        monkeypatch.setattr(control, "optimal_path", no_path)
         sweep(config.alpha_grid, config.beta_grid, config.deltas,
               config.ensemble, scenario)
         assert calls == ["forcing"] * 2
