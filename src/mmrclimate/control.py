@@ -21,11 +21,9 @@ A = -lam_minus E + s.w with (G - lam_plus I)^T s = lam_minus c.
 The bounded particular response is E_p = p.w with
 (G - lam_minus I)^T p = c - s.  Each component of w is a term
 t^j e^{mu t} / j!, so the optimal paths are exact ExpPoly objects,
-built in double precision.  :func:`_paths` solves the roots, s and p of
+built in double precision.  :func:`_paths` builds the ExpPoly path E of
 many loops at once, one stacked solve each; :func:`optimal_path` is its
-one-loop case and the only place an ExpPoly path is built, and
-:func:`_slopes` turns the same arrays into the slopes dE/dt every
-peak search scans, equal to the bit to the paths' own.  Near resonance
+one-loop case, and the peak search reads the same E.  Near resonance
 (a baseline rate close to lam_minus) the particular response and the
 stable mode carry large coefficients of opposite sign; the path's error
 grows like 1/gap^2 times the rounding unit (about 1e-9 of max|E| at a
@@ -56,6 +54,7 @@ normal equations) and is used only to cross-check the closed form.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -188,42 +187,25 @@ def solve_optimal(delta: float, model: ClimateModel,
 
 def optimal_path(delta: float, model: ClimateModel,
                  scenario: ScenarioConfig) -> OptimalPath:
-    """Exact optimal paths for one {delta, model} pair.
-
-    A zero climate response makes damages insensitive to emissions, so
-    the strictly convex cost pins abatement at exactly zero: the path is
-    the passive one, E0 plus the cumulative baseline.  Otherwise the
-    path is the one-loop case of :func:`_paths`, which nudges the
-    discount rate with a warning if a baseline rate collides with a
-    characteristic root: the particular response, read off the Jordan
-    form of :func:`_forcing`, plus the stable mode, in double precision
-    at any root gap (see the module notes on its accuracy).  Abatement
-    is B - dE/dt, so the state equation holds exactly.
+    """Exact optimal paths for one {delta, model} pair: the one-loop case
+    of :func:`_paths`, which nudges the discount rate with a warning if a
+    baseline rate collides with a characteristic root (see the module
+    notes on the path's accuracy).  A zero stiffness k = beta m^2 / alpha
+    makes damages insensitive to emissions, so the strictly convex cost
+    pins abatement at exactly zero and E is the passive path.  Otherwise
+    abatement is B - dE/dt, so the state equation holds exactly.
     """
     econ = scenario.econ
-    baseline = scenario.baseline
     k = _pair_stiffness(delta, model.ccr, econ.alpha, econ.beta)
-    (lam_plus,), (lam_minus,), (delta_solved,), (p,), basis = _paths([delta], [k], scenario)
-    roots = CharRoots(lam_plus=float(lam_plus), lam_minus=float(lam_minus), stiffness=k)
-
-    if model.ccr == 0.0:
-        emissions = net_cumulative_emissions(ExpPoly.zero(), baseline, scenario.e0)
-        return OptimalPath(
-            abatement=ExpPoly.zero(), net_emissions=emissions,
-            temperature=emissions * model.ccr, model=model, delta=delta,
-            roots=roots, delta_solved=delta)
-
-    e_part = ExpPoly(tuple((p_i / math.factorial(j), j, mu)
-                           for p_i, (j, mu) in zip(p, basis)))
-    c_stable = scenario.e0 - e_part(0.0)
-    emissions = e_part + ExpPoly.term(c_stable, 0, roots.lam_minus)
+    (lam_plus,), (lam_minus,), (delta_solved,), (emissions,) = _paths([delta], [k], scenario)
     return OptimalPath(
-        abatement=baseline - emissions.derivative(),
+        abatement=(ExpPoly.zero() if k == 0.0
+                   else scenario.baseline - emissions.derivative()),
         net_emissions=emissions,
         temperature=emissions * model.ccr,
         model=model,
         delta=delta,
-        roots=roots,
+        roots=CharRoots(lam_plus=float(lam_plus), lam_minus=float(lam_minus), stiffness=k),
         delta_solved=float(delta_solved),
     )
 
@@ -231,9 +213,12 @@ def optimal_path(delta: float, model: ClimateModel,
 def _paths(delta, k, scenario: ScenarioConfig):
     """The optimal paths of the loops of discount rates ``delta`` and
     stiffnesses ``k`` = beta m^2 / alpha, two equal-length 1-D arrays, as
-    (lam_plus, lam_minus, delta_solved, p, basis): per loop the roots at
-    the rate ``delta_solved`` and the bounded particular response E_p =
-    p.w over the ``basis`` of :func:`_forcing`.
+    (lam_plus, lam_minus, delta_solved, emissions): per loop the roots at
+    the rate ``delta_solved`` and the net cumulative emissions E, an
+    ExpPoly.  E is the bounded particular response E_p = p.w over the
+    basis of :func:`_forcing`, plus the stable mode (e0 - E_p(0))
+    e^{lam_minus t}; a k = 0 loop is passive, E = e0 plus the cumulative
+    baseline.
 
     Every baseline rate is < 0 < delta < lam_plus, so only lam_minus
     collides.  A loop whose lam_minus is within RESONANCE_TOL of a
@@ -244,6 +229,7 @@ def _paths(delta, k, scenario: ScenarioConfig):
     their rate, and so does every k = 0 loop: it is passive, lam_minus
     = 0 at any rate, and no nudge could move it.  A loop still colliding
     after six rounds raises ResonantForcing, whose ``loop`` is its index.
+    The warning names the first caller outside this package.
     """
     delta = np.asarray(delta, dtype=float)
     k = np.asarray(k, dtype=float)
@@ -261,7 +247,7 @@ def _paths(delta, k, scenario: ScenarioConfig):
             warnings.warn(
                 f"baseline rate within {RESONANCE_TOL} of a characteristic root; "
                 f"perturbing discount rate to {float(solved[i])!r}",
-                stacklevel=4,   # the caller of solve_optimal or sweep
+                stacklevel=_outside_level(),
             )
     else:
         raise ResonantForcing(
@@ -273,42 +259,25 @@ def _paths(delta, k, scenario: ScenarioConfig):
     s = _feedback(g, c, lam_plus, lam_minus)
     p = np.linalg.solve(g.T - lam_minus[:, None, None] * np.eye(len(c)),
                         (c - s)[..., None])[..., 0]
-    return lam_plus, lam_minus, solved, p, basis
+    emissions = []
+    for p_i, lam, k_i in zip(p.tolist(), lam_minus.tolist(), k.tolist()):
+        if k_i == 0.0:
+            emissions.append(
+                net_cumulative_emissions(ExpPoly.zero(), scenario.baseline, scenario.e0))
+            continue
+        e_part = ExpPoly(tuple((p_ij / math.factorial(j), j, mu)
+                               for p_ij, (j, mu) in zip(p_i, basis)))
+        emissions.append(e_part + ExpPoly.term(scenario.e0 - e_part(0.0), 0, lam))
+    return lam_plus, lam_minus, solved, emissions
 
 
-def _slopes(delta, k, scenario: ScenarioConfig) -> list:
-    """The slope dE/dt = B - A of each loop's optimal path, from the
-    arrays of :func:`_paths`, equal to the bit to ``scenario.baseline -
-    optimal_path(...).abatement``: E is p_i / j! plus the stable mode
-    (e0 - E_p(0)) e^{lam_minus t}, dE/dt follows the order of operations
-    of :meth:`ExpPoly.derivative`, and a baseline term b becomes
-    b - (b - e'), as the path's two subtractions leave it.  A k = 0 loop
-    is passive: its slope is the baseline.
-    """
-    baseline = scenario.baseline
-    _, lam_minus, _, p, basis = _paths(delta, k, scenario)
-    powers = [j for j, _ in basis]
-    rates = [mu for _, mu in basis]
-    e = p / np.array([math.factorial(j) for j in powers], dtype=float)
-    # E_p(0): the power-0 terms by ascending rate, as ExpPoly sorts them
-    e_part0 = np.zeros(len(p))
-    for i, j in enumerate(powers):
-        if j == 0:
-            e_part0 = e_part0 + e[:, i]
-    stable = scenario.e0 - e_part0
-    # c_j mu, then c_{j+1} (j + 1) from the next power of the same rate
-    de = e * np.array(rates)
-    for i in range(len(basis) - 1):
-        if powers[i + 1]:
-            de[:, i] = de[:, i] + e[:, i + 1] * powers[i + 1]
-    b = np.zeros(len(basis))
-    for c, n, mu in baseline.terms:
-        b[basis.index((n, mu))] = c
-    terms = b - (b - de)   # 0 - (0 - e') is e' to the bit
-    return [baseline if kk == 0.0 else
-            ExpPoly(tuple(zip(row, powers, rates)) + ((c_s * lam, 0, lam),))
-            for row, c_s, lam, kk in zip(terms.tolist(), stable.tolist(),
-                                         lam_minus.tolist(), np.asarray(k).tolist())]
+def _outside_level() -> int:
+    """The ``stacklevel`` that makes a warning issued by this function's
+    caller name the first frame outside this package."""
+    frame, level = sys._getframe(1), 1
+    while frame.f_back and frame.f_globals.get("__package__") == __package__:
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def _forcing(baseline: ExpPoly):

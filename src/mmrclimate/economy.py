@@ -6,6 +6,10 @@ discounted total J = integral of (cost + damage) e^{-delta t} lands
 directly in the units of the published regret tables (percent of the
 present discounted value of output).
 
+:func:`net_cumulative_emissions` integrates an abatement path into the
+emissions stock E; with no abatement it is the passive path of every
+k = 0 loop in :mod:`mmrclimate.control`.
+
 :func:`discounted_total_cost` integrates any ExpPoly abatement path in
 closed form.  The solver and the regret matrix do not use it: they cost
 optimal policies through the closed-loop engine in
@@ -54,13 +58,7 @@ class ClimateModel:
 def net_cumulative_emissions(abatement: ExpPoly, baseline: ExpPoly,
                              e0: float) -> ExpPoly:
     """E(t) = E0 + integral over [0, t] of (B - A), exact."""
-    return emissions_from_slope(baseline - abatement, e0)
-
-
-def emissions_from_slope(slope: ExpPoly, e0: float) -> ExpPoly:
-    """E(t) = E0 + integral over [0, t] of ``slope``, exact: the
-    :func:`net_cumulative_emissions` of a slope B - A already built."""
-    return ExpPoly.constant(e0) + slope.cumulative()
+    return ExpPoly.constant(e0) + (baseline - abatement).cumulative()
 
 
 def discounted_total_cost(abatement: ExpPoly, econ: EconParams,

@@ -5,12 +5,12 @@ policies are the optimal policy for every pair plus the passive
 no-abatement benchmark.  Both are :class:`Policy` values, a policy
 being the pair it is optimal for and nothing more, so a state equals its
 own optimal policy: that is the zero regret diagonal.  Costs and peaks
-need nothing else: every peak is :func:`_peaks` over the
-``control._slopes`` of the pair's loop under the scenario.  The regret
-of a policy in a state is the cost of following that policy when the
-state turns out to be true, minus the cost of the state's own optimal
-policy.  The minimax-regret choice is the policy whose worst-case
-regret across all states is smallest.
+need nothing else: every peak is :func:`_peaks` over the path E that
+``control._paths`` builds for the pair's loop under the scenario, the
+path ``solve`` writes.  The regret of a policy in a state is the cost
+of following that policy when the state turns out to be true, minus the
+cost of the state's own optimal policy.  The minimax-regret choice is
+the policy whose worst-case regret across all states is smallest.
 
 Matrix orientation follows the published layout: rows are actual states,
 columns are policies, both enumerated model-major with the discount rate
@@ -30,12 +30,12 @@ from .control import (
     OptimalPath,
     ScenarioConfig,
     _pair_stiffness,
-    _slopes,
+    _paths,
     _stiffness,
     closed_loop_integrals,
     weighted_costs,
 )
-from .economy import ClimateModel, EconParams, emissions_from_slope
+from .economy import ClimateModel, EconParams
 from .errors import MmrClimateError, NoPeak, ResonantForcing, ValidationError
 from .exppoly import ExpPoly
 
@@ -76,8 +76,9 @@ class Policy:
 class Peak(NamedTuple):
     """Where a path's net cumulative emissions E(t) peak: ``time`` in
     years, 0.0 when the stock only drains, or None when E never stops
-    rising; ``emissions`` is E itself, an ExpPoly in GtC, and ``peak``
-    is E at ``time`` (None without a peak)."""
+    rising; ``emissions`` is E itself, the ExpPoly path in GtC that
+    ``control._paths`` built, and ``peak`` is E at ``time`` (None
+    without a peak)."""
 
     time: float | None
     emissions: ExpPoly
@@ -235,12 +236,12 @@ def mmr_select(matrix: RegretMatrix):
     return matrix.policies[idx], float(matrix.max_regret[idx])
 
 
-def _peaks(slopes, scenario: ScenarioConfig, root_tol: float) -> list:
-    """The emissions peak of each slope dE/dt = B - A, an ExpPoly: one
-    :class:`Peak` per slope, E being e0 plus the slope's running integral.
+def _peaks(emissions, root_tol: float) -> list:
+    """The peak of each path E of net cumulative emissions, an ExpPoly:
+    one :class:`Peak` per path, keeping E itself.
 
-    A peak is a root of the slope where it goes from > 0 to <= 0.  Every
-    slope is scanned on a yearly grid over 3000 years, and
+    A peak is a root of the slope dE/dt where it goes from > 0 to <= 0.
+    Every slope is scanned on a yearly grid over 3000 years, and
     a bracket opens where one year's value is > 0 and the next is <= 0
     (a nan opens none).  Every bracket of every slope is then refined
     together, in dyadic rounds, to a width <= ``root_tol``, which must be
@@ -256,6 +257,7 @@ def _peaks(slopes, scenario: ScenarioConfig, root_tol: float) -> list:
     has no peak.
     """
     halvings = _halvings(root_tol)
+    slopes = [path.derivative() for path in emissions]
     grid = np.arange(0.0, _PEAK_HORIZON + 1.0)
     values = np.empty((len(slopes), len(grid)))
     for row, slope in zip(values, slopes):
@@ -291,14 +293,13 @@ def _peaks(slopes, scenario: ScenarioConfig, root_tol: float) -> list:
     for i, t in zip(owner.tolist(), midpoints.tolist()):
         crossings[i].append(t)
     peaks = []
-    for slope, times, positive in zip(slopes, crossings, rising):
-        emissions = emissions_from_slope(slope, scenario.e0)
+    for path, times, positive in zip(emissions, crossings, rising):
         if times or not positive:
-            time, peak = max(((t, emissions(t)) for t in times or [0.0]),
+            time, peak = max(((t, path(t)) for t in times or [0.0]),
                              key=lambda candidate: candidate[1])
         else:
             time = peak = None
-        peaks.append(Peak(time, emissions, peak))
+        peaks.append(Peak(time, path, peak))
     return peaks
 
 
@@ -346,12 +347,13 @@ def tmax(policy: Policy, model: ClimateModel, scenario: ScenarioConfig,
          root_tol: float = ROOT_TOL):
     """Peak temperature under a policy if ``model`` is the true model.
 
-    Returns (years to peak, peak degC): the :func:`_peaks` of the slope
-    of the policy's loop under ``scenario`` (a yearly scan, then the
-    bracket refined in dyadic rounds to a width <= ``root_tol``, which
-    must be positive and finite), times the model's ccr.  Temperature is
-    ccr * E including the initial stock, matching the published
-    convention.  Nondecreasing emissions (the no-abatement case) raise
+    Returns (years to peak, peak degC): the :func:`_peaks` of the path E
+    of the policy's loop under ``scenario``, the net emissions that
+    ``control.optimal_path`` gives the pair (a yearly scan of dE/dt, then
+    the bracket refined in dyadic rounds to a width <= ``root_tol``,
+    which must be positive and finite), times the model's ccr.
+    Temperature is ccr * E including the initial stock, matching the
+    published convention.  Nondecreasing emissions (the no-abatement case) raise
     NoPeak carrying the asymptotic temperature when it is finite; a path
     that only drains the stock peaks at time zero, at ccr * e0.  The pair
     is checked and solved under ``scenario``; a failure keeps its type
@@ -375,7 +377,8 @@ def _peak(delta: float, k: float, scenario: ScenarioConfig, root_tol: float) -> 
     model.  Scenarios are frozen and compare by value, equal keys give
     the same peak to the bit, and a Peak is immutable, so a kept one
     serves every equal key."""
-    return _peaks(_slopes([delta], [k], scenario), scenario, root_tol)[0]
+    *_, emissions = _paths([delta], [k], scenario)
+    return _peaks(emissions, root_tol)[0]
 
 
 @dataclass(frozen=True)
@@ -407,9 +410,9 @@ def sweep(alphas, betas, deltas, ensemble, scenario: ScenarioConfig,
     Each cell is the scenario with its cost and damage weights replaced.
     The regret matrices of all cells come from one engine call over one
     loop per (cell, pair) of the grid, and each cell's matrix is the same as a
-    lone :func:`regret_matrix` for it.  One ``control._slopes`` call
-    then gives the slope dE/dt of the loop of every cell's MMR policy,
-    and one :func:`_peaks` over them gives each cell's peak under the
+    lone :func:`regret_matrix` for it.  One ``control._paths`` call
+    then builds the path E of the loop of every cell's MMR policy, and
+    one :func:`_peaks` over them gives each cell's peak under the
     highest-response model, the worst case a planner can prepare for:
     the route, and so the numbers, of :func:`tmax` per cell.  A solver
     failure keeps its type and attributes and names the cell's pair.
@@ -427,11 +430,11 @@ def sweep(alphas, betas, deltas, ensemble, scenario: ScenarioConfig,
     delta, k = np.array([_loop(policy, s)
                          for (policy, _), s in zip(chosen, scenarios)]).T
     try:
-        slopes = _slopes(delta, k, scenario)
+        *_, emissions = _paths(delta, k, scenario)
     except ResonantForcing as exc:
         _name_pair(exc, chosen[exc.loop][0])
         raise
-    peaks = _peaks(slopes, scenario, root_tol)
+    peaks = _peaks(emissions, root_tol)
     cells = []
     for (alpha, beta), (policy, value), peak in zip(grid, chosen, peaks):
         years, peak_degc = peak.tmax(worst_model, policy.label())

@@ -440,9 +440,9 @@ class TestMmrAndTmax:
 
     def test_tmax_reports_every_model(self, outdir, small_config_path, capsys,
                                       monkeypatch):
-        # one batched path solve, without a cost-engine call or an ExpPoly
-        # path, and one peak search serve every model, whether the policy
-        # is named or the MMR choice
+        # one path solve, without a cost-engine call or a lone
+        # optimal_path, and one peak search serve every model, whether the
+        # policy is named or the MMR choice
         calls = {}
 
         def counting(name, function):
@@ -457,6 +457,7 @@ class TestMmrAndTmax:
                              (control, "_paths"), (regret, "_peaks")):
             monkeypatch.setattr(module, name,
                                 counting(f"{module.__name__}.{name}", getattr(module, name)))
+        monkeypatch.setattr(regret, "_paths", control._paths)   # regret's own name
         for args in (["tmax", "--delta", "0.02", "--model", "HAD"], ["tmax"]):
             calls.clear()
             regret._peak.cache_clear()

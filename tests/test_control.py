@@ -68,6 +68,15 @@ class TestSolveOptimal:
         # the k = 0 loop weighs no damage and abates nothing: +0.0 exactly
         assert sol.j_star == 0.0 and math.copysign(1.0, sol.j_star) == 1.0
 
+    def test_underflowing_stiffness_never_abates(self, scenario):
+        # k = beta m^2 / alpha underflows to 0 for a nonzero response: the
+        # k = 0 loop is passive, with no abatement, not a rounding residue
+        sol = solve_optimal(0.02, ClimateModel("tiny", 1e-170), scenario)
+        assert sol.roots.stiffness == 0.0
+        assert sol.abatement.is_zero
+        assert sol.net_emissions == net_cumulative_emissions(
+            ExpPoly.zero(), scenario.baseline, scenario.e0)
+
     def test_abatement_lags_then_overtakes_baseline(self, scenario):
         # At the worked-example parameters abatement is partial through
         # the bulk of the 21st century and overtakes the baseline in the

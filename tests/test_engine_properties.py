@@ -5,7 +5,7 @@ all.  Each cost is held against a method that shares no code with the
 engine: the ExpPoly closed form on the solved path, exact rational
 arithmetic, a Schur-based Lyapunov solve, or the brute-force oracle.
 The solved paths themselves are held against a 50-digit reference, and
-the batched slopes a sweep searches against each pair's own path."""
+the batched paths a sweep searches against each pair's own path."""
 
 import math
 import warnings
@@ -23,7 +23,6 @@ from mmrclimate.config import load_config  # noqa: E402
 from mmrclimate.control import (  # noqa: E402
     ScenarioConfig,
     _paths,
-    _slopes,
     _stiffness,
     char_roots,
     closed_loop_integrals,
@@ -32,7 +31,12 @@ from mmrclimate.control import (  # noqa: E402
     solve_optimal,
     weighted_costs,
 )
-from mmrclimate.economy import ClimateModel, EconParams, discounted_total_cost  # noqa: E402
+from mmrclimate.economy import (  # noqa: E402
+    ClimateModel,
+    EconParams,
+    discounted_total_cost,
+    net_cumulative_emissions,
+)
 from mmrclimate.exppoly import ExpPoly  # noqa: E402
 from mmrclimate.regret import (  # noqa: E402
     build_policy_set,
@@ -319,10 +323,10 @@ def _recorded(call, *args):
 @example(baseline=TWO_RATES, econ=EconParams(1.25e-4, 0.018), e0=500.0,
          specs=[("resonant", 0.005, 0.002, 0), ("drawn", 0.02, 0.0024, 0),
                 ("passive", 0.03, 0.002, 0), ("resonant", 0.04, 0.002, 1)])
-def test_batched_slopes_equal_each_optimal_path(baseline, econ, e0, specs):
-    # the slope a sweep searches is B - A of the pair's own optimal path
-    # to the bit, nudges included; a nudge warns as often in the batch
-    # as alone, and a loop that does not collide keeps its rate
+def test_batched_paths_equal_each_optimal_path(baseline, econ, e0, specs):
+    # the path E a sweep searches is the pair's own optimal path to the
+    # bit, nudges included; a nudge warns as often in the batch as alone,
+    # and a loop that does not collide keeps its rate
     rates = baseline.rates()
     loops = []
     for kind, delta, m, pick in specs:
@@ -333,15 +337,14 @@ def test_batched_slopes_equal_each_optimal_path(baseline, econ, e0, specs):
     scenario = ScenarioConfig(baseline=baseline, e0=e0, econ=econ)
     delta = np.array([d for d, _ in loops])
     k = _stiffness(econ.alpha, econ.beta, np.array([m for _, m in loops]))
-    slopes, nudges = _recorded(_slopes, delta, k, scenario)
-    (_, _, solved, _, _), _ = _recorded(_paths, delta, k, scenario)
+    (_, _, solved, emissions), nudges = _recorded(_paths, delta, k, scenario)
     lone_nudges = 0
-    for (d, m), slope, d_solved in zip(loops, slopes, solved.tolist()):
+    for (d, m), batched, d_solved in zip(loops, emissions, solved.tolist()):
         path, n = _recorded(optimal_path, d, ClimateModel("m", m), scenario)
         lone_nudges += n
-        assert _bits(slope) == _bits(scenario.baseline - path.abatement)
+        assert _bits(batched) == _bits(path.net_emissions)
         if m == 0.0:
-            assert slope == baseline
+            assert batched == net_cumulative_emissions(ExpPoly.zero(), baseline, e0)
         assert d_solved == path.delta_solved
         assert (d_solved != d) == (n > 0)
     assert nudges == lone_nudges
@@ -355,7 +358,7 @@ def test_resonant_loop_is_nudged_alone():
     mu, delta = -0.0125, np.array([0.03, 0.005, 0.02])
     k = np.array([0.0, mu * mu - 0.005 * mu, 0.0007])
     with pytest.warns(UserWarning, match="perturbing") as record:
-        _, lam_minus, solved, _, _ = _paths(delta, k, scenario)
+        _, lam_minus, solved, _ = _paths(delta, k, scenario)
     assert len(record) == 1
     assert solved[0] == delta[0] and solved[2] == delta[2]
     assert solved[1] == delta[1] + 3e-7 and abs(lam_minus[1] - mu) > 1e-7
@@ -369,7 +372,7 @@ def test_passive_loop_is_never_resonant():
     scenario = replace(config, baseline=replace(config.baseline, theta=1e-300)).to_scenario()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        (slope,) = _slopes([1.0], [0.0], scenario)
-        (_, lam_minus, solved, _, _) = _paths([1.0], [0.0], scenario)
-    assert slope == scenario.baseline
+        (_, lam_minus, solved, (emissions,)) = _paths([1.0], [0.0], scenario)
+    assert emissions == net_cumulative_emissions(ExpPoly.zero(), scenario.baseline,
+                                                 scenario.e0)
     assert solved[0] == 1.0 and lam_minus[0] == 0.0

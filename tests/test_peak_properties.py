@@ -1,10 +1,10 @@
 """Property-based checks of the batched peak search against the scalar
-search it replaced: a yearly scan, then bisection of each bracket one
-midpoint at a time.  Slopes dE/dt are those of optimal paths of the
+search it replaced: a yearly scan of dE/dt, then bisection of each
+bracket one midpoint at a time.  Paths E are optimal paths of the
 bundled baseline over drawn discount rates, every ensemble model and
-weights scaled 0.3-3x, plus the passive slope and one that only drains
-the stock.  Library ``tmax`` is held to the route it replaced: the
-ExpPoly path of ``optimal_path``, its slope B - A and the peak search."""
+weights scaled 0.3-3x, plus the passive path and one that only drains
+the stock.  Library ``tmax`` is held to the path ``optimal_path`` gives
+the pair, the one ``solve`` writes."""
 
 import math
 import warnings
@@ -17,8 +17,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from mmrclimate.config import load_config  # noqa: E402
-from mmrclimate.control import _pair_stiffness, _slopes, optimal_path  # noqa: E402
-from mmrclimate.economy import ClimateModel, EconParams  # noqa: E402
+from mmrclimate.control import _pair_stiffness, _paths, optimal_path  # noqa: E402
+from mmrclimate.economy import ClimateModel, EconParams, net_cumulative_emissions  # noqa: E402
 from mmrclimate.errors import NoPeak  # noqa: E402
 from mmrclimate.exppoly import ExpPoly  # noqa: E402
 from mmrclimate.regret import Policy, _peaks, tmax  # noqa: E402
@@ -36,27 +36,26 @@ ROOT_TOLS = st.sampled_from([1e-9, 1e-6, 1e-4, 2**-5, 0.3, 1.0, 5.0])
 
 
 @st.composite
-def slopes(draw):
-    """A slope dE/dt: mostly those of optimal paths, sometimes the
-    passive one, the baseline (no peak), or -1 GtC/yr (the stock only
-    drains)."""
+def paths(draw):
+    """A path E: mostly optimal paths, sometimes the passive one (no
+    peak) or E = e0 - t (the stock only drains)."""
     kind = draw(st.sampled_from(["optimal"] * 8 + ["passive", "drain"]))
     if kind == "passive":
-        return SCENARIO.baseline
+        return net_cumulative_emissions(ExpPoly.zero(), SCENARIO.baseline, SCENARIO.e0)
     if kind == "drain":
-        return ExpPoly.constant(-1.0)
+        return ExpPoly(((SCENARIO.e0, 0, 0.0), (-1.0, 1, 0.0)))
     delta = draw(st.floats(0.003, 0.12))
     k = _pair_stiffness(delta, draw(st.sampled_from(CONFIG.ensemble)).ccr,
                        CONFIG.econ.alpha * draw(st.floats(0.3, 3.0)),
                        CONFIG.econ.beta * draw(st.floats(0.3, 3.0)))
-    return _slopes([delta], [k], SCENARIO)[0]
+    return _paths([delta], [k], SCENARIO)[3][0]
 
 
-def reference_peak(slope, root_tol):
-    """(peak time or None, E) by the scalar search: a bracket opens where
-    the yearly slope goes from > 0 to <= 0, and bisection halves it to a
-    width <= root_tol, evaluating one midpoint at a time."""
-    emissions = ExpPoly.constant(SCENARIO.e0) + slope.cumulative()
+def reference_peak(emissions, root_tol):
+    """Peak time or None by the scalar search: a bracket opens where the
+    yearly slope dE/dt goes from > 0 to <= 0, and bisection halves it to
+    a width <= root_tol, evaluating one midpoint at a time."""
+    slope = emissions.derivative()
     grid = np.arange(0.0, 3001.0)
     values = slope(grid)
     sign = np.sign(values)
@@ -71,24 +70,24 @@ def reference_peak(slope, root_tol):
                 hi = mid
         crossings.append(0.5 * (lo + hi))
     if crossings:
-        return max(crossings, key=emissions), emissions
-    return (None if np.any(values > 0) else 0.0), emissions
+        return max(crossings, key=emissions)
+    return None if np.any(values > 0) else 0.0
 
 
 @PROPERTY
-@given(slope=slopes(), root_tol=ROOT_TOLS)
-def test_matches_scalar_bisection_to_the_bit(slope, root_tol):
-    want_time, want_emissions = reference_peak(slope, root_tol)
-    (peak,) = _peaks([slope], SCENARIO, root_tol)
+@given(path=paths(), root_tol=ROOT_TOLS)
+def test_matches_scalar_bisection_to_the_bit(path, root_tol):
+    want_time = reference_peak(path, root_tol)
+    (peak,) = _peaks([path], root_tol)
     assert peak.time == want_time
-    assert peak.emissions == want_emissions
+    assert peak.emissions is path
     for model in CONFIG.ensemble:
         if want_time is None:
             with pytest.raises(NoPeak):
                 peak.tmax(model, "drawn")
         else:
             assert peak.tmax(model, "drawn") == (
-                want_time, float(model.ccr * want_emissions(want_time)))
+                want_time, float(model.ccr * path(want_time)))
 
 
 def test_bisection_kept_where_noise_flips_the_sign():
@@ -99,41 +98,30 @@ def test_bisection_kept_where_noise_flips_the_sign():
                       beta=CONFIG.econ.beta * 2.4310862099073614)
     delta = 0.011008526799724472
     k = _pair_stiffness(delta, CONFIG.model("GFDL").ccr, econ.alpha, econ.beta)
-    (slope,) = _slopes([delta], [k], SCENARIO)
-    want_time, _ = reference_peak(slope, 1e-9)
-    assert _peaks([slope], SCENARIO, 1e-9)[0].time == want_time
+    (path,) = _paths([delta], [k], SCENARIO)[3]
+    want_time = reference_peak(path, 1e-9)
+    assert _peaks([path], 1e-9)[0].time == want_time
 
 
 @PROPERTY
-@given(batch=st.lists(slopes(), min_size=1, max_size=5), root_tol=ROOT_TOLS)
+@given(batch=st.lists(paths(), min_size=1, max_size=5), root_tol=ROOT_TOLS)
 def test_batch_equals_one_path_calls(batch, root_tol):
-    assert _peaks(batch, SCENARIO, root_tol) == [
-        _peaks([slope], SCENARIO, root_tol)[0] for slope in batch]
+    assert _peaks(batch, root_tol) == [_peaks([path], root_tol)[0] for path in batch]
 
 
 @PROPERTY
-@given(slope=slopes(), root_tol=ROOT_TOLS)
-def test_slope_changes_sign_across_the_final_bracket(slope, root_tol):
+@given(path=paths(), root_tol=ROOT_TOLS)
+def test_slope_changes_sign_across_the_final_bracket(path, root_tol):
     # dE/dt = 0 at the reported peak: the slope is > 0 at the low end of
     # the bracket whose midpoint is reported and <= 0 at its high end
-    (peak,) = _peaks([slope], SCENARIO, root_tol)
+    (peak,) = _peaks([path], root_tol)
     if not peak.time:
         return
     width = 1.0
     while width > root_tol:
         width /= 2
+    slope = path.derivative()
     assert slope(peak.time - width / 2) > 0 >= slope(peak.time + width / 2)
-
-
-def _outcome(call):
-    """repr of a (years, degC) result, or of a NoPeak's message and
-    asymptote; any nudge warnings are swallowed."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        try:
-            return repr(call())
-        except NoPeak as exc:
-            return repr(("NoPeak", str(exc), exc.asymptote_degc))
 
 
 def _resonant_ccr(delta, econ):
@@ -149,16 +137,18 @@ def _resonant_ccr(delta, econ):
        e0=st.floats(0.0, 1500.0), root_tol=ROOT_TOLS)
 @example(delta=0.005, ccr=_resonant_ccr(0.005, CONFIG.econ), scale=(1.0, 1.0),
          e0=SCENARIO.e0, root_tol=1e-6)
-def test_tmax_equals_the_optimal_path_route(delta, ccr, scale, e0, root_tol):
-    # tmax takes its peak from the policy's loop; the reference builds the
-    # pair's ExpPoly path and searches B - A, exact resonance included
+@example(delta=0.047, ccr=CONFIG.model("HAD").ccr, scale=(1.0, 1.0),
+         e0=SCENARIO.e0, root_tol=1e-6)
+def test_tmax_reads_the_path_solve_writes(delta, ccr, scale, e0, root_tol):
+    # Tmax is the model's ccr times the pair's own optimal path E at the
+    # peak time, to the bit, exact resonance included
     econ = EconParams(alpha=CONFIG.econ.alpha * scale[0],
                       beta=CONFIG.econ.beta * scale[1])
     scenario = replace(SCENARIO, econ=econ, e0=e0)
     policy = Policy(delta=delta, model=ClimateModel("drawn", ccr))
-    for model in CONFIG.ensemble:
-        got = _outcome(lambda: tmax(policy, model, scenario, root_tol))
-        want = _outcome(lambda: _peaks(
-            [scenario.baseline - optimal_path(delta, policy.model, scenario).abatement],
-            scenario, root_tol)[0].tmax(model, policy.label()))
-        assert got == want
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # the resonant pair's nudge
+        path = optimal_path(delta, policy.model, scenario).net_emissions
+        for model in CONFIG.ensemble:
+            years, degc = tmax(policy, model, scenario, root_tol)
+            assert degc == float(model.ccr * path(years))

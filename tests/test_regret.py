@@ -12,7 +12,7 @@ import pytest
 from mmrclimate.control import (
     ScenarioConfig,
     _pair_stiffness,
-    _slopes,
+    _paths,
     optimal_path,
     solve_optimal,
 )
@@ -81,7 +81,7 @@ class TestPolicySet:
             raise NoPeak("no interior maximum", asymptote_degc=1.5)
 
         regret_module._peak.cache_clear()
-        monkeypatch.setattr(regret_module, "_slopes", failing_solver)
+        monkeypatch.setattr(regret_module, "_paths", failing_solver)
         policy = Policy(delta=0.05, model=TWO_MODELS[0])
         with pytest.raises(NoPeak) as err:
             tmax(policy, TWO_MODELS[1], small_scenario)
@@ -97,7 +97,7 @@ class TestPolicySet:
         def failing_solver(delta, k, scenario):
             raise NoPeak("no interior maximum")
 
-        monkeypatch.setattr(regret_module, "_slopes", failing_solver)
+        monkeypatch.setattr(regret_module, "_paths", failing_solver)
         states = build_states(config.deltas, config.ensemble)
         policies = build_policy_set(config.deltas, config.ensemble, scenario)
         matrix = regret_matrix(policies, states, scenario)
@@ -205,10 +205,7 @@ class TestTmax:
         years, peak = tmax(policy, config.model("MIROC"), scenario)
         slope = scenario.baseline - sol.abatement
         assert slope(years - 1.0) > 0 > slope(years + 1.0)
-        assert peak == pytest.approx(
-            config.model("MIROC").ccr
-            * (ExpPoly.constant(scenario.e0) + slope.cumulative())(years),
-            rel=1e-9)
+        assert peak == config.model("MIROC").ccr * sol.net_emissions(years)
 
     def test_no_abatement_has_no_peak(self, scenario, config):
         with pytest.raises(NoPeak) as err:
@@ -222,13 +219,13 @@ class TestTmax:
 
     def test_draining_path_peaks_at_start(self, scenario, config):
         # abating one GtC/yr more than the baseline: E = e0 - t
-        (drain,) = _peaks([ExpPoly.constant(-1.0)], scenario, ROOT_TOL)
+        (drain,) = _peaks([ExpPoly(((scenario.e0, 0, 0.0), (-1.0, 1, 0.0)))], ROOT_TOL)
         model = config.model("MIROC")
         assert drain.tmax(model, "drain") == (0.0, model.ccr * scenario.e0)
 
     def test_unbounded_emissions_have_no_asymptote(self, scenario, config):
         # abating one GtC/yr less than the baseline: E = e0 + t
-        (grow,) = _peaks([ExpPoly.constant(1.0)], scenario, ROOT_TOL)
+        (grow,) = _peaks([ExpPoly(((scenario.e0, 0, 0.0), (1.0, 1, 0.0)))], ROOT_TOL)
         with pytest.raises(NoPeak) as err:
             grow.tmax(config.model("HAD"), "grow")
         assert err.value.asymptote_degc is None
@@ -247,9 +244,9 @@ class TestTmax:
         regret._peak.cache_clear()
         search, calls = regret._peaks, []
 
-        def counted(slopes, *args):
-            calls.append(len(slopes))
-            return search(slopes, *args)
+        def counted(emissions, *args):
+            calls.append(len(emissions))
+            return search(emissions, *args)
 
         monkeypatch.setattr(regret, "_peaks", counted)
         policy = Policy.from_solution(solve_optimal(0.02, config.model("IPSL"), scenario))
@@ -257,7 +254,7 @@ class TestTmax:
         assert calls == [1]
         k = _pair_stiffness(0.02, config.model("IPSL").ccr,
                            scenario.econ.alpha, scenario.econ.beta)
-        (peak,) = search(_slopes([0.02], [k], scenario), scenario, ROOT_TOL)
+        (peak,) = search(_paths([0.02], [k], scenario)[3], ROOT_TOL)
         assert got == [peak.tmax(model, policy.label()) for model in config.ensemble]
 
     def test_kept_peaks_are_keyed_by_scenario_and_tolerance(self, config, scenario):
@@ -270,8 +267,8 @@ class TestTmax:
                     (replace(scenario, baseline=scenario.baseline * 1.1), 1e-6),
                     (replace(scenario, econ=EconParams(alpha=2e-4, beta=0.018)), 1e-6),
                     (scenario, 1e-3)]
-        fresh = [repr(_peaks([s.baseline - optimal_path(0.02, policy.model, s).abatement],
-                             s, tol)[0].tmax(model, policy.label()))
+        fresh = [repr(_peaks([optimal_path(0.02, policy.model, s).net_emissions],
+                             tol)[0].tmax(model, policy.label()))
                  for s, tol in requests]
         assert len(set(fresh)) == len(fresh)
         for order in (requests, requests[::-1]):
@@ -291,9 +288,8 @@ class TestTmax:
         assert solved == Policy(0.02, config.model("IPSL"))
         got = tmax(solved, model, other)
         assert got == tmax(Policy(0.02, config.model("IPSL")), model, other)
-        path = optimal_path(0.02, config.model("IPSL"), other).abatement
-        assert got == _peaks([other.baseline - path], other, ROOT_TOL)[0].tmax(
-            model, solved.label())
+        path = optimal_path(0.02, config.model("IPSL"), other).net_emissions
+        assert got == _peaks([path], ROOT_TOL)[0].tmax(model, solved.label())
 
     def test_no_peak_names_each_policy_sharing_a_path(self, config, scenario):
         # two zero responses: one k = 0 loop, so one kept peak, and the
@@ -387,9 +383,9 @@ class TestSweep:
         regret = importlib.import_module("mmrclimate.regret")
         search, calls = regret._peaks, []
 
-        def counted(slopes, *args):
-            calls.append(len(slopes))
-            return search(slopes, *args)
+        def counted(emissions, *args):
+            calls.append(len(emissions))
+            return search(emissions, *args)
 
         monkeypatch.setattr(regret, "_peaks", counted)
         report = sweep(config.alpha_grid, config.beta_grid, config.deltas,
@@ -398,7 +394,7 @@ class TestSweep:
 
     def test_one_batched_path_solve(self, config, scenario, monkeypatch):
         # the baseline's state-space form is built once for the engine and
-        # once for all nine paths, and no ExpPoly path is built
+        # once for all nine paths, and no path is solved alone
         control = importlib.import_module("mmrclimate.control")
         forcing, calls = control._forcing, []
 
@@ -407,7 +403,7 @@ class TestSweep:
             return forcing(*args)
 
         def no_path(*args):
-            raise AssertionError("sweep built an ExpPoly path")
+            raise AssertionError("sweep solved a path alone")
 
         monkeypatch.setattr(control, "_forcing", counted)
         monkeypatch.setattr(control, "optimal_path", no_path)
@@ -433,7 +429,7 @@ class TestSweep:
             f"model={first.model.name}): could not separate")
 
     def test_no_abatement_choice_has_no_peak(self, config, scenario, monkeypatch):
-        # no abatement is the k = 0 loop, whose slope is the baseline
+        # no abatement is the k = 0 loop, whose path is the passive one
         regret_module = importlib.import_module("mmrclimate.regret")
         monkeypatch.setattr(regret_module, "mmr_select",
                             lambda matrix: (Policy.no_abatement(), 1.0))
@@ -518,6 +514,26 @@ class TestSweep:
     def test_empty_grid_rejected(self, small_scenario):
         with pytest.raises(ValidationError):
             sweep([], [0.018], (0.01,), TWO_MODELS, small_scenario)
+
+
+@pytest.mark.parametrize("route", ["solve_optimal", "optimal_path", "tmax", "sweep"])
+def test_nudge_warning_names_the_caller(scenario, route):
+    # an exactly resonant pair: every route to its path nudges the rate,
+    # and the warning points at the line that called the library
+    theta, delta = -scenario.baseline.rates()[0], 0.04
+    model = ClimateModel("resonant", math.sqrt(
+        (theta * theta + delta * theta) * scenario.econ.alpha / scenario.econ.beta))
+    importlib.import_module("mmrclimate.regret")._peak.cache_clear()
+    with pytest.warns(UserWarning, match="perturbing") as record:
+        if route == "solve_optimal":
+            solve_optimal(delta, model, scenario)
+        elif route == "optimal_path":
+            optimal_path(delta, model, scenario)
+        elif route == "tmax":
+            tmax(Policy(delta, model), model, scenario)
+        else:
+            sweep([scenario.econ.alpha], [scenario.econ.beta], [delta], [model], scenario)
+    assert {w.filename for w in record} == {__file__}
 
 
 def test_submodule_is_not_shadowed():
