@@ -13,7 +13,6 @@ from .errors import (
     ValidationError,
     DivergentIntegral,
     InvalidDiscount,
-    ResonantForcing,
     NonConvergence,
     NoPeak,
 )

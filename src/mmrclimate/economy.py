@@ -78,8 +78,13 @@ def discounted_total_cost(abatement: ExpPoly, econ: EconParams,
     up to 7.6e-9 relative (mu near -0.0036, delta near 0.09).  A
     near-resonant optimal path has huge cancelling coefficients, and
     squaring it loses more: about 4e-7 relative at a root gap of 1e-4 and
-    2e-2 at 1e-5, and no correct digit below that.  The closed-loop
-    engine in :mod:`mmrclimate.control` has neither problem.
+    2e-2 at 1e-5, and no correct digit below that.  Within
+    ``control.RESONANCE_TOL`` of a collision the path carries powers up
+    to 2 above the baseline's, and squaring it exceeds
+    :data:`~mmrclimate.exppoly.MAX_POWER` (power 5 or 6 on the bundled
+    baseline), so this function raises ValueError there; it is only the
+    tests' reference.  The closed-loop engine in :mod:`mmrclimate.control`
+    has none of these problems.
     """
     if delta <= 0.0:
         raise InvalidDiscount(

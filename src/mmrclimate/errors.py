@@ -34,16 +34,6 @@ class InvalidDiscount(ValidationError):
     Every rate checked is an input, so this is a usage or config error."""
 
 
-class ResonantForcing(MmrClimateError):
-    """A forcing rate coincides with a characteristic root and the
-    automatic rate perturbation could not separate them.  ``loop`` is
-    the index of that loop in a batched path solve."""
-
-    def __init__(self, message, loop=0):
-        super().__init__(message)
-        self.loop = loop
-
-
 class NonConvergence(MmrClimateError):
     """Iterative solver exhausted its iteration budget."""
 

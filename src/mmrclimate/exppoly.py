@@ -12,8 +12,10 @@ makes the whole pipeline free of time stepping.
 Terms are kept canonical: coefficients of equal ``(power, rate)`` pairs
 are combined (rates compared exactly, never by epsilon) and zero
 coefficients are dropped.  Polynomial powers are capped at
-:data:`MAX_POWER`; nothing in the model needs more than power 2, so a
-higher power signals a representation bug upstream.
+:data:`MAX_POWER`.  The fitted baseline has power 1 (the tests draw up
+to power 2), and an optimal path adds at most 2 where a baseline rate
+collides with the stable root: power 3 for the fitted form, 4 for a
+power-2 one.  A higher power signals a representation bug upstream.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ from .control import (
     weighted_costs,
 )
 from .economy import ClimateModel, EconParams
-from .errors import MmrClimateError, NoPeak, ResonantForcing, ValidationError
+from .errors import MmrClimateError, NoPeak, ValidationError
 from .exppoly import ExpPoly
 
 NONNEG_TOL = 1e-9
@@ -336,13 +336,6 @@ def _loop(policy: Policy, scenario: ScenarioConfig):
                                          scenario.econ.alpha, scenario.econ.beta)
 
 
-def _name_pair(exc: MmrClimateError, policy: Policy) -> None:
-    """Prefix a solver failure's message with the policy pair, keeping
-    its type, its attributes and its exit code."""
-    exc.args = (f"solver failed for policy pair (delta={policy.delta}, "
-                f"model={policy.model.name}): {exc}",) + exc.args[1:]
-
-
 def tmax(policy: Policy, model: ClimateModel, scenario: ScenarioConfig,
          root_tol: float = ROOT_TOL):
     """Peak temperature under a policy if ``model`` is the true model.
@@ -366,7 +359,9 @@ def tmax(policy: Policy, model: ClimateModel, scenario: ScenarioConfig,
     try:
         peak = _peak(*_loop(policy, scenario), scenario, root_tol)
     except MmrClimateError as exc:
-        _name_pair(exc, policy)
+        # name the pair, keeping the failure's type, attributes and exit code
+        exc.args = (f"solver failed for policy pair (delta={policy.delta}, "
+                    f"model={policy.model.name}): {exc}",) + exc.args[1:]
         raise
     return peak.tmax(model, policy.label())
 
@@ -414,8 +409,7 @@ def sweep(alphas, betas, deltas, ensemble, scenario: ScenarioConfig,
     then builds the path E of the loop of every cell's MMR policy, and
     one :func:`_peaks` over them gives each cell's peak under the
     highest-response model, the worst case a planner can prepare for:
-    the route, and so the numbers, of :func:`tmax` per cell.  A solver
-    failure keeps its type and attributes and names the cell's pair.
+    the route, and so the numbers, of :func:`tmax` per cell.
     """
     if not alphas or not betas:
         raise ValidationError("alpha and beta grids must be nonempty")
@@ -429,11 +423,7 @@ def sweep(alphas, betas, deltas, ensemble, scenario: ScenarioConfig,
               for matrix in _regret_matrices(policies, states, scenarios)]
     delta, k = np.array([_loop(policy, s)
                          for (policy, _), s in zip(chosen, scenarios)]).T
-    try:
-        *_, emissions = _paths(delta, k, scenario)
-    except ResonantForcing as exc:
-        _name_pair(exc, chosen[exc.loop][0])
-        raise
+    *_, emissions = _paths(delta, k, scenario)
     peaks = _peaks(emissions, root_tol)
     cells = []
     for (alpha, beta), (policy, value), peak in zip(grid, chosen, peaks):

@@ -16,7 +16,7 @@ from mmrclimate import cli
 from mmrclimate.baseline import fit_baseline, load_emissions
 from mmrclimate.cli import main
 from mmrclimate.config import bundled_data_path, load_config, save_config
-from mmrclimate.control import solve_optimal
+from mmrclimate.control import char_roots, solve_optimal
 from mmrclimate.errors import ValidationError
 
 
@@ -492,6 +492,27 @@ class TestMmrAndTmax:
         assert out == TINY_THETA_STDOUT.format(path=tmp_path / "o" / "tmax.csv")
         assert (tmp_path / "o" / "tmax.csv").read_text() == TINY_THETA_CSV
 
+    def test_resonant_pair_solves_and_peaks_silently(self, tmp_path, capsys):
+        # this GFDL response puts lam_minus exactly on the baseline rate at
+        # delta = 0.02: solve and tmax exit 0, warn of nothing and write
+        # finite numbers
+        config = tmp_path / "resonant.ini"
+        text = open(bundled_data_path("default_config.ini")).read()
+        config.write_text(re.sub(r"(?m)^GFDL = .*$", "GFDL = 0.0016893970107764956", text))
+        cfg = load_config(str(config))
+        roots = char_roots(0.02, cfg.model("GFDL").ccr, cfg.econ.alpha, cfg.econ.beta)
+        assert abs(roots.lam_minus - cfg.to_scenario().baseline.rates()[0]) <= 1e-17
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for command in ("solve", "tmax"):
+                assert run(["--no-timestamp", command, "--delta", "0.02", "--model", "GFDL"],
+                           out, config) == 0
+        assert capsys.readouterr().err == ""
+        for name in ("solution_d0.02_GFDL.csv", "tmax.csv"):
+            text = (out / name).read_text().lower()
+            assert "nan" not in text and "inf" not in text
+
     def test_tmax_requires_full_provenance(self, outdir, small_config_path, capsys):
         code = run(["tmax", "--delta", "0.02"], outdir, small_config_path)
         assert code == 2
@@ -545,19 +566,6 @@ class TestSweep:
         with open(os.path.join(out, "tmax.csv")) as fh:
             years = {row["model"]: row["years_to_peak"] for row in csv.DictReader(fh)}
         assert cell["years_to_peak"] == years[cell["tmax_model"]]
-
-    def test_unseparable_resonance_is_numerical_failure(self, outdir, small_config_path,
-                                                        capsys, monkeypatch):
-        # no nudge clears a gap of 1 per year: exit 3, naming the cell's pair
-        control = importlib.import_module("mmrclimate.control")
-        monkeypatch.setattr(control, "RESONANCE_TOL", 1.0)
-        with pytest.warns(UserWarning, match="perturbing"):
-            code = run(["sweep"], outdir, small_config_path)
-        assert code == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: solver failed for policy pair (delta=")
-        assert err.count("\n") == 1 and "could not separate" in err
-        assert not os.path.exists(os.path.join(outdir, "sweep_summary.csv"))
 
 
 class TestSinglePair:

@@ -2,6 +2,7 @@
 first-order conditions, and the brute-force oracle cross-check."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -154,20 +155,21 @@ class TestSolveOptimal:
                                          scenario.e0)
             assert abs(j_hi - j_lo) / (2.0 * eps) <= 1e-6
 
-    def test_resonant_forcing_perturbs_with_warning(self, scenario):
+    def test_exact_resonance_solves_at_the_requested_rate(self, scenario):
         # pick the response that puts the stable root exactly on the
         # baseline decay rate: k = theta^2 + delta*theta
         theta = -scenario.baseline.rates()[0]
         delta = 0.04
         k = theta * theta + delta * theta
         m = math.sqrt(k * scenario.econ.alpha / scenario.econ.beta)
-        with pytest.warns(UserWarning, match="perturbing"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             sol = solve_optimal(delta, ClimateModel("resonant", m), scenario)
-        assert sol.delta_solved != delta
-        assert sol.j_star > 0
-        neighbors = [solve_optimal(d, ClimateModel("resonant", m), scenario).j_star
-                     for d in (0.035, 0.045)]
-        assert min(neighbors) * 0.5 < sol.j_star < max(neighbors) * 2.0
+        assert sol.roots == char_roots(delta, m, scenario.econ.alpha, scenario.econ.beta)
+        assert sol.roots.lam_minus == pytest.approx(-theta, rel=1e-15)
+        neighbors = sorted(solve_optimal(d, ClimateModel("resonant", m), scenario).j_star
+                           for d in (0.035, 0.045))
+        assert neighbors[0] < sol.j_star < neighbors[1]
 
     def test_near_resonant_costing_matches_quadrature(self, scenario):
         # gap ~ 1e-5: float path coefficients cancel, yet the cost engine
@@ -193,18 +195,21 @@ class TestSolveOptimal:
                        for lo, hi in [(0.0, 60.0), (60.0, 500.0), (500.0, 3000.0)])
         assert j == pytest.approx(expected, rel=1e-6)
 
-    @pytest.mark.parametrize("gap", [3e-3, 1e-3, 1e-4, 1e-5])
+    @pytest.mark.parametrize("gap", [3e-3, 1e-3, 1e-4, 1e-5,
+                                     5e-8, 1e-8, 1e-12, 0.0, -5e-8])
     def test_near_resonant_path_matches_high_precision(self, scenario, gap,
                                                        decimal_emissions):
-        # the float path against an independent 50-digit reference, at
-        # rates across the configured range
+        # the float path against an independent high-precision reference,
+        # at rates across the configured range; gaps within RESONANCE_TOL,
+        # exact collision included, take the series in the root gap
         theta = -scenario.baseline.rates()[0]
         times = np.arange(0.0, 1001.0, 5.0)
         for delta in (0.01, 0.02, 0.04, 0.07):
             k = (theta + gap) ** 2 + delta * (theta + gap)
             m = math.sqrt(k * scenario.econ.alpha / scenario.econ.beta)
             sol = solve_optimal(delta, ClimateModel("near", m), scenario)
-            assert abs(sol.roots.lam_minus + theta) == pytest.approx(gap, rel=1e-6)
+            assert abs(sol.roots.lam_minus + theta) == pytest.approx(abs(gap), rel=1e-6,
+                                                                     abs=1e-17)
             exact = decimal_emissions(scenario, delta, sol.roots.stiffness, times)
             error = np.abs(sol.net_emissions(times) - exact).max()
             assert error <= 1e-9 * np.abs(exact).max(), f"delta = {delta}"

@@ -4,7 +4,7 @@ baselines with one or two decay rates, powers up to 2, or no baseline at
 all.  Each cost is held against a method that shares no code with the
 engine: the ExpPoly closed form on the solved path, exact rational
 arithmetic, a Schur-based Lyapunov solve, or the brute-force oracle.
-The solved paths themselves are held against a 50-digit reference, and
+The solved paths themselves are held against a 120-digit reference, and
 the batched paths a sweep searches against each pair's own path."""
 
 import math
@@ -106,7 +106,7 @@ def test_engine_matches_exppoly_closed_form(baseline, econ, e0, delta, m,
 def test_path_matches_high_precision(decimal_emissions, baseline, econ, e0,
                                      delta, m):
     # away from resonance the float path carries no cancellation, so it
-    # agrees with the 50-digit reference to a few rounding units
+    # agrees with the 120-digit reference to a few rounding units
     assume(root_gap(baseline, char_roots(delta, m, econ.alpha, econ.beta)) > 1e-2)
     scenario = ScenarioConfig(baseline=baseline, e0=e0, econ=econ)
     sol = solve_optimal(delta, ClimateModel("m", m), scenario)
@@ -266,11 +266,9 @@ def test_exact_resonance(baseline, econ, e0, delta, pick):
     def j_star(lam_minus):
         k = lam_minus * lam_minus - delta * lam_minus
         model = ClimateModel("r", math.sqrt(k * econ.alpha / econ.beta))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")   # the path's resonance nudge
-            sol = solve_optimal(delta, model, scenario)
+        sol = solve_optimal(delta, model, scenario)
         # every abatement rate is a baseline rate or lam_minus, so the path
-        # stays integrable even where the discount rate was nudged
+        # stays integrable at the collision too
         assert sol.abatement.max_rate() < 0.5 * delta
         return sol.j_star, model
 
@@ -312,21 +310,16 @@ def _bits(poly):
     return [(c.hex(), n, mu.hex()) for c, n, mu in poly.terms]
 
 
-def _recorded(call, *args):
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        return call(*args), len(record)
-
-
 @PROPERTY
 @given(baseline=baselines(), econ=econs, e0=stocks, specs=loop_specs)
 @example(baseline=TWO_RATES, econ=EconParams(1.25e-4, 0.018), e0=500.0,
          specs=[("resonant", 0.005, 0.002, 0), ("drawn", 0.02, 0.0024, 0),
                 ("passive", 0.03, 0.002, 0), ("resonant", 0.04, 0.002, 1)])
-def test_batched_paths_equal_each_optimal_path(baseline, econ, e0, specs):
+def test_batched_paths_equal_each_optimal_path(decimal_emissions, baseline, econ,
+                                               e0, specs):
     # the path E a sweep searches is the pair's own optimal path to the
-    # bit, nudges included; a nudge warns as often in the batch as alone,
-    # and a loop that does not collide keeps its rate
+    # bit, exact collisions included, with no warning on any route; a
+    # resonant loop's E holds the high-precision reference
     rates = baseline.rates()
     loops = []
     for kind, delta, m, pick in specs:
@@ -337,42 +330,46 @@ def test_batched_paths_equal_each_optimal_path(baseline, econ, e0, specs):
     scenario = ScenarioConfig(baseline=baseline, e0=e0, econ=econ)
     delta = np.array([d for d, _ in loops])
     k = _stiffness(econ.alpha, econ.beta, np.array([m for _, m in loops]))
-    (_, _, solved, emissions), nudges = _recorded(_paths, delta, k, scenario)
-    lone_nudges = 0
-    for (d, m), batched, d_solved in zip(loops, emissions, solved.tolist()):
-        path, n = _recorded(optimal_path, d, ClimateModel("m", m), scenario)
-        lone_nudges += n
-        assert _bits(batched) == _bits(path.net_emissions)
-        if m == 0.0:
-            assert batched == net_cumulative_emissions(ExpPoly.zero(), baseline, e0)
-        assert d_solved == path.delta_solved
-        assert (d_solved != d) == (n > 0)
-    assert nudges == lone_nudges
+    times = np.arange(0.0, 1001.0, 5.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, emissions = _paths(delta, k, scenario)
+        for (kind, *_), (d, m), k_i, batched in zip(specs, loops, k.tolist(), emissions):
+            path = optimal_path(d, ClimateModel("m", m), scenario)
+            assert _bits(batched) == _bits(path.net_emissions)
+            if m == 0.0:
+                assert batched == net_cumulative_emissions(ExpPoly.zero(), baseline, e0)
+            elif kind == "resonant" and rates:
+                exact = decimal_emissions(scenario, d, k_i, times)
+                error = np.abs(batched(times) - exact).max()
+                assert error <= 1e-9 * np.abs(exact).max()
 
 
 def test_resonant_loop_is_nudged_alone():
-    # lam_minus exactly on the rate -0.0125 at delta = 0.005: one nudge of
-    # 3e-7 moves it by 1.25e-7, past RESONANCE_TOL; the loops beside it,
-    # passive and drawn, keep their rates
+    # lam_minus exactly on the power-2 rate -0.0125 at delta = 0.005: that
+    # loop's E takes the series in the root gap, and the loops beside it,
+    # passive and drawn, keep their E to the bit
     scenario = ScenarioConfig(baseline=TWO_RATES, e0=500.0, econ=EconParams(1.25e-4, 0.018))
     mu, delta = -0.0125, np.array([0.03, 0.005, 0.02])
     k = np.array([0.0, mu * mu - 0.005 * mu, 0.0007])
-    with pytest.warns(UserWarning, match="perturbing") as record:
-        _, lam_minus, solved, _ = _paths(delta, k, scenario)
-    assert len(record) == 1
-    assert solved[0] == delta[0] and solved[2] == delta[2]
-    assert solved[1] == delta[1] + 3e-7 and abs(lam_minus[1] - mu) > 1e-7
+    _, lam_minus, emissions = _paths(delta, k, scenario)
+    _, _, others = _paths(delta[[0, 2]], k[[0, 2]], scenario)
+    assert [_bits(e) for e in others] == [_bits(emissions[0]), _bits(emissions[2])]
+    # here lam_minus == mu, so the series is its n = 0 term alone, of
+    # power 3 on the power-2 block
+    assert lam_minus[1] == mu
+    assert max(n for _, n, rate in emissions[1].terms if rate == mu) == 3
 
 
 def test_passive_loop_is_never_resonant():
     # theta = 1e-300 puts the bundled baseline's one rate within
     # RESONANCE_TOL of lam_minus = 0, the passive loop's stable root at any
-    # rate; no nudge could move it, and none is tried
+    # rate; the loop is still the passive path, with no warning
     config = load_config()
     scenario = replace(config, baseline=replace(config.baseline, theta=1e-300)).to_scenario()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        (_, lam_minus, solved, (emissions,)) = _paths([1.0], [0.0], scenario)
+        (_, lam_minus, (emissions,)) = _paths([1.0], [0.0], scenario)
     assert emissions == net_cumulative_emissions(ExpPoly.zero(), scenario.baseline,
                                                  scenario.e0)
-    assert solved[0] == 1.0 and lam_minus[0] == 0.0
+    assert lam_minus[0] == 0.0

@@ -17,7 +17,7 @@ from mmrclimate.control import (
     solve_optimal,
 )
 from mmrclimate.economy import ClimateModel, EconParams
-from mmrclimate.errors import NoPeak, ResonantForcing, ValidationError
+from mmrclimate.errors import NoPeak, ValidationError
 from mmrclimate.exppoly import ExpPoly
 from mmrclimate.regret import (
     ROOT_TOL,
@@ -254,7 +254,7 @@ class TestTmax:
         assert calls == [1]
         k = _pair_stiffness(0.02, config.model("IPSL").ccr,
                            scenario.econ.alpha, scenario.econ.beta)
-        (peak,) = search(_paths([0.02], [k], scenario)[3], ROOT_TOL)
+        (peak,) = search(_paths([0.02], [k], scenario)[-1], ROOT_TOL)
         assert got == [peak.tmax(model, policy.label()) for model in config.ensemble]
 
     def test_kept_peaks_are_keyed_by_scenario_and_tolerance(self, config, scenario):
@@ -358,26 +358,20 @@ class TestSweep:
 
     def test_resonant_cell_peak_is_tmax_of_its_nudged_path(self, scenario):
         # one pair, so each cell's MMR policy is that pair; at alphas[0]
-        # its stable root sits on the baseline rate and is nudged, as in
-        # optimal_path, while the other cell keeps its rate
+        # its stable root sits on the baseline rate, and the batched path
+        # of that cell is the pair's own, as for the other cell
         theta, delta = -scenario.baseline.rates()[0], 0.005
         alphas, beta = [scenario.econ.alpha, 2.0 * scenario.econ.alpha], scenario.econ.beta
         model = ClimateModel("resonant", math.sqrt(
             (theta * theta + delta * theta) * alphas[0] / beta))
-        with pytest.warns(UserWarning, match="perturbing") as record:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             report = sweep(alphas, [beta], [delta], [model], scenario)
-        assert len(record) == 1
-        importlib.import_module("mmrclimate.regret")._peak.cache_clear()
-        for cell, alpha in zip(report.cells, alphas):
-            cell_scenario = replace(scenario, econ=EconParams(alpha=alpha, beta=beta))
-            with warnings.catch_warnings(record=True) as lone:
-                warnings.simplefilter("always")
-                path = optimal_path(delta, model, cell_scenario)
-                peak = tmax(Policy.from_solution(path), model, cell_scenario)
-            # optimal_path and tmax each nudge the resonant cell's pair
-            assert len(lone) == 2 * (alpha == alphas[0])
-            assert (path.delta_solved != delta) == (alpha == alphas[0])
-            assert (cell.years_to_peak, cell.tmax_degc) == peak
+            importlib.import_module("mmrclimate.regret")._peak.cache_clear()
+            for cell, alpha in zip(report.cells, alphas):
+                cell_scenario = replace(scenario, econ=EconParams(alpha=alpha, beta=beta))
+                peak = tmax(Policy(delta, model), model, cell_scenario)
+                assert (cell.years_to_peak, cell.tmax_degc) == peak
 
     def test_one_peak_search_serves_every_cell(self, config, scenario, monkeypatch):
         regret = importlib.import_module("mmrclimate.regret")
@@ -410,23 +404,6 @@ class TestSweep:
         sweep(config.alpha_grid, config.beta_grid, config.deltas,
               config.ensemble, scenario)
         assert calls == ["forcing"] * 2
-
-    def test_solver_failure_names_the_cell_pair(self, config, scenario, monkeypatch):
-        # no nudge clears a gap of 1 per year: every path stays resonant
-        control = importlib.import_module("mmrclimate.control")
-        monkeypatch.setattr(control, "RESONANCE_TOL", 1.0)
-        alphas, betas = config.alpha_grid, config.beta_grid
-        first = mmr_select(regret_matrix(
-            build_policy_set(config.deltas, config.ensemble, scenario),
-            build_states(config.deltas, config.ensemble),
-            replace(scenario, econ=EconParams(alpha=alphas[0], beta=betas[0]))))[0]
-        with pytest.warns(UserWarning, match="perturbing"), \
-                pytest.raises(ResonantForcing) as err:
-            sweep(alphas, betas, config.deltas, config.ensemble, scenario)
-        assert err.value.exit_code == 3
-        assert str(err.value).startswith(
-            f"solver failed for policy pair (delta={first.delta}, "
-            f"model={first.model.name}): could not separate")
 
     def test_no_abatement_choice_has_no_peak(self, config, scenario, monkeypatch):
         # no abatement is the k = 0 loop, whose path is the passive one
@@ -514,26 +491,6 @@ class TestSweep:
     def test_empty_grid_rejected(self, small_scenario):
         with pytest.raises(ValidationError):
             sweep([], [0.018], (0.01,), TWO_MODELS, small_scenario)
-
-
-@pytest.mark.parametrize("route", ["solve_optimal", "optimal_path", "tmax", "sweep"])
-def test_nudge_warning_names_the_caller(scenario, route):
-    # an exactly resonant pair: every route to its path nudges the rate,
-    # and the warning points at the line that called the library
-    theta, delta = -scenario.baseline.rates()[0], 0.04
-    model = ClimateModel("resonant", math.sqrt(
-        (theta * theta + delta * theta) * scenario.econ.alpha / scenario.econ.beta))
-    importlib.import_module("mmrclimate.regret")._peak.cache_clear()
-    with pytest.warns(UserWarning, match="perturbing") as record:
-        if route == "solve_optimal":
-            solve_optimal(delta, model, scenario)
-        elif route == "optimal_path":
-            optimal_path(delta, model, scenario)
-        elif route == "tmax":
-            tmax(Policy(delta, model), model, scenario)
-        else:
-            sweep([scenario.econ.alpha], [scenario.econ.beta], [delta], [model], scenario)
-    assert {w.filename for w in record} == {__file__}
 
 
 def test_submodule_is_not_shadowed():
