@@ -22,7 +22,7 @@ The bounded particular response is E_p = p.w with
 (G - lam_minus I)^T p = c - s.  Each component of w is a term
 t^j e^{mu t} / j!, so the optimal paths are exact ExpPoly objects,
 built in double precision.  :func:`_paths` builds the ExpPoly path E of
-many loops at once, one stacked solve each; :func:`optimal_path` is its
+many loops at once, one stacked solve each; :func:`solve_optimal` is its
 one-loop case, and the peak search reads the same E.  Near resonance
 (a baseline rate close to lam_minus) the particular response and the
 stable mode carry large coefficients of opposite sign; the path's error
@@ -100,11 +100,12 @@ class CharRoots:
 
 
 @dataclass(frozen=True)
-class OptimalPath:
-    """Exact paths plus provenance.  ``delta``/``model`` record the pair
-    the path was optimized for, and the paths and ``roots`` are those of
-    ``delta`` itself, at any distance from resonance.  The passive path
-    is not an OptimalPath: it is
+class OptimalSolution:
+    """Exact paths of one {delta, model} pair, their provenance and their
+    cost.  ``delta``/``model`` record the pair the path was optimized
+    for; the paths, ``roots`` and ``j_star`` are those of ``delta``
+    itself, at any distance from resonance.  The passive path is not an
+    OptimalSolution: it is
     ``net_cumulative_emissions(ExpPoly.zero(), baseline, e0)``."""
 
     abatement: ExpPoly       # GtC/yr
@@ -113,13 +114,6 @@ class OptimalPath:
     model: ClimateModel
     delta: float
     roots: CharRoots
-
-
-@dataclass(frozen=True)
-class OptimalSolution(OptimalPath):
-    """An :class:`OptimalPath` and its cost ``j_star``, always the cost at
-    ``delta`` itself."""
-
     j_star: float
 
 
@@ -177,38 +171,30 @@ def solve_optimal(delta: float, model: ClimateModel,
                   scenario: ScenarioConfig) -> OptimalSolution:
     """Exact optimal abatement for one {delta, model} pair and its cost.
 
-    The path is :func:`optimal_path`.  ``j_star`` is the cost of the
-    pair's own loop at the requested rate, from
-    :func:`closed_loop_integrals` weighed by :func:`weighted_costs`; a
-    zero response is the k = 0 loop, of cost +0.0.
-    """
-    path = optimal_path(delta, model, scenario)
-    i_a, i_e = closed_loop_integrals([delta], [path.roots.stiffness], [delta], scenario)
-    j_star = float(weighted_costs(i_a[0, 0], i_e[0, 0], model.ccr, scenario))
-    return OptimalSolution(**vars(path), j_star=j_star)
-
-
-def optimal_path(delta: float, model: ClimateModel,
-                 scenario: ScenarioConfig) -> OptimalPath:
-    """Exact optimal paths for one {delta, model} pair: the one-loop case
-    of :func:`_paths`, which writes a baseline rate that collides with
-    lam_minus as a series in the root gap (see the module notes on the
-    path's accuracy).  A zero stiffness k = beta m^2 / alpha
-    makes damages insensitive to emissions, so the strictly convex cost
-    pins abatement at exactly zero and E is the passive path.  Otherwise
-    abatement is B - dE/dt, so the state equation holds exactly.
+    The path is the one-loop case of :func:`_paths`, which writes a
+    baseline rate that collides with lam_minus as a series in the root
+    gap (see the module notes on the path's accuracy).  A zero stiffness
+    k = beta m^2 / alpha makes damages insensitive to emissions, so the
+    strictly convex cost pins abatement at exactly zero and E is the
+    passive path.  Otherwise abatement is B - dE/dt, so the state
+    equation holds exactly.  ``j_star`` is the cost of the pair's own
+    loop at the requested rate, from :func:`closed_loop_integrals`
+    weighed by :func:`weighted_costs`; the k = 0 loop costs +0.0.
     """
     econ = scenario.econ
     k = _pair_stiffness(delta, model.ccr, econ.alpha, econ.beta)
     (lam_plus,), (lam_minus,), (emissions,) = _paths([delta], [k], scenario)
-    return OptimalPath(
-        abatement=(ExpPoly.zero() if k == 0.0
-                   else scenario.baseline - emissions.derivative()),
+    abatement = (ExpPoly.zero() if k == 0.0
+                 else scenario.baseline - emissions.derivative())
+    i_a, i_e = closed_loop_integrals([delta], [k], [delta], scenario)
+    return OptimalSolution(
+        abatement=abatement,
         net_emissions=emissions,
         temperature=emissions * model.ccr,
         model=model,
         delta=delta,
         roots=CharRoots(lam_plus=float(lam_plus), lam_minus=float(lam_minus), stiffness=k),
+        j_star=float(weighted_costs(i_a[0, 0], i_e[0, 0], model.ccr, scenario)),
     )
 
 

@@ -15,7 +15,9 @@ coefficients are dropped.  Polynomial powers are capped at
 :data:`MAX_POWER`.  The fitted baseline has power 1 (the tests draw up
 to power 2), and an optimal path adds at most 2 where a baseline rate
 collides with the stable root: power 3 for the fitted form, 4 for a
-power-2 one.  A higher power signals a representation bug upstream.
+power-2 one.  Products of such paths exceed the cap: squaring a path
+within ``control.RESONANCE_TOL`` of a collision needs power 5 or 6 on
+the fitted form, and raises ValueError.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ def _canonical(terms: Iterable[tuple]) -> tuple:
             raise ValueError(f"negative power {power}")
         if power > MAX_POWER:
             raise ValueError(
-                f"power {power} exceeds cap {MAX_POWER}; "
-                "this representation never needs it"
+                f"power {power} exceeds cap {MAX_POWER}; products of paths "
+                "near a collision with the stable root exceed the cap"
             )
         coeff = float(coeff)
         rate = float(rate)

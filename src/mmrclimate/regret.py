@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .control import (
-    OptimalPath,
+    OptimalSolution,
     ScenarioConfig,
     _pair_stiffness,
     _paths,
@@ -65,7 +65,7 @@ class Policy:
         return f"d={self.delta:g}/{self.model.name}"
 
     @staticmethod
-    def from_solution(sol: OptimalPath) -> "Policy":
+    def from_solution(sol: OptimalSolution) -> "Policy":
         return Policy(delta=sol.delta, model=sol.model)
 
     @staticmethod
@@ -342,7 +342,7 @@ def tmax(policy: Policy, model: ClimateModel, scenario: ScenarioConfig,
 
     Returns (years to peak, peak degC): the :func:`_peaks` of the path E
     of the policy's loop under ``scenario``, the net emissions that
-    ``control.optimal_path`` gives the pair (a yearly scan of dE/dt, then
+    ``control.solve_optimal`` gives the pair (a yearly scan of dE/dt, then
     the bracket refined in dyadic rounds to a width <= ``root_tol``,
     which must be positive and finite), times the model's ccr.
     Temperature is ccr * E including the initial stock, matching the

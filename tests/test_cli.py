@@ -440,9 +440,9 @@ class TestMmrAndTmax:
 
     def test_tmax_reports_every_model(self, outdir, small_config_path, capsys,
                                       monkeypatch):
-        # one path solve, without a cost-engine call or a lone
-        # optimal_path, and one peak search serve every model, whether the
-        # policy is named or the MMR choice
+        # one path solve, without a cost-engine call or a solve_optimal,
+        # and one peak search serve every model, whether the policy is
+        # named or the MMR choice
         calls = {}
 
         def counting(name, function):
@@ -453,8 +453,8 @@ class TestMmrAndTmax:
 
         control = importlib.import_module("mmrclimate.control")
         regret = importlib.import_module("mmrclimate.regret")
-        for module, name in ((cli, "solve_optimal"), (control, "optimal_path"),
-                             (control, "_paths"), (regret, "_peaks")):
+        for module, name in ((cli, "solve_optimal"), (control, "_paths"),
+                             (regret, "_peaks")):
             monkeypatch.setattr(module, name,
                                 counting(f"{module.__name__}.{name}", getattr(module, name)))
         monkeypatch.setattr(regret, "_paths", control._paths)   # regret's own name

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from mmrclimate.config import load_config
+from mmrclimate.control import solve_optimal
 from mmrclimate.economy import (
     ClimateModel,
     EconParams,
@@ -109,6 +111,21 @@ class TestDiscountedTotalCost:
             for lo, hi in [(0.0, 100.0), (100.0, 3000.0)]
         )
         assert self.j(a, delta=delta) == pytest.approx(expected, rel=1e-6)
+
+    def test_path_near_a_collision_exceeds_the_power_cap(self):
+        # lam_minus 5e-8 above the bundled baseline's rate: the path takes
+        # the series in the root gap, and its square exceeds the cap
+        scenario = load_config().to_scenario()
+        (mu,) = scenario.baseline.rates()
+        delta, lam_minus = 0.04, mu + 5e-8
+        k = lam_minus * lam_minus - delta * lam_minus
+        econ = scenario.econ
+        model = ClimateModel("near", math.sqrt(k * econ.alpha / econ.beta))
+        sol = solve_optimal(delta, model, scenario)
+        with pytest.raises(ValueError, match=r"^power 5 exceeds cap 4; products "
+                                             r"of paths near a collision"):
+            discounted_total_cost(sol.abatement, econ, model, delta,
+                                  scenario.baseline, scenario.e0)
 
 
 class TestNetCumulativeEmissions:

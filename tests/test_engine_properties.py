@@ -27,7 +27,6 @@ from mmrclimate.control import (  # noqa: E402
     char_roots,
     closed_loop_integrals,
     numeric_oracle,
-    optimal_path,
     solve_optimal,
     weighted_costs,
 )
@@ -315,8 +314,8 @@ def _bits(poly):
 @example(baseline=TWO_RATES, econ=EconParams(1.25e-4, 0.018), e0=500.0,
          specs=[("resonant", 0.005, 0.002, 0), ("drawn", 0.02, 0.0024, 0),
                 ("passive", 0.03, 0.002, 0), ("resonant", 0.04, 0.002, 1)])
-def test_batched_paths_equal_each_optimal_path(decimal_emissions, baseline, econ,
-                                               e0, specs):
+def test_batched_paths_equal_each_solved_path(decimal_emissions, baseline, econ,
+                                              e0, specs):
     # the path E a sweep searches is the pair's own optimal path to the
     # bit, exact collisions included, with no warning on any route; a
     # resonant loop's E holds the high-precision reference
@@ -335,7 +334,7 @@ def test_batched_paths_equal_each_optimal_path(decimal_emissions, baseline, econ
         warnings.simplefilter("error")
         _, _, emissions = _paths(delta, k, scenario)
         for (kind, *_), (d, m), k_i, batched in zip(specs, loops, k.tolist(), emissions):
-            path = optimal_path(d, ClimateModel("m", m), scenario)
+            path = solve_optimal(d, ClimateModel("m", m), scenario)
             assert _bits(batched) == _bits(path.net_emissions)
             if m == 0.0:
                 assert batched == net_cumulative_emissions(ExpPoly.zero(), baseline, e0)

@@ -3,24 +3,27 @@ search it replaced: a yearly scan of dE/dt, then bisection of each
 bracket one midpoint at a time.  Paths E are optimal paths of the
 bundled baseline over drawn discount rates, every ensemble model and
 weights scaled 0.3-3x, plus the passive path and one that only drains
-the stock.  Library ``tmax`` is held to the path ``optimal_path`` gives
-the pair, the one ``solve`` writes."""
+the stock.  Library ``tmax`` is held to the path ``solve_optimal`` gives
+the pair, the one ``solve`` writes, and each peak time to the root of
+the slope that the Lambert W function gives, a method the search shares
+nothing with."""
 
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import lambertw
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from mmrclimate.config import load_config  # noqa: E402
-from mmrclimate.control import _pair_stiffness, _paths, optimal_path  # noqa: E402
+from mmrclimate.control import _pair_stiffness, _paths, solve_optimal  # noqa: E402
 from mmrclimate.economy import ClimateModel, EconParams, net_cumulative_emissions  # noqa: E402
 from mmrclimate.errors import NoPeak  # noqa: E402
 from mmrclimate.exppoly import ExpPoly  # noqa: E402
-from mmrclimate.regret import Policy, _peaks, tmax  # noqa: E402
+from mmrclimate.regret import Policy, _halvings, _peaks, tmax  # noqa: E402
 
 # deterministic draws, so the suite is reproducible and writes no example
 # database into the checkout
@@ -145,7 +148,70 @@ def test_tmax_reads_the_path_solve_writes(delta, ccr, scale, e0, root_tol):
                       beta=CONFIG.econ.beta * scale[1])
     scenario = replace(SCENARIO, econ=econ, e0=e0)
     policy = Policy(delta=delta, model=ClimateModel("drawn", ccr))
-    path = optimal_path(delta, policy.model, scenario).net_emissions
+    path = solve_optimal(delta, policy.model, scenario).net_emissions
     for model in CONFIG.ensemble:
         years, degc = tmax(policy, model, scenario, root_tol)
         assert degc == float(model.ccr * path(years))
+
+
+# the paper's nine (alpha, beta) cells and the model of each cell's
+# Table 2 pair, all at delta = 0.02
+TABLE2_MODELS = {(7.5e-05, 0.014): "IPSL", (7.5e-05, 0.018): "HAD", (7.5e-05, 0.022): "HAD",
+                 (0.000125, 0.014): "MIROC", (0.000125, 0.018): "IPSL",
+                 (0.000125, 0.022): "IPSL", (0.0002, 0.014): "MIROC",
+                 (0.0002, 0.018): "MIROC", (0.0002, 0.022): "MIROC"}
+
+
+def _table2_examples(test):
+    for (alpha, beta), name in TABLE2_MODELS.items():
+        test = example(delta=0.02, model=CONFIG.model(name), econ=EconParams(alpha, beta),
+                       e0=SCENARIO.e0, root_tol=CONFIG.tolerances.root_tol)(test)
+    return test
+
+
+def lambert_roots(slope, lam_minus):
+    """The real roots of a slope E' = e^{mu t}(a + b t) + c e^{lam_minus t}
+    by the Lambert W function (Corless et al. 1996), each polished by
+    Newton on a + b t + c e^{h t}, h = lam_minus - mu: with
+    z = (h c / b) e^{-h a / b}, t = -a/b - W_k(z)/h for k in {0, -1}."""
+    (mu,) = SCENARIO.baseline.rates()
+    coeff = {(n, rate): c for c, n, rate in slope.terms}
+    assert set(coeff) <= {(0, mu), (1, mu), (0, lam_minus)}
+    a, b, c = coeff.get((0, mu), 0.0), coeff[(1, mu)], coeff.get((0, lam_minus), 0.0)
+    h = lam_minus - mu
+    z = h * c / b * math.exp(-h * a / b)
+    roots = []
+    for branch, real in ((0, z >= -1 / math.e), (-1, -1 / math.e <= z < 0)):
+        if not real:
+            continue
+        t = -a / b - lambertw(z, branch).real / h
+        for _ in range(8):
+            t -= (a + b * t + c * math.exp(h * t)) / (b + c * h * math.exp(h * t))
+        roots.append(t)
+    return roots
+
+
+@PROPERTY
+@given(delta=st.floats(0.005, 0.1), model=st.sampled_from(CONFIG.ensemble),
+       econ=st.builds(lambda fa, fb: EconParams(CONFIG.econ.alpha * fa, CONFIG.econ.beta * fb),
+                      st.floats(0.3, 3.0), st.floats(0.3, 3.0)),
+       e0=st.floats(0.0, 1500.0), root_tol=ROOT_TOLS)
+@_table2_examples
+def test_peak_is_the_lambert_w_root(delta, model, econ, e0, root_tol):
+    # an independent witness: the peak search reports a time exactly when
+    # the slope has a descending root in (0, 3000), and that time is within
+    # half the final bracket of it, plus the slope's rounding window
+    scenario = replace(SCENARIO, econ=econ, e0=e0)
+    k = _pair_stiffness(delta, model.ccr, econ.alpha, econ.beta)
+    _, lam_minus, (path,) = _paths([delta], [k], scenario)
+    slope = path.derivative()
+    curvature = slope.derivative()
+    descending = [t for t in lambert_roots(slope, float(lam_minus[0]))
+                  if 0.0 < t < 3000.0 and curvature(t) < 0]
+    (peak,) = _peaks([path], root_tol)
+    assert (peak.time not in (0.0, None)) == bool(descending)
+    if descending:
+        (t_w,) = descending
+        size = sum(abs(ExpPoly((term,))(t_w)) for term in slope.terms)
+        window = 8 * np.finfo(float).eps * size / abs(curvature(t_w))
+        assert abs(peak.time - t_w) <= 2.0 ** -(_halvings(root_tol) + 1) + window

@@ -13,7 +13,6 @@ from mmrclimate.control import (
     ScenarioConfig,
     _pair_stiffness,
     _paths,
-    optimal_path,
     solve_optimal,
 )
 from mmrclimate.economy import ClimateModel, EconParams
@@ -267,7 +266,7 @@ class TestTmax:
                     (replace(scenario, baseline=scenario.baseline * 1.1), 1e-6),
                     (replace(scenario, econ=EconParams(alpha=2e-4, beta=0.018)), 1e-6),
                     (scenario, 1e-3)]
-        fresh = [repr(_peaks([optimal_path(0.02, policy.model, s).net_emissions],
+        fresh = [repr(_peaks([solve_optimal(0.02, policy.model, s).net_emissions],
                              tol)[0].tmax(model, policy.label()))
                  for s, tol in requests]
         assert len(set(fresh)) == len(fresh)
@@ -288,7 +287,7 @@ class TestTmax:
         assert solved == Policy(0.02, config.model("IPSL"))
         got = tmax(solved, model, other)
         assert got == tmax(Policy(0.02, config.model("IPSL")), model, other)
-        path = optimal_path(0.02, config.model("IPSL"), other).net_emissions
+        path = solve_optimal(0.02, config.model("IPSL"), other).net_emissions
         assert got == _peaks([path], ROOT_TOL)[0].tmax(model, solved.label())
 
     def test_no_peak_names_each_policy_sharing_a_path(self, config, scenario):
@@ -343,7 +342,7 @@ class TestSweep:
         return policy, cell_scenario
 
     def test_cell_peak_is_tmax_of_the_worst_model(self, config, scenario):
-        # the batched path solve against one optimal_path and tmax per
+        # the batched path solve against one solve_optimal and tmax per
         # cell, on the default 3x3 grid and on a scaled one
         for fa, fb in [(1.0, 1.0), (1.17, 0.86)]:
             report = sweep([a * fa for a in config.alpha_grid],
@@ -388,7 +387,7 @@ class TestSweep:
 
     def test_one_batched_path_solve(self, config, scenario, monkeypatch):
         # the baseline's state-space form is built once for the engine and
-        # once for all nine paths, and no path is solved alone
+        # once for all nine paths; a path solved alone would build it again
         control = importlib.import_module("mmrclimate.control")
         forcing, calls = control._forcing, []
 
@@ -396,11 +395,7 @@ class TestSweep:
             calls.append("forcing")
             return forcing(*args)
 
-        def no_path(*args):
-            raise AssertionError("sweep solved a path alone")
-
         monkeypatch.setattr(control, "_forcing", counted)
-        monkeypatch.setattr(control, "optimal_path", no_path)
         sweep(config.alpha_grid, config.beta_grid, config.deltas,
               config.ensemble, scenario)
         assert calls == ["forcing"] * 2
