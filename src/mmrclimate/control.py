@@ -62,8 +62,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .economy import ClimateModel, EconParams, net_cumulative_emissions
-from .errors import InvalidDiscount, NonConvergence, ValidationError
+from .economy import ClimateModel, EconParams, _check_discount, net_cumulative_emissions
+from .errors import NonConvergence, ValidationError
 from .exppoly import ExpPoly
 
 # At or below this root gap a baseline rate's block of the particular
@@ -118,28 +118,16 @@ class OptimalSolution:
 
 
 def char_roots(delta: float, m: float, alpha: float, beta: float) -> CharRoots:
-    """Roots of lam^2 - delta lam - k = 0, ordered lam_plus >= lam_minus."""
-    k = _pair_stiffness(delta, m, alpha, beta)
+    """Roots of lam^2 - delta lam - k = 0, ordered lam_plus >= lam_minus,
+    with k = beta m^2 / alpha.  delta obeys the one rate rule
+    (InvalidDiscount), alpha and beta the :class:`EconParams` rule and m
+    the :class:`ClimateModel` rule (ValidationError), so beta = 0 fails."""
+    _check_discount(delta)
+    EconParams(alpha=alpha, beta=beta)
+    ClimateModel(name="m", ccr=m)
+    k = _stiffness(alpha, beta, m)
     lam_plus, lam_minus = _roots(delta, k)
     return CharRoots(lam_plus=float(lam_plus), lam_minus=float(lam_minus), stiffness=k)
-
-
-def _pair_stiffness(delta: float, m: float, alpha: float, beta: float) -> float:
-    """k = beta m^2 / alpha of a {delta, model} pair under the weights,
-    once the inputs are checked; :func:`_roots` refuses an infinite k."""
-    for name, value in (("delta", delta), ("m", m), ("alpha", alpha), ("beta", beta)):
-        if not math.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value}")
-    if delta <= 0.0:
-        raise InvalidDiscount(
-            f"discount rate must be positive, got {delta}: transversality "
-            "fails at zero discounting"
-        )
-    if alpha <= 0.0:
-        raise ValidationError("alpha must be positive")
-    if beta < 0.0 or m < 0.0:
-        raise ValidationError("beta and m must be nonnegative")
-    return _stiffness(alpha, beta, m)
 
 
 @np.errstate(over="ignore")   # an infinite k makes _roots raise
@@ -179,10 +167,11 @@ def solve_optimal(delta: float, model: ClimateModel,
     passive path.  Otherwise abatement is B - dE/dt, so the state
     equation holds exactly.  ``j_star`` is the cost of the pair's own
     loop at the requested rate, from :func:`closed_loop_integrals`
-    weighed by :func:`weighted_costs`; the k = 0 loop costs +0.0.
+    weighed by :func:`weighted_costs`; the k = 0 loop costs +0.0.  A
+    rate that is not positive and finite raises InvalidDiscount.
     """
-    econ = scenario.econ
-    k = _pair_stiffness(delta, model.ccr, econ.alpha, econ.beta)
+    _check_discount(delta)
+    k = _stiffness(scenario.econ.alpha, scenario.econ.beta, model.ccr)
     (lam_plus,), (lam_minus,), (emissions,) = _paths([delta], [k], scenario)
     abatement = (ExpPoly.zero() if k == 0.0
                  else scenario.baseline - emissions.derivative())
@@ -313,9 +302,8 @@ def closed_loop_integrals(delta, k, rates, scenario: ScenarioConfig):
     pair; each entry of the result depends on its own pair alone.
     Every divisor, lam_i + lam_j - delta_eval, is negative.
     """
-    if not all(math.isfinite(d) and d > 0.0 for d in rates):
-        raise InvalidDiscount(
-            f"evaluation discount rates must be positive and finite, got {rates}")
+    for rate in rates:
+        _check_discount(rate, "evaluation discount rate")
     g, c, w0, basis = _forcing(scenario.baseline)
     lam_plus, lam_minus = _roots(*np.array([delta, k], dtype=float))
     s = _feedback(g, c, lam_plus, lam_minus)

@@ -15,6 +15,9 @@ closed form.  The solver and the regret matrix do not use it: they cost
 optimal policies through the closed-loop engine in
 :mod:`mmrclimate.control`, and this function stays as the independent
 method the tests compare that engine against.
+
+:func:`_check_discount` is the package's one rule for a discount rate:
+positive and finite, or InvalidDiscount naming the rate.
 """
 
 from __future__ import annotations
@@ -55,6 +58,15 @@ class ClimateModel:
                 f"ccr must be nonnegative and finite, got {self.ccr}")
 
 
+def _check_discount(delta: float, name: str = "discount rate") -> None:
+    """Raise InvalidDiscount, naming ``name`` and the rate, unless
+    ``delta`` is positive and finite."""
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise InvalidDiscount(
+            f"{name} must be positive, finite, got {float(delta)!r} "
+            "(transversality fails at zero discounting)")
+
+
 def net_cumulative_emissions(abatement: ExpPoly, baseline: ExpPoly,
                              e0: float) -> ExpPoly:
     """E(t) = E0 + integral over [0, t] of (B - A), exact."""
@@ -69,8 +81,8 @@ def discounted_total_cost(abatement: ExpPoly, econ: EconParams,
     J = integral over [0, inf) of (alpha/2 A^2 + beta/2 (m E)^2) e^{-delta t}
     with E(t) = E0 + integral of (B - A).  Computed exactly from the
     closed forms; raises DivergentIntegral if the path does not decay
-    fast enough at this discount rate and InvalidDiscount for delta <= 0
-    (no transversality at zero discounting).
+    fast enough at this discount rate and InvalidDiscount for a rate that
+    is not positive and finite (no transversality at zero discounting).
 
     The closed form is exact but not always well conditioned.  The
     coefficients of E grow like c / mu^(n+1) for a slow baseline rate mu
@@ -86,12 +98,7 @@ def discounted_total_cost(abatement: ExpPoly, econ: EconParams,
     tests' reference.  The closed-loop engine in :mod:`mmrclimate.control`
     has none of these problems.
     """
-    if delta <= 0.0:
-        raise InvalidDiscount(
-            f"discount rate must be positive, got {delta}: the infinite "
-            "horizon problem fails its transversality condition at zero "
-            "discounting"
-        )
+    _check_discount(delta)
     emissions = net_cumulative_emissions(abatement, baseline, e0)
     cost = 0.5 * econ.alpha * (abatement * abatement).discounted_integral(delta)
     dmg = 0.5 * econ.beta * model.ccr ** 2 * (

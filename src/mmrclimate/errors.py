@@ -29,9 +29,9 @@ class DivergentIntegral(MmrClimateError):
 
 
 class InvalidDiscount(ValidationError):
-    """Discount rate must be strictly positive; at zero the infinite
-    horizon problem has no solution (the transversality condition fails).
-    Every rate checked is an input, so this is a usage or config error."""
+    """A discount rate that is not positive and finite, refused by the one
+    rule ``economy._check_discount``; at zero, transversality fails.  Every
+    rate checked is an input, so this is a usage or config error."""
 
 
 class NonConvergence(MmrClimateError):

@@ -28,7 +28,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import DivergentIntegral
+from .errors import DivergentIntegral, InvalidDiscount
 
 MAX_POWER = 4
 
@@ -166,8 +166,11 @@ class ExpPoly:
         Each term needs ``delta - rate > 0``; otherwise the integral
         diverges and :class:`DivergentIntegral` is raised.  ``delta = 0``
         is allowed when every rate is strictly negative (plain cumulative
-        total of a decaying path).
+        total of a decaying path).  A nan rate raises InvalidDiscount, for
+        every ExpPoly, the zero one included.
         """
+        if math.isnan(delta):
+            raise InvalidDiscount(f"discount rate must not be nan, got {delta!r}")
         for c, n, mu in self.terms:
             if delta - mu <= 0.0:
                 raise DivergentIntegral(

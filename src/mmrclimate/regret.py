@@ -5,12 +5,13 @@ policies are the optimal policy for every pair plus the passive
 no-abatement benchmark.  Both are :class:`Policy` values, a policy
 being the pair it is optimal for and nothing more, so a state equals its
 own optimal policy: that is the zero regret diagonal.  Costs and peaks
-need nothing else: every peak is :func:`_peaks` over the path E that
-``control._paths`` builds for the pair's loop under the scenario, the
-path ``solve`` writes.  The regret of a policy in a state is the cost
-of following that policy when the state turns out to be true, minus the
-cost of the state's own optimal policy.  The minimax-regret choice is
-the policy whose worst-case regret across all states is smallest.
+need nothing else: :func:`_pair` gives the (delta, m) of every policy,
+no abatement included, and every peak is :func:`_peaks` over the path
+E that ``control._paths`` builds for the pair's loop under the
+scenario, the path ``solve`` writes.  The regret of a policy in a state
+is the cost of following that policy when the state turns out to be
+true, minus the cost of the state's own optimal policy.  The
+minimax-regret choice is the policy whose worst-case regret is least.
 
 Matrix orientation follows the published layout: rows are actual states,
 columns are policies, both enumerated model-major with the discount rate
@@ -29,13 +30,12 @@ import numpy as np
 from .control import (
     OptimalSolution,
     ScenarioConfig,
-    _pair_stiffness,
     _paths,
     _stiffness,
     closed_loop_integrals,
     weighted_costs,
 )
-from .economy import ClimateModel, EconParams
+from .economy import ClimateModel, EconParams, _check_discount
 from .errors import MmrClimateError, NoPeak, ValidationError
 from .exppoly import ExpPoly
 
@@ -104,10 +104,10 @@ class Peak(NamedTuple):
 def _check_ensemble(deltas, ensemble):
     if not deltas or not ensemble:
         raise ValidationError("need at least one discount rate and one model")
-    if len(set(deltas)) != len(deltas) or not all(
-        math.isfinite(d) and d > 0 for d in deltas
-    ):
-        raise ValidationError("deltas must be positive, finite and distinct")
+    for delta in deltas:
+        _check_discount(delta, "deltas")
+    if len(set(deltas)) != len(deltas):
+        raise ValidationError("deltas must be distinct")
     ccrs = [m.ccr for m in ensemble]
     if len(set(ccrs)) != len(ccrs):
         raise ValidationError("duplicate climate response in ensemble")
@@ -189,38 +189,33 @@ def _regret_matrices(policies, states, scenarios) -> list:
     """One regret matrix per scenario; the scenarios differ only in their
     weights (alpha, beta).
 
-    Each distinct {delta, model} pair of the states and policies is a
-    closed loop under each scenario, of stiffness k = beta m^2 / alpha; a
-    state shares its pair with the policy optimal for it.  One
-    :func:`closed_loop_integrals` call integrates loop s P + i, pair i of
-    P under scenario s, then no abatement as the k = 0 loop, at every
+    Each distinct state or policy is a pair, (delta, m) by :func:`_pair`,
+    and a closed loop under each scenario, of stiffness k = beta m^2 /
+    alpha; a state shares its pair with the policy optimal for it, and no
+    abatement is the k = 0 loop.  One :func:`closed_loop_integrals` call
+    integrates loop s P + i, pair i of P under scenario s, at every
     distinct state discount rate; each scenario weighs its own loops.  A
     state's optimal cost is the cost of its own loop, so wherever that
     loop is also a column the regret is exactly zero.  Each entry depends
     on its own (loop, rate) pair alone, so a matrix is the same to the
     last bit whichever scenarios share the call.
     """
-    pair_index = {pair: i for i, pair in enumerate(dict.fromkeys(
-        list(states) + [p for p in policies if not p.is_no_abatement]))}
+    pair_index = {pair: i for i, pair in enumerate(dict.fromkeys([*states, *policies]))}
+    delta, m = np.array([_pair(pair) for pair in pair_index], dtype=float).T
     # k of each loop over (scenario, pair); _roots refuses an infinite one
-    delta = np.array([pair.delta for pair in pair_index], dtype=float)
     k = _stiffness(np.array([[s.econ.alpha] for s in scenarios]),
-                   np.array([[s.econ.beta] for s in scenarios]),
-                   np.array([pair.model.ccr for pair in pair_index], dtype=float))
+                   np.array([[s.econ.beta] for s in scenarios]), m)
     rates = sorted({s.delta for s in states})
-    i_a, i_e = closed_loop_integrals(
-        np.append(np.broadcast_to(delta, k.shape), 1.0), np.append(k, 0.0),
-        rates, scenarios[0])
-    policy_at = [-1 if p.is_no_abatement else pair_index[p] for p in policies]
-    state_at = [pair_index[s] for s in states]
+    i_a, i_e = closed_loop_integrals(np.broadcast_to(delta, k.shape).ravel(), k.ravel(),
+                                     rates, scenarios[0])
+    policy_at = np.array([pair_index[p] for p in policies])
+    state_at = np.array([pair_index[s] for s in states])
 
     rows = np.array([rates.index(s.delta) for s in states])
     ccr = np.array([s.model.ccr for s in states], dtype=float)
     matrices = []
     for n, scenario in enumerate(scenarios):
-        # the loop of each pair under this scenario, then no abatement (-1)
-        loop = np.append(n * len(pair_index) + np.arange(len(pair_index)), k.size)
-        cols, diag = loop[policy_at], loop[state_at]
+        cols, diag = n * len(pair_index) + policy_at, n * len(pair_index) + state_at
         costs = weighted_costs(i_a[cols[None, :], rows[:, None]],
                                i_e[cols[None, :], rows[:, None]], ccr[:, None], scenario)
         j_opt = weighted_costs(i_a[diag, rows], i_e[diag, rows], ccr, scenario)
@@ -326,14 +321,14 @@ def _slope_values(coeffs, powers, rates, t):
     return out
 
 
-def _loop(policy: Policy, scenario: ScenarioConfig):
-    """(delta, k) of the policy's closed loop under the scenario's
-    weights, the pair checked by ``control._pair_stiffness``; no abatement
-    is the k = 0 loop at delta = 1.0."""
+def _pair(policy: Policy):
+    """(delta, m) of the policy's pair, its rate held to the one rule of
+    ``economy._check_discount``; no abatement is the zero-response pair at
+    delta = 1.0, whose loop has k = beta m^2 / alpha = 0 under any weights."""
     if policy.is_no_abatement:
         return 1.0, 0.0
-    return policy.delta, _pair_stiffness(policy.delta, policy.model.ccr,
-                                         scenario.econ.alpha, scenario.econ.beta)
+    _check_discount(policy.delta)
+    return policy.delta, policy.model.ccr
 
 
 def tmax(policy: Policy, model: ClimateModel, scenario: ScenarioConfig,
@@ -352,12 +347,12 @@ def tmax(policy: Policy, model: ClimateModel, scenario: ScenarioConfig,
     is checked and solved under ``scenario``; a failure keeps its type
     and attributes and names the pair.
 
-    Repeated calls on an equal loop, scenario and ``root_tol`` share one
+    Repeated calls on an equal pair, scenario and ``root_tol`` share one
     search, since the model only scales E; the last 16 searches are kept.
     """
     _halvings(root_tol)   # before any solve
     try:
-        peak = _peak(*_loop(policy, scenario), scenario, root_tol)
+        peak = _peak(*_pair(policy), scenario, root_tol)
     except MmrClimateError as exc:
         # name the pair, keeping the failure's type, attributes and exit code
         exc.args = (f"solver failed for policy pair (delta={policy.delta}, "
@@ -367,11 +362,12 @@ def tmax(policy: Policy, model: ClimateModel, scenario: ScenarioConfig,
 
 
 @lru_cache(maxsize=16)
-def _peak(delta: float, k: float, scenario: ScenarioConfig, root_tol: float) -> Peak:
-    """The peak of one loop, kept for :func:`tmax`'s calls under each
-    model.  Scenarios are frozen and compare by value, equal keys give
-    the same peak to the bit, and a Peak is immutable, so a kept one
-    serves every equal key."""
+def _peak(delta: float, m: float, scenario: ScenarioConfig, root_tol: float) -> Peak:
+    """The peak of one pair's loop under the scenario, kept for
+    :func:`tmax`'s calls under each model.  Scenarios are frozen and
+    compare by value, equal keys give the same peak to the bit, and a Peak
+    is immutable, so a kept one serves every equal key."""
+    k = _stiffness(scenario.econ.alpha, scenario.econ.beta, m)
     *_, emissions = _paths([delta], [k], scenario)
     return _peaks(emissions, root_tol)[0]
 
@@ -421,9 +417,8 @@ def sweep(alphas, betas, deltas, ensemble, scenario: ScenarioConfig,
                  for alpha, beta in grid]
     chosen = [mmr_select(matrix)
               for matrix in _regret_matrices(policies, states, scenarios)]
-    delta, k = np.array([_loop(policy, s)
-                         for (policy, _), s in zip(chosen, scenarios)]).T
-    *_, emissions = _paths(delta, k, scenario)
+    delta, m = np.array([_pair(policy) for policy, _ in chosen]).T
+    *_, emissions = _paths(delta, _stiffness(*np.array(grid, dtype=float).T, m), scenario)
     peaks = _peaks(emissions, root_tol)
     cells = []
     for (alpha, beta), (policy, value), peak in zip(grid, chosen, peaks):

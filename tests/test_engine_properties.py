@@ -5,7 +5,8 @@ all.  Each cost is held against a method that shares no code with the
 engine: the ExpPoly closed form on the solved path, exact rational
 arithmetic, a Schur-based Lyapunov solve, or the brute-force oracle.
 The solved paths themselves are held against a 120-digit reference, and
-the batched paths a sweep searches against each pair's own path."""
+the batched paths a sweep searches against each pair's own path.  Every
+entry point that takes a discount rate refuses the same bad ones."""
 
 import math
 import warnings
@@ -36,12 +37,15 @@ from mmrclimate.economy import (  # noqa: E402
     discounted_total_cost,
     net_cumulative_emissions,
 )
+from mmrclimate.errors import InvalidDiscount, ValidationError  # noqa: E402
 from mmrclimate.exppoly import ExpPoly  # noqa: E402
 from mmrclimate.regret import (  # noqa: E402
+    Policy,
     build_policy_set,
     build_states,
     mmr_select,
     regret_matrix,
+    tmax,
 )
 
 # deterministic draws, so the suite is reproducible and writes no example
@@ -372,3 +376,47 @@ def test_passive_loop_is_never_resonant():
     assert emissions == net_cumulative_emissions(ExpPoly.zero(), scenario.baseline,
                                                  scenario.e0)
     assert lam_minus[0] == 0.0
+
+
+BAD_DELTAS = (st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0])
+              | st.floats(max_value=0.0, exclude_max=True, allow_nan=False))
+
+
+def _rate_routes(delta, model, scenario):
+    """Every entry point that takes a discount rate, called at ``delta``:
+    the raw roots, the solver, the peak search, a policy column of the
+    regret matrix and the cost closed form."""
+    econ = scenario.econ
+    states = build_states([0.02, 0.05], [model])
+    yield lambda: char_roots(delta, model.ccr, econ.alpha, econ.beta)
+    yield lambda: solve_optimal(delta, model, scenario)
+    yield lambda: tmax(Policy(delta, model), model, scenario)
+    yield lambda: regret_matrix([Policy(delta, model), Policy.no_abatement()],
+                                states, scenario)
+    yield lambda: discounted_total_cost(ExpPoly.zero(), econ, model, delta,
+                                        scenario.baseline, scenario.e0)
+
+
+@PROPERTY
+@given(delta=BAD_DELTAS, index=st.integers(0, 5))
+def test_every_route_refuses_a_bad_rate_alike(delta, index):
+    # one rule at every entry point: InvalidDiscount, naming the rate
+    config = load_config()
+    for route in _rate_routes(delta, config.ensemble[index], config.to_scenario()):
+        with pytest.raises(InvalidDiscount) as err:
+            route()
+        assert repr(delta) in str(err.value)
+
+
+@PROPERTY
+@given(delta=st.floats(1e-4, 1.0), index=st.integers(0, 5))
+def test_every_route_takes_a_good_rate(delta, index):
+    config = load_config()
+    for route in _rate_routes(delta, config.ensemble[index], config.to_scenario()):
+        route()
+
+
+def test_raw_roots_hold_the_weights_rule():
+    # char_roots checks raw weights by EconParams' rule: beta = 0 is refused
+    with pytest.raises(ValidationError, match="alpha and beta must be positive"):
+        char_roots(0.04, 0.002, 1.25e-4, 0.0)

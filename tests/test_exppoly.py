@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from mmrclimate.exppoly import ExpPoly, MAX_POWER
-from mmrclimate.errors import DivergentIntegral
+from mmrclimate.errors import DivergentIntegral, InvalidDiscount
 
 
 def ep(*terms):
@@ -132,6 +132,21 @@ class TestDiscountedIntegral:
 
     def test_zero_function_integrates_to_zero(self):
         assert ExpPoly.zero().discounted_integral(0.05) == 0.0
+
+    @pytest.mark.parametrize("f", [ExpPoly.zero(), ExpPoly.constant(1.0),
+                                   ep((2.0, 1, -0.02), (1.0, 0, -0.5))])
+    def test_nan_rate_refused(self, f):
+        # a nan rate passes no divergence test; it is refused by name, even
+        # with no term to integrate
+        with pytest.raises(InvalidDiscount, match="nan"):
+            f.discounted_integral(math.nan)
+
+    def test_zero_and_infinite_rates_keep_their_results(self):
+        f = ep((2.0, 1, -0.02), (1.0, 0, -0.5))
+        # delta = 0 is the plain cumulative total; delta = inf weighs nothing
+        assert f.discounted_integral(0.0) == 2.0 / 0.02**2 + 1.0 / 0.5
+        assert f.discounted_integral(math.inf) == 0.0
+        assert ExpPoly.zero().discounted_integral(0.0) == 0.0
 
     def test_against_quadrature(self):
         rng = np.random.default_rng(23)

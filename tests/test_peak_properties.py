@@ -19,7 +19,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from mmrclimate.config import load_config  # noqa: E402
-from mmrclimate.control import _pair_stiffness, _paths, solve_optimal  # noqa: E402
+from mmrclimate.control import _paths, _stiffness, solve_optimal  # noqa: E402
 from mmrclimate.economy import ClimateModel, EconParams, net_cumulative_emissions  # noqa: E402
 from mmrclimate.errors import NoPeak  # noqa: E402
 from mmrclimate.exppoly import ExpPoly  # noqa: E402
@@ -47,9 +47,9 @@ def paths(draw):
     if kind == "drain":
         return ExpPoly(((SCENARIO.e0, 0, 0.0), (-1.0, 1, 0.0)))
     delta = draw(st.floats(0.003, 0.12))
-    k = _pair_stiffness(delta, draw(st.sampled_from(CONFIG.ensemble)).ccr,
-                       CONFIG.econ.alpha * draw(st.floats(0.3, 3.0)),
-                       CONFIG.econ.beta * draw(st.floats(0.3, 3.0)))
+    m = draw(st.sampled_from(CONFIG.ensemble)).ccr
+    alpha = CONFIG.econ.alpha * draw(st.floats(0.3, 3.0))
+    k = _stiffness(alpha, CONFIG.econ.beta * draw(st.floats(0.3, 3.0)), m)
     return _paths([delta], [k], SCENARIO)[-1][0]
 
 
@@ -99,7 +99,7 @@ def test_bisection_kept_where_noise_flips_the_sign():
     econ = EconParams(alpha=CONFIG.econ.alpha * 2.8908595343797683,
                       beta=CONFIG.econ.beta * 2.4310862099073614)
     delta = 0.011008526799724472
-    k = _pair_stiffness(delta, CONFIG.model("GFDL").ccr, econ.alpha, econ.beta)
+    k = _stiffness(econ.alpha, econ.beta, CONFIG.model("GFDL").ccr)
     (path,) = _paths([delta], [k], SCENARIO)[-1]
     want_time = reference_peak(path, 1e-9)
     assert _peaks([path], 1e-9)[0].time == want_time
@@ -202,7 +202,7 @@ def test_peak_is_the_lambert_w_root(delta, model, econ, e0, root_tol):
     # the slope has a descending root in (0, 3000), and that time is within
     # half the final bracket of it, plus the slope's rounding window
     scenario = replace(SCENARIO, econ=econ, e0=e0)
-    k = _pair_stiffness(delta, model.ccr, econ.alpha, econ.beta)
+    k = _stiffness(econ.alpha, econ.beta, model.ccr)
     _, lam_minus, (path,) = _paths([delta], [k], scenario)
     slope = path.derivative()
     curvature = slope.derivative()

@@ -11,8 +11,8 @@ import pytest
 
 from mmrclimate.control import (
     ScenarioConfig,
-    _pair_stiffness,
     _paths,
+    _stiffness,
     solve_optimal,
 )
 from mmrclimate.economy import ClimateModel, EconParams
@@ -157,6 +157,26 @@ class TestMatrixInvariants:
         assert single.values[0, 0] == pytest.approx(0.0, abs=1e-9)
 
 
+    def test_no_abatement_is_an_ordinary_column(self, config, scenario):
+        # no abatement first and twice, and a pair that is no state: each
+        # column is, to the bit, that policy's column in the default order
+        states = build_states(config.deltas, config.ensemble)[::3]
+        policies = build_policy_set(config.deltas, config.ensemble, scenario)
+        passive, extra = Policy.no_abatement(), Policy(0.033, config.ensemble[2])
+        order = [passive, *policies[5:9], passive, extra]
+        matrix = regret_matrix(order, states, scenario)
+        default = regret_matrix([*policies, extra], states, scenario)
+        for j, policy in enumerate(order):
+            column = default.values[:, default.policies.index(policy)]
+            assert matrix.values[:, j].tobytes() == column.tobytes()
+        assert matrix.values[:, 0].tobytes() == matrix.values[:, 5].tobytes()
+        assert matrix.j_opt.tobytes() == default.j_opt.tobytes()
+        diagonal = matrix.diagonal_indices()
+        assert diagonal
+        for i, j in diagonal:
+            assert matrix.values[i, j] == 0.0
+
+
 class TestScalingInvariance:
     def test_joint_scaling_preserves_selection(self, small_scenario):
         deltas = (0.01, 0.03, 0.05)
@@ -251,8 +271,7 @@ class TestTmax:
         policy = Policy.from_solution(solve_optimal(0.02, config.model("IPSL"), scenario))
         got = [tmax(policy, model, scenario) for model in config.ensemble]
         assert calls == [1]
-        k = _pair_stiffness(0.02, config.model("IPSL").ccr,
-                           scenario.econ.alpha, scenario.econ.beta)
+        k = _stiffness(scenario.econ.alpha, scenario.econ.beta, config.model("IPSL").ccr)
         (peak,) = search(_paths([0.02], [k], scenario)[-1], ROOT_TOL)
         assert got == [peak.tmax(model, policy.label()) for model in config.ensemble]
 
