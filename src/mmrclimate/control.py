@@ -13,10 +13,10 @@ Boundedness of the discounted objective forces the coefficient of the
 unstable mode to zero; the stable-mode coefficient is pinned by the
 initial stock E(0) = E0.
 
-Paths and costs start from one state-space form of the baseline,
-B = c.w with dw/dt = G w (one Jordan block per baseline rate, built by
-:func:`_forcing`), and the optimal policy is the feedback
-A = -lam_minus E + s.w with (G - lam_plus I)^T s = lam_minus c.
+Paths and costs start from one form of the closed loops, built by
+:func:`_loops`: the baseline in state space, B = c.w with dw/dt = G w
+(one Jordan block per baseline rate), each loop's roots and its optimal
+feedback A = -lam_minus E + s.w with (G - lam_plus I)^T s = lam_minus c.
 
 The bounded particular response is E_p = p.w with
 (G - lam_minus I)^T p = c - s.  Each component of w is a term
@@ -183,7 +183,8 @@ def solve_optimal(delta: float, model: ClimateModel,
         model=model,
         delta=delta,
         roots=CharRoots(lam_plus=float(lam_plus), lam_minus=float(lam_minus), stiffness=k),
-        j_star=float(weighted_costs(i_a[0, 0], i_e[0, 0], model.ccr, scenario)),
+        j_star=float(weighted_costs(i_a[0, 0], i_e[0, 0], model.ccr, scenario.econ.alpha,
+                                    scenario.econ.beta, scenario.e0)),
     )
 
 
@@ -192,7 +193,7 @@ def _paths(delta, k, scenario: ScenarioConfig):
     stiffnesses ``k`` = beta m^2 / alpha, two equal-length 1-D arrays, as
     (lam_plus, lam_minus, emissions): per loop the roots and the net
     cumulative emissions E, an ExpPoly.  E is the bounded particular
-    response E_p = p.w over the basis of :func:`_forcing`, plus the
+    response E_p = p.w over the basis of :func:`_loops`, plus the
     stable mode (e0 - E_p(0)) e^{lam_minus t}; a k = 0 loop is passive,
     E = e0 plus the cumulative baseline.
 
@@ -207,14 +208,11 @@ def _paths(delta, k, scenario: ScenarioConfig):
     stable mode is unchanged, and every other component, and every loop
     with no collision, keeps its bits.
     """
-    delta = np.asarray(delta, dtype=float)
-    k = np.asarray(k, dtype=float)
-    g, c, _, basis = _forcing(scenario.baseline)
-    lam_plus, lam_minus = _roots(delta, k)
+    g, c, _, basis, lam_plus, lam_minus, s = _loops(delta, k, scenario.baseline)
     # bounded particular response E_p = p.w: A_p = -lam_minus E_p + s.w
     # and dE_p/dt = B - A_p give (G - lam_minus I)^T p = c - s; the
     # diagonal of G holds every baseline rate
-    q = c - _feedback(g, c, lam_plus, lam_minus)
+    q = c - s
     h = lam_minus[:, None] - g.diagonal()
     near = np.abs(h) <= RESONANCE_TOL
     shifted = g.T - lam_minus[:, None, None] * np.eye(len(c))
@@ -227,7 +225,7 @@ def _paths(delta, k, scenario: ScenarioConfig):
         series[i] += [(q[i, b] * h[i, b] ** n / math.factorial(j + 1 + n), j + 1 + n, mu)
                       for n in (0, 1)]
     emissions = []
-    for p_i, series_i, lam, k_i in zip(p.tolist(), series, lam_minus.tolist(), k.tolist()):
+    for p_i, series_i, lam, k_i in zip(p.tolist(), series, lam_minus.tolist(), k):
         if k_i == 0.0:
             emissions.append(
                 net_cumulative_emissions(ExpPoly.zero(), scenario.baseline, scenario.e0))
@@ -238,15 +236,18 @@ def _paths(delta, k, scenario: ScenarioConfig):
     return lam_plus, lam_minus, emissions
 
 
-def _forcing(baseline: ExpPoly):
-    """State-space form of the baseline: B(t) = c.w(t) with dw/dt = G w
-    and w(0) = w0.  Each rate mu gets one Jordan block over the basis
-    t^j e^{mu t} / j!, sized by its highest power; ``basis`` lists the
-    (power j, rate mu) of each component of w.  This is the one place
-    the baseline is grouped by rate."""
+def _loops(delta, k, baseline: ExpPoly):
+    """The loops of discount rates ``delta`` and stiffnesses ``k``, two
+    equal-length 1-D arrays, as (g, c, w0, basis, lam_plus, lam_minus, s).
+    The baseline is B(t) = c.w(t) with dw/dt = G w, w(0) = w0: each rate
+    mu gets one Jordan block over the basis t^j e^{mu t} / j!, sized by
+    its highest power, and ``basis`` lists the (power j, rate mu) of each
+    component of w; this is the one place the baseline is grouped by
+    rate.  Per loop, lam_plus and lam_minus are the roots and s the
+    feedback of A = -lam_minus E + s.w, (G - lam_plus I)^T s = lam_minus c."""
     groups: dict[float, dict[int, float]] = {}
-    for c, n, mu in baseline.terms:
-        groups.setdefault(mu, {})[n] = c
+    for coeff, n, mu in baseline.terms:
+        groups.setdefault(mu, {})[n] = coeff
     basis = [(j, mu) for mu, coeffs in groups.items() for j in range(max(coeffs) + 1)]
     g = np.diag([mu for _, mu in basis])
     for i, (j, _) in enumerate(basis):
@@ -254,29 +255,26 @@ def _forcing(baseline: ExpPoly):
             g[i, i - 1] = 1.0
     c = np.array([groups[mu].get(j, 0.0) * math.factorial(j) for j, mu in basis])
     w0 = np.array([float(j == 0) for j, _ in basis])
-    return g, c, w0, basis
-
-
-def _feedback(g, c, lam_plus, lam_minus):
-    """Bounded feedback term s of A = -lam_minus E + s.w, from
-    (G - lam_plus I)^T s = lam_minus c; the roots may be arrays over loops."""
-    lam_plus, lam_minus = np.asarray(lam_plus), np.asarray(lam_minus)
-    g_shift = g.T - lam_plus[..., None, None] * np.eye(len(c))
-    return np.linalg.solve(g_shift, (lam_minus[..., None] * c)[..., None])[..., 0]
+    lam_plus, lam_minus = _roots(*np.array([delta, k], dtype=float))
+    g_shift = g.T - lam_plus[:, None, None] * np.eye(len(c))
+    s = np.linalg.solve(g_shift, (lam_minus[:, None] * c)[..., None])[..., 0]
+    return g, c, w0, basis, lam_plus, lam_minus, s
 
 
 @np.errstate(over="ignore", invalid="ignore")   # non-finite costs raise below
-def weighted_costs(i_a, i_e, ccr, scenario: ScenarioConfig) -> np.ndarray:
-    """alpha/2 I_A + beta ccr^2 / 2 I_E under the scenario's weights,
-    elementwise over broadcast arrays.  A cost that is not finite (an
-    initial stock, baseline or weight too large for double precision)
-    raises NonConvergence naming the weights and the stock."""
-    econ = scenario.econ
-    costs = 0.5 * econ.alpha * i_a + 0.5 * econ.beta * ccr ** 2 * i_e
-    if not np.all(np.isfinite(costs)):
+def weighted_costs(i_a, i_e, ccr, alpha, beta, e0) -> np.ndarray:
+    """alpha/2 I_A + beta ccr^2 / 2 I_E, elementwise over broadcast
+    arrays, so one call weighs every (alpha, beta) weighting of a set of
+    loops.  A cost that is not finite (an initial stock ``e0``, baseline
+    or weight too large for double precision) raises NonConvergence
+    naming the alpha and beta of the first such cost, and e0."""
+    costs = 0.5 * alpha * i_a + 0.5 * beta * ccr ** 2 * i_e
+    bad = ~np.isfinite(costs)
+    if bad.any():
+        a_bad, b_bad = (float(np.broadcast_to(v, costs.shape)[bad][0]) for v in (alpha, beta))
         raise NonConvergence(
-            f"closed-loop costs are not finite at alpha = {econ.alpha!r}, "
-            f"beta = {econ.beta!r}, e0 = {scenario.e0!r}: the weighted cost "
+            f"closed-loop costs are not finite at alpha = {a_bad!r}, "
+            f"beta = {b_bad!r}, e0 = {e0!r}: the weighted cost "
             "integrals overflow double precision")
     return costs
 
@@ -304,9 +302,7 @@ def closed_loop_integrals(delta, k, rates, scenario: ScenarioConfig):
     """
     for rate in rates:
         _check_discount(rate, "evaluation discount rate")
-    g, c, w0, basis = _forcing(scenario.baseline)
-    lam_plus, lam_minus = _roots(*np.array([delta, k], dtype=float))
-    s = _feedback(g, c, lam_plus, lam_minus)
+    g, c, w0, basis, _, lam_minus, s = _loops(delta, k, scenario.baseline)
 
     # x = (E, w) with each Jordan block reversed, higher powers first:
     # w_{j-1} drives w_j and now follows it, so F is upper triangular.  Its

@@ -21,7 +21,7 @@ cycling fastest and no abatement as the last column.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -180,48 +180,50 @@ class RegretMatrix:
 
 
 def regret_matrix(policies, states, scenario: ScenarioConfig) -> RegretMatrix:
-    """Evaluate every policy in every state: the one-scenario case of
-    :func:`_regret_matrices`."""
-    return _regret_matrices(policies, states, [scenario])[0]
+    """Evaluate every policy in every state: the one-weighting case of
+    :func:`_regret_matrices`, under the scenario's own weights."""
+    return _regret_matrices(policies, states, scenario, [scenario.econ])[0]
 
 
-def _regret_matrices(policies, states, scenarios) -> list:
-    """One regret matrix per scenario; the scenarios differ only in their
-    weights (alpha, beta).
+def _regret_matrices(policies, states, scenario: ScenarioConfig, weights) -> list:
+    """One regret matrix per weighting of ``weights``, a list of
+    :class:`EconParams`, under the baseline and e0 of ``scenario``.
 
     Each distinct state or policy is a pair, (delta, m) by :func:`_pair`,
-    and a closed loop under each scenario, of stiffness k = beta m^2 /
+    and a closed loop under each weighting, of stiffness k = beta m^2 /
     alpha; a state shares its pair with the policy optimal for it, and no
     abatement is the k = 0 loop.  One :func:`closed_loop_integrals` call
-    integrates loop s P + i, pair i of P under scenario s, at every
-    distinct state discount rate; each scenario weighs its own loops.  A
-    state's optimal cost is the cost of its own loop, so wherever that
-    loop is also a column the regret is exactly zero.  Each entry depends
-    on its own (loop, rate) pair alone, so a matrix is the same to the
-    last bit whichever scenarios share the call.
+    integrates every (weighting, pair) loop at every distinct state
+    discount rate, and one :func:`weighted_costs` call weighs every
+    (weighting, state, policy) cell together with each state's optimal
+    cost, the cost of its own loop; so wherever that loop is also a
+    column the regret is exactly zero.  Each entry depends on its own
+    (loop, rate) pair alone, so a matrix is the same to the last bit
+    whichever weightings share the call.  Empty states or policies, and
+    no abatement as a state, raise ValidationError.
     """
+    if not policies:
+        raise ValidationError("policies must be nonempty")
+    if not states or any(state.is_no_abatement for state in states):
+        raise ValidationError("states must be nonempty {delta, model} pairs, not no abatement")
     pair_index = {pair: i for i, pair in enumerate(dict.fromkeys([*states, *policies]))}
     delta, m = np.array([_pair(pair) for pair in pair_index], dtype=float).T
-    # k of each loop over (scenario, pair); _roots refuses an infinite one
-    k = _stiffness(np.array([[s.econ.alpha] for s in scenarios]),
-                   np.array([[s.econ.beta] for s in scenarios]), m)
+    # alpha and beta over (weighting, 1, 1); _roots refuses an infinite k
+    alpha, beta = np.array([[w.alpha, w.beta] for w in weights]).T[..., None, None]
+    k = _stiffness(alpha[:, 0], beta[:, 0], m)
     rates = sorted({s.delta for s in states})
-    i_a, i_e = closed_loop_integrals(np.broadcast_to(delta, k.shape).ravel(), k.ravel(),
-                                     rates, scenarios[0])
-    policy_at = np.array([pair_index[p] for p in policies])
-    state_at = np.array([pair_index[s] for s in states])
-
-    rows = np.array([rates.index(s.delta) for s in states])
-    ccr = np.array([s.model.ccr for s in states], dtype=float)
-    matrices = []
-    for n, scenario in enumerate(scenarios):
-        cols, diag = n * len(pair_index) + policy_at, n * len(pair_index) + state_at
-        costs = weighted_costs(i_a[cols[None, :], rows[:, None]],
-                               i_e[cols[None, :], rows[:, None]], ccr[:, None], scenario)
-        j_opt = weighted_costs(i_a[diag, rows], i_e[diag, rows], ccr, scenario)
-        matrices.append(RegretMatrix(states=tuple(states), policies=tuple(policies),
-                                     values=costs - j_opt[:, None], j_opt=j_opt))
-    return matrices
+    # per state, the loop of each policy and then its own, whose m is its ccr
+    at = np.column_stack((np.broadcast_to([pair_index[p] for p in policies],
+                                          (len(states), len(policies))),
+                          [pair_index[s] for s in states]))
+    rows = np.array([rates.index(s.delta) for s in states])[:, None]
+    i_a, i_e = (i.reshape(*k.shape, len(rates))[:, at, rows] for i in closed_loop_integrals(
+        np.broadcast_to(delta, k.shape).ravel(), k.ravel(), rates, scenario))
+    costs = weighted_costs(i_a, i_e, m[at[:, -1:]], alpha, beta, scenario.e0)
+    # a copied j_opt holds no view of ``costs``, which is freed on return
+    return [RegretMatrix(states=tuple(states), policies=tuple(policies),
+                         values=cost[:, :-1] - cost[:, -1:], j_opt=cost[:, -1].copy())
+            for cost in costs]
 
 
 def mmr_select(matrix: RegretMatrix):
@@ -398,10 +400,11 @@ def sweep(alphas, betas, deltas, ensemble, scenario: ScenarioConfig,
           root_tol: float = ROOT_TOL) -> SweepReport:
     """MMR selection and peak warming across an (alpha, beta) grid.
 
-    Each cell is the scenario with its cost and damage weights replaced.
-    The regret matrices of all cells come from one engine call over one
-    loop per (cell, pair) of the grid, and each cell's matrix is the same as a
-    lone :func:`regret_matrix` for it.  One ``control._paths`` call
+    Each cell is one weighting (alpha, beta) of the scenario's loops.
+    The regret matrices of all cells come from one
+    :func:`_regret_matrices` call over the grid's weightings, and each
+    cell's matrix is the same as a lone :func:`regret_matrix` for it
+    under the scenario with the cell's weights.  One ``control._paths`` call
     then builds the path E of the loop of every cell's MMR policy, and
     one :func:`_peaks` over them gives each cell's peak under the
     highest-response model, the worst case a planner can prepare for:
@@ -413,10 +416,9 @@ def sweep(alphas, betas, deltas, ensemble, scenario: ScenarioConfig,
     states = build_states(deltas, ensemble)
     policies = build_policy_set(deltas, ensemble, scenario)
     grid = [(alpha, beta) for alpha in alphas for beta in betas]
-    scenarios = [replace(scenario, econ=EconParams(alpha=alpha, beta=beta))
-                 for alpha, beta in grid]
+    weights = [EconParams(alpha=alpha, beta=beta) for alpha, beta in grid]
     chosen = [mmr_select(matrix)
-              for matrix in _regret_matrices(policies, states, scenarios)]
+              for matrix in _regret_matrices(policies, states, scenario, weights)]
     delta, m = np.array([_pair(policy) for policy, _ in chosen]).T
     *_, emissions = _paths(delta, _stiffness(*np.array(grid, dtype=float).T, m), scenario)
     peaks = _peaks(emissions, root_tol)

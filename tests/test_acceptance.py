@@ -10,6 +10,7 @@ looser), +/-15 years for peak timing, +/-0.25 degC for peak warming.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,7 +294,7 @@ def test_criterion_6_nonreproducibility_note():
     failures = []
     from mmrclimate.config import bundled_data_path
 
-    notes = open(bundled_data_path("extended_rcp85_notes.txt")).read()
+    notes = Path(bundled_data_path("extended_rcp85_notes.txt")).read_text()
     if "calibration" not in notes:
         failures.append("data provenance notes lost the calibration caveat")
     if "Re-digitizing" not in notes:

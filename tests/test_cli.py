@@ -8,6 +8,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -59,7 +60,7 @@ class TestSolve:
         out = capsys.readouterr().out
         assert "J* = 0.50" in out
         path = os.path.join(outdir, "solution_d0.05_HAD.csv")
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         header = lines[1]
         assert header.startswith("year,t_years,baseline_gtc_yr,abatement_gtc_yr")
         assert len(lines) == 2 + 501   # stamp + header + years 0..500
@@ -140,7 +141,7 @@ class TestBadInput:
                                      small_config_path):
         # a tolerance <= 0 never ends the peak search's bisection, so run
         # in a child process that a hang cannot outlive
-        text = open(small_config_path).read()
+        text = Path(small_config_path).read_text()
         path = tmp_path / "tol.ini"
         path.write_text(text.replace("root_tol = 1e-06", f"root_tol = {root_tol}"))
         outdir = tmp_path / "o"
@@ -157,7 +158,7 @@ class TestBadInput:
 
     @staticmethod
     def _default_config_with(tmp_path, pattern, line):
-        text = open(bundled_data_path("default_config.ini")).read()
+        text = Path(bundled_data_path("default_config.ini")).read_text()
         path = tmp_path / "edited.ini"
         path.write_text(re.sub(pattern, line, text, count=1, flags=re.M))
         return path
@@ -369,7 +370,7 @@ class TestFitBaseline:
     def test_fits_and_names_the_configured_series(self, outdir, tmp_path, capsys):
         # the written config names the series it was fitted to, and its
         # baseline is that series' fit (a halved series halves b0)
-        bundled = open(bundled_data_path("extended_rcp85_emissions.csv")).read()
+        bundled = Path(bundled_data_path("extended_rcp85_emissions.csv")).read_text()
         rows = [line.split(",") for line in bundled.splitlines()[3:]]
         half = tmp_path / "half.csv"
         half.write_text("year,emissions_gtc\n" + "".join(
@@ -396,23 +397,23 @@ class TestRegretTable:
     def test_outputs_and_flags(self, outdir, small_config_path, capsys):
         code = run(["--no-timestamp", "regret-table"], outdir, small_config_path)
         assert code == 0
-        csv_text = open(os.path.join(outdir, "regret_matrix.csv")).read()
+        csv_text = Path(outdir, "regret_matrix.csv").read_text()
         rows = csv_text.strip().splitlines()
         assert len(rows) == 1 + 4 + 1          # header, 4 states, max regret
         assert rows[0].count(",") == 5         # label + 5 policies
         values = [float(cell) for cell in rows[1].split(",")[1:]]
         assert len(values) == 5 and min(values) >= -1e-9
-        table = open(os.path.join(outdir, "regret_table.txt")).read()
+        table = Path(outdir, "regret_table.txt").read_text()
         assert "max regret" in table
         assert "*" in table                    # MMR flag
-        svg = open(os.path.join(outdir, "regret_heatmap.svg")).read()
+        svg = Path(outdir, "regret_heatmap.svg").read_text()
         assert svg.count("<rect") == 1 + 4 * 5 + 5
         assert svg.count('fill="#ffffff"') >= 4   # zero diagonal is white
 
     def test_full_matrix_diagonal_white(self, outdir, capsys):
         code = run(["--no-timestamp", "regret-table"], outdir)
         assert code == 0
-        svg = open(os.path.join(outdir, "regret_heatmap.svg")).read()
+        svg = Path(outdir, "regret_heatmap.svg").read_text()
         assert svg.count("<rect") == 1 + 42 * 43 + 43
         assert svg.count('fill="#ffffff"') >= 42
 
@@ -428,8 +429,7 @@ class TestRegretTable:
         assert run(["--no-timestamp", "regret-table"], a, small_config_path) == 0
         assert run(["--no-timestamp", "regret-table"], b, small_config_path) == 0
         for name in ("regret_matrix.csv", "regret_table.txt", "regret_heatmap.svg"):
-            assert open(os.path.join(a, name), "rb").read() == \
-                open(os.path.join(b, name), "rb").read()
+            assert Path(a, name).read_bytes() == Path(b, name).read_bytes()
 
 
 class TestMmrAndTmax:
@@ -481,7 +481,7 @@ class TestMmrAndTmax:
         # passive loop's lam_minus = 0; that loop is never nudged, so the
         # run warns of nothing and prints the asymptotes as before
         config = tmp_path / "tiny_theta.ini"
-        text = open(bundled_data_path("default_config.ini")).read()
+        text = Path(bundled_data_path("default_config.ini")).read_text()
         config.write_text(re.sub(r"(?m)^theta = .*$", "theta = 1e-300", text))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -497,7 +497,7 @@ class TestMmrAndTmax:
         # delta = 0.02: solve and tmax exit 0, warn of nothing and write
         # finite numbers
         config = tmp_path / "resonant.ini"
-        text = open(bundled_data_path("default_config.ini")).read()
+        text = Path(bundled_data_path("default_config.ini")).read_text()
         config.write_text(re.sub(r"(?m)^GFDL = .*$", "GFDL = 0.0016893970107764956", text))
         cfg = load_config(str(config))
         roots = char_roots(0.02, cfg.model("GFDL").ccr, cfg.econ.alpha, cfg.econ.beta)
@@ -543,7 +543,7 @@ class TestSweep:
     def test_writes_summary_and_tables(self, outdir, small_config_path, capsys):
         code = run(["--no-timestamp", "sweep"], outdir, small_config_path)
         assert code == 0
-        summary = open(os.path.join(outdir, "sweep_summary.csv")).read()
+        summary = Path(outdir, "sweep_summary.csv").read_text()
         assert summary.splitlines()[0].startswith("alpha,beta,mmr_delta")
         assert len(summary.strip().splitlines()) == 2
         assert os.path.exists(os.path.join(outdir, "sweep_mmr.txt"))
@@ -579,7 +579,7 @@ class TestSinglePair:
         save_config(cfg, str(path))
         out = str(tmp_path / "o")
         assert run(["--no-timestamp", "regret-table"], out, str(path)) == 0
-        rows = open(os.path.join(out, "regret_matrix.csv")).read().strip().splitlines()
+        rows = Path(out, "regret_matrix.csv").read_text().strip().splitlines()
         assert len(rows) == 3                       # header, one state, max regret
         assert rows[0] == "actual_world,d=0.05/HAD,no-abatement"
 
@@ -590,7 +590,7 @@ class TestReportScale:
     rather than being ignored."""
 
     def config_with(self, tmp_path, old, new):
-        text = open(bundled_data_path("default_config.ini")).read()
+        text = Path(bundled_data_path("default_config.ini")).read_text()
         path = tmp_path / "edited.ini"
         path.write_text(text.replace(old, new))
         return str(path)
@@ -627,7 +627,7 @@ class TestConfigHandling:
         assert out == capsys.readouterr().out
 
     def test_empty_grid_is_config_error(self, tmp_path, capsys):
-        text = open(bundled_data_path("default_config.ini")).read()
+        text = Path(bundled_data_path("default_config.ini")).read_text()
         broken = text.replace("alpha_grid = 7.5e-05 0.000125 0.0002",
                               "alpha_grid =")
         path = tmp_path / "broken.ini"
@@ -638,7 +638,7 @@ class TestConfigHandling:
     @pytest.mark.parametrize("formats", ["pdf", "", "csv pdf"])
     def test_formats_outside_csv_txt_svg_is_config_error(self, tmp_path, capsys,
                                                          formats):
-        text = open(bundled_data_path("default_config.ini")).read()
+        text = Path(bundled_data_path("default_config.ini")).read_text()
         path = tmp_path / "formats.ini"
         path.write_text(text.replace("formats = csv txt svg", f"formats = {formats}"))
         out = tmp_path / "o"

@@ -12,6 +12,7 @@ import re
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +27,7 @@ from mmrclimate.config import bundled_data_path  # noqa: E402
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
                     database=None)
 
-DEFAULT_TEXT = open(bundled_data_path("default_config.ini")).read()
+DEFAULT_TEXT = Path(bundled_data_path("default_config.ini")).read_text()
 _parser = configparser.ConfigParser(delimiters=("=",))
 _parser.optionxform = str
 _parser.read_string(DEFAULT_TEXT)

@@ -183,7 +183,8 @@ class TestSolveOptimal:
         sol = solve_optimal(delta, ClimateModel("near", m), scenario)
         assert abs(sol.roots.lam_minus + theta) < 2e-5
         i_a, i_e = closed_loop_integrals([delta], [sol.roots.stiffness], [0.06], scenario)
-        j = weighted_costs(i_a[0, 0], i_e[0, 0], 0.00244, scenario)
+        j = weighted_costs(i_a[0, 0], i_e[0, 0], 0.00244, scenario.econ.alpha,
+                           scenario.econ.beta, scenario.e0)
         a, e = sol.abatement, sol.net_emissions
         alpha, beta = scenario.econ.alpha, scenario.econ.beta
 

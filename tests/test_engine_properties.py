@@ -97,7 +97,8 @@ def test_engine_matches_exppoly_closed_form(baseline, econ, e0, delta, m,
     i_a, i_e = closed_loop_integrals([delta], [sol.roots.stiffness], [delta_eval], scenario)
     for d, ccr, got in [
         (delta, m, sol.j_star),
-        (delta_eval, m_eval, weighted_costs(i_a[0, 0], i_e[0, 0], m_eval, scenario)),
+        (delta_eval, m_eval,
+         weighted_costs(i_a[0, 0], i_e[0, 0], m_eval, econ.alpha, econ.beta, e0)),
     ]:
         expected = discounted_total_cost(sol.abatement, econ, ClimateModel("x", ccr),
                                          d, baseline, e0)
@@ -145,7 +146,7 @@ def test_no_abatement_cost_is_exact(baseline, econ, e0, delta_eval, m_eval):
     assume(e0 > 0 or not baseline.is_zero)
     scenario = ScenarioConfig(baseline=baseline, e0=e0, econ=econ)
     i_a, i_e = closed_loop_integrals([1.0], [0.0], [delta_eval], scenario)
-    got = weighted_costs(i_a[0, 0], i_e[0, 0], m_eval, scenario)
+    got = weighted_costs(i_a[0, 0], i_e[0, 0], m_eval, econ.alpha, econ.beta, e0)
     expected = _exact_no_abatement_cost(baseline, e0, delta_eval, econ.beta, m_eval)
     assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
@@ -212,7 +213,7 @@ def test_engine_matches_schur_lyapunov(baseline, econ, e0, delta, m, gap, pick,
     scenario = ScenarioConfig(baseline=baseline, e0=e0, econ=econ)
     # the loop, then no abatement (k = 0); the reference builds its own
     i_a, i_e = closed_loop_integrals([delta, 1.0], [k, 0.0], [delta_eval], scenario)
-    got = weighted_costs(i_a[:, 0], i_e[:, 0], m_eval, scenario)
+    got = weighted_costs(i_a[:, 0], i_e[:, 0], m_eval, econ.alpha, econ.beta, e0)
     for loop, cost in zip([(delta, k), None], got):
         expected = _schur_lyapunov_cost(baseline, e0, econ, loop, delta_eval, m_eval)
         assert cost == pytest.approx(expected, rel=1e-12, abs=0.0)

@@ -16,7 +16,7 @@ from mmrclimate.control import (
     solve_optimal,
 )
 from mmrclimate.economy import ClimateModel, EconParams
-from mmrclimate.errors import NoPeak, ValidationError
+from mmrclimate.errors import NonConvergence, NoPeak, ValidationError
 from mmrclimate.exppoly import ExpPoly
 from mmrclimate.regret import (
     ROOT_TOL,
@@ -175,6 +175,32 @@ class TestMatrixInvariants:
         assert diagonal
         for i, j in diagonal:
             assert matrix.values[i, j] == 0.0
+
+    @pytest.mark.parametrize("bad, name", [
+        ("no states", "states"),
+        ("no policies", "policies"),
+        ("no abatement as a state", "states"),
+    ])
+    def test_bad_inputs_are_named(self, small_matrix, small_scenario, bad, name):
+        states, policies = list(small_matrix.states), list(small_matrix.policies)
+        if bad == "no states":
+            states = []
+        elif bad == "no policies":
+            policies = []
+        else:
+            states.append(Policy.no_abatement())
+        with pytest.raises(ValidationError, match=name):
+            regret_matrix(policies, states, small_scenario)
+
+    def test_overflowing_weighting_is_named(self, small_matrix, small_scenario):
+        # the weightings are weighed in one broadcast; the error names the
+        # first weighting whose costs overflow, and the scenario's e0
+        weights = [EconParams(alpha=1e-4, beta=0.01), EconParams(alpha=2e-4, beta=1e308),
+                   EconParams(alpha=3e-4, beta=1e308)]
+        with pytest.raises(NonConvergence,
+                           match=r"alpha = 0\.0002, beta = 1e\+308, e0 = 500\.0:"):
+            _regret_matrices(small_matrix.policies, small_matrix.states,
+                             small_scenario, weights)
 
 
 class TestScalingInvariance:
@@ -405,19 +431,19 @@ class TestSweep:
         assert calls == [len(report.cells)] == [9]
 
     def test_one_batched_path_solve(self, config, scenario, monkeypatch):
-        # the baseline's state-space form is built once for the engine and
-        # once for all nine paths; a path solved alone would build it again
+        # the loops are formed once for the engine and once for all nine
+        # paths; a path solved alone would form its loop again
         control = importlib.import_module("mmrclimate.control")
-        forcing, calls = control._forcing, []
+        loops, calls = control._loops, []
 
         def counted(*args):
-            calls.append("forcing")
-            return forcing(*args)
+            calls.append(len(args[0]))
+            return loops(*args)
 
-        monkeypatch.setattr(control, "_forcing", counted)
+        monkeypatch.setattr(control, "_loops", counted)
         sweep(config.alpha_grid, config.beta_grid, config.deltas,
               config.ensemble, scenario)
-        assert calls == ["forcing"] * 2
+        assert calls == [9 * 43, 9]
 
     def test_no_abatement_choice_has_no_peak(self, config, scenario, monkeypatch):
         # no abatement is the k = 0 loop, whose path is the passive one
@@ -467,10 +493,11 @@ class TestSweep:
         alphas, betas = [1e-4, 2e-4], [0.01, 0.02]
         states = build_states(config.deltas, config.ensemble)
         policies = build_policy_set(config.deltas, config.ensemble, scenario)
-        scenarios = [replace(scenario, econ=EconParams(alpha=a, beta=b))
-                     for a in alphas for b in betas]
+        weights = [EconParams(alpha=a, beta=b) for a in alphas for b in betas]
+        scenarios = [replace(scenario, econ=econ) for econ in weights]
         lone = [regret_matrix(policies, states, s) for s in scenarios]
-        for together, alone in zip(_regret_matrices(policies, states, scenarios), lone):
+        for together, alone in zip(_regret_matrices(policies, states, scenario, weights),
+                                   lone):
             assert together.values.tobytes() == alone.values.tobytes()
             assert together.j_opt.tobytes() == alone.j_opt.tobytes()
         report = sweep(alphas, betas, config.deltas, config.ensemble, scenario)
