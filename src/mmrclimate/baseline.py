@@ -49,6 +49,8 @@ class EmissionsSeries:
         object.__setattr__(self, "emissions", e)
         if t.shape != e.shape or t.ndim != 1:
             raise ValidationError("year/emissions arrays must be 1-d and equal length")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(e))):
+            raise ValidationError("year offsets and emissions must be finite")
         if len(t) < MIN_POINTS:
             raise ValidationError(f"need at least {MIN_POINTS} points, got {len(t)}")
         if np.any(np.diff(t) <= 0):
@@ -82,11 +84,21 @@ class BaselineParams:
 
 
 def load_emissions(path, start_year: int = 2020) -> EmissionsSeries:
-    """Read a `year,emissions_gtc` CSV into offsets from ``start_year``."""
+    """Read a UTF-8 `year,emissions_gtc` CSV into offsets from
+    ``start_year``.  Lines starting with ``#`` are comments; an error names
+    the file's own line number, comments counted."""
     years, values = [], []
+    numbers = []   # file line number of each line the reader has read
+
+    def lines(fh):
+        for number, line in enumerate(fh, start=1):
+            if not line.lstrip().startswith("#"):
+                numbers.append(number)
+                yield line
+
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(row for row in fh if not row.lstrip().startswith("#"))
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(lines(fh))
             header = next(reader, None)
             if header is None:
                 raise ParseError(f"{path}: empty file")
@@ -95,15 +107,18 @@ def load_emissions(path, start_year: int = 2020) -> EmissionsSeries:
                 raise ParseError(
                     f"{path}: expected header 'year,emissions_gtc', got {header}"
                 )
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row or all(not cell.strip() for cell in row):
                     continue
                 try:
-                    years.append(float(row[0]))
-                    values.append(float(row[1]))
+                    year, value = float(row[0]), float(row[1])
                 except (ValueError, IndexError) as exc:
-                    raise ParseError(f"{path}:{lineno}: malformed row {row!r}") from exc
-    except OSError as exc:
+                    raise ParseError(f"{path}:{numbers[-1]}: malformed row {row!r}") from exc
+                if not (math.isfinite(year) and math.isfinite(value)):
+                    raise ParseError(f"{path}:{numbers[-1]}: non-finite value in row {row!r}")
+                years.append(year)
+                values.append(value)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if not years:
         raise ParseError(f"{path}: no data rows")

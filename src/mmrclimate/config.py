@@ -151,18 +151,19 @@ def _floats(text: str) -> tuple:
 
 
 def load_config(path: str | None = None) -> RunConfig:
-    """Read a config file, by default the bundled one."""
+    """Read a config file, by default the bundled one: UTF-8 INI whose
+    values are literal, with no ``%`` substitution."""
     if path is None:
         path = bundled_data_path("default_config.ini")
     parser = configparser.ConfigParser(delimiters=("=",), comment_prefixes=("#",),
-                                       inline_comment_prefixes=("#",))
+                                       inline_comment_prefixes=("#",), interpolation=None)
     parser.optionxform = str
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
     except OSError as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from exc
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ParseError(f"bad config {path}: {exc}") from exc
 
     try:
@@ -220,8 +221,9 @@ def load_config(path: str | None = None) -> RunConfig:
 
 
 def save_config(config: RunConfig, path: str) -> None:
-    """Serialize with full float precision so a round trip is exact."""
-    parser = configparser.ConfigParser(delimiters=("=",))
+    """Serialize as UTF-8 with full float precision and literal values, so
+    a round trip is exact."""
+    parser = configparser.ConfigParser(delimiters=("=",), interpolation=None)
     parser.optionxform = str
     parser["scenario"] = {
         "start_year": str(config.start_year),
@@ -253,5 +255,5 @@ def save_config(config: RunConfig, path: str) -> None:
         "directory": config.output_dir,
         "formats": " ".join(config.formats),
     }
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         parser.write(fh)

@@ -159,20 +159,20 @@ def solve_optimal(delta: float, model: ClimateModel,
                   scenario: ScenarioConfig) -> OptimalSolution:
     """Exact optimal abatement for one {delta, model} pair and its cost.
 
-    The path is the one-loop case of :func:`_paths`, which writes a
-    baseline rate that collides with lam_minus as a series in the root
-    gap (see the module notes on the path's accuracy).  A zero stiffness
-    k = beta m^2 / alpha makes damages insensitive to emissions, so the
-    strictly convex cost pins abatement at exactly zero and E is the
-    passive path.  Otherwise abatement is B - dE/dt, so the state
+    ``roots`` and k are :func:`char_roots` of the pair.  The path is the
+    one-loop case of :func:`_paths`, which writes a baseline rate that
+    collides with lam_minus as a series in the root gap (see the module
+    notes on the path's accuracy).  A zero stiffness k makes damages
+    insensitive to emissions, so the strictly convex cost pins abatement
+    at exactly zero and E is the passive path.  Otherwise abatement is B - dE/dt, so the state
     equation holds exactly.  ``j_star`` is the cost of the pair's own
     loop at the requested rate, from :func:`closed_loop_integrals`
     weighed by :func:`weighted_costs`; the k = 0 loop costs +0.0.  A
     rate that is not positive and finite raises InvalidDiscount.
     """
-    _check_discount(delta)
-    k = _stiffness(scenario.econ.alpha, scenario.econ.beta, model.ccr)
-    (lam_plus,), (lam_minus,), (emissions,) = _paths([delta], [k], scenario)
+    roots = char_roots(delta, model.ccr, scenario.econ.alpha, scenario.econ.beta)
+    k = roots.stiffness
+    (emissions,) = _paths([delta], [k], scenario)
     abatement = (ExpPoly.zero() if k == 0.0
                  else scenario.baseline - emissions.derivative())
     i_a, i_e = closed_loop_integrals([delta], [k], [delta], scenario)
@@ -182,7 +182,7 @@ def solve_optimal(delta: float, model: ClimateModel,
         temperature=emissions * model.ccr,
         model=model,
         delta=delta,
-        roots=CharRoots(lam_plus=float(lam_plus), lam_minus=float(lam_minus), stiffness=k),
+        roots=roots,
         j_star=float(weighted_costs(i_a[0, 0], i_e[0, 0], model.ccr, scenario.econ.alpha,
                                     scenario.econ.beta, scenario.e0)),
     )
@@ -190,12 +190,11 @@ def solve_optimal(delta: float, model: ClimateModel,
 
 def _paths(delta, k, scenario: ScenarioConfig):
     """The optimal paths of the loops of discount rates ``delta`` and
-    stiffnesses ``k`` = beta m^2 / alpha, two equal-length 1-D arrays, as
-    (lam_plus, lam_minus, emissions): per loop the roots and the net
-    cumulative emissions E, an ExpPoly.  E is the bounded particular
-    response E_p = p.w over the basis of :func:`_loops`, plus the
-    stable mode (e0 - E_p(0)) e^{lam_minus t}; a k = 0 loop is passive,
-    E = e0 plus the cumulative baseline.
+    stiffnesses ``k`` = beta m^2 / alpha, two equal-length 1-D arrays: per
+    loop the net cumulative emissions E, an ExpPoly.  E is the bounded
+    particular response E_p = p.w over the basis of :func:`_loops`, plus
+    the stable mode (e0 - E_p(0)) e^{lam_minus t}; a k = 0 loop is
+    passive, E = e0 plus the cumulative baseline.
 
     Every baseline rate is < 0 < delta < lam_plus, so only lam_minus
     collides.  A component t^j e^{mu t} / j! of w whose rate is within
@@ -208,7 +207,7 @@ def _paths(delta, k, scenario: ScenarioConfig):
     stable mode is unchanged, and every other component, and every loop
     with no collision, keeps its bits.
     """
-    g, c, _, basis, lam_plus, lam_minus, s = _loops(delta, k, scenario.baseline)
+    g, c, basis, lam_minus, s = _loops(delta, k, scenario.baseline)
     # bounded particular response E_p = p.w: A_p = -lam_minus E_p + s.w
     # and dE_p/dt = B - A_p give (G - lam_minus I)^T p = c - s; the
     # diagonal of G holds every baseline rate
@@ -233,18 +232,18 @@ def _paths(delta, k, scenario: ScenarioConfig):
         e_part = ExpPoly(tuple((p_ij / math.factorial(j), j, mu)
                                for p_ij, (j, mu) in zip(p_i, basis)) + tuple(series_i))
         emissions.append(e_part + ExpPoly.term(scenario.e0 - e_part(0.0), 0, lam))
-    return lam_plus, lam_minus, emissions
+    return emissions
 
 
 def _loops(delta, k, baseline: ExpPoly):
     """The loops of discount rates ``delta`` and stiffnesses ``k``, two
-    equal-length 1-D arrays, as (g, c, w0, basis, lam_plus, lam_minus, s).
-    The baseline is B(t) = c.w(t) with dw/dt = G w, w(0) = w0: each rate
-    mu gets one Jordan block over the basis t^j e^{mu t} / j!, sized by
-    its highest power, and ``basis`` lists the (power j, rate mu) of each
-    component of w; this is the one place the baseline is grouped by
-    rate.  Per loop, lam_plus and lam_minus are the roots and s the
-    feedback of A = -lam_minus E + s.w, (G - lam_plus I)^T s = lam_minus c."""
+    equal-length 1-D arrays, as (g, c, basis, lam_minus, s).  The
+    baseline is B(t) = c.w(t) with dw/dt = G w: each rate mu gets one
+    Jordan block over the basis t^j e^{mu t} / j!, sized by its highest
+    power, and ``basis`` lists the (power j, rate mu) of each component
+    of w, so w(0) is 1 where j = 0; this is the one place the baseline is
+    grouped by rate.  Per loop, s is the feedback of A = -lam_minus E +
+    s.w, (G - lam_plus I)^T s = lam_minus c."""
     groups: dict[float, dict[int, float]] = {}
     for coeff, n, mu in baseline.terms:
         groups.setdefault(mu, {})[n] = coeff
@@ -254,11 +253,10 @@ def _loops(delta, k, baseline: ExpPoly):
         if j:
             g[i, i - 1] = 1.0
     c = np.array([groups[mu].get(j, 0.0) * math.factorial(j) for j, mu in basis])
-    w0 = np.array([float(j == 0) for j, _ in basis])
     lam_plus, lam_minus = _roots(*np.array([delta, k], dtype=float))
     g_shift = g.T - lam_plus[:, None, None] * np.eye(len(c))
     s = np.linalg.solve(g_shift, (lam_minus[:, None] * c)[..., None])[..., 0]
-    return g, c, w0, basis, lam_plus, lam_minus, s
+    return g, c, basis, lam_minus, s
 
 
 @np.errstate(over="ignore", invalid="ignore")   # non-finite costs raise below
@@ -302,7 +300,7 @@ def closed_loop_integrals(delta, k, rates, scenario: ScenarioConfig):
     """
     for rate in rates:
         _check_discount(rate, "evaluation discount rate")
-    g, c, w0, basis, _, lam_minus, s = _loops(delta, k, scenario.baseline)
+    g, c, basis, lam_minus, s = _loops(delta, k, scenario.baseline)
 
     # x = (E, w) with each Jordan block reversed, higher powers first:
     # w_{j-1} drives w_j and now follows it, so F is upper triangular.  Its
@@ -314,7 +312,7 @@ def closed_loop_integrals(delta, k, rates, scenario: ScenarioConfig):
     upper = [[(1 + p, feed[:, p, None]) for p in range(len(w_order))]] + [
         [(p + 2, 1.0)] if basis[i][0] else [] for p, i in enumerate(w_order)]
     q = [-lam_minus[:, None]] + [s[:, i, None] for i in w_order]
-    x0 = [scenario.e0] + [w0[i] for i in w_order]
+    x0 = [scenario.e0] + [float(basis[i][0] == 0) for i in w_order]
 
     # with M = F - delta_eval/2, rows i and columns j from the last:
     # (M_ii + M_jj) Y_ij = -x0_i x0_j - sum_{l>i} M_il Y_lj - sum_{l>j} M_jl Y_il

@@ -370,8 +370,7 @@ def _peak(delta: float, m: float, scenario: ScenarioConfig, root_tol: float) -> 
     compare by value, equal keys give the same peak to the bit, and a Peak
     is immutable, so a kept one serves every equal key."""
     k = _stiffness(scenario.econ.alpha, scenario.econ.beta, m)
-    *_, emissions = _paths([delta], [k], scenario)
-    return _peaks(emissions, root_tol)[0]
+    return _peaks(_paths([delta], [k], scenario), root_tol)[0]
 
 
 @dataclass(frozen=True)
@@ -391,7 +390,6 @@ class SweepCell:
 
 @dataclass(frozen=True)
 class SweepReport:
-    alphas: tuple
     betas: tuple
     cells: tuple                # row-major over (alpha, beta)
 
@@ -420,7 +418,7 @@ def sweep(alphas, betas, deltas, ensemble, scenario: ScenarioConfig,
     chosen = [mmr_select(matrix)
               for matrix in _regret_matrices(policies, states, scenario, weights)]
     delta, m = np.array([_pair(policy) for policy, _ in chosen]).T
-    *_, emissions = _paths(delta, _stiffness(*np.array(grid, dtype=float).T, m), scenario)
+    emissions = _paths(delta, _stiffness(*np.array(grid, dtype=float).T, m), scenario)
     peaks = _peaks(emissions, root_tol)
     cells = []
     for (alpha, beta), (policy, value), peak in zip(grid, chosen, peaks):
@@ -431,5 +429,4 @@ def sweep(alphas, betas, deltas, ensemble, scenario: ScenarioConfig,
             mmr_value=value, years_to_peak=years, tmax_degc=peak_degc,
             tmax_model=worst_model.name,
         ))
-    return SweepReport(alphas=tuple(alphas), betas=tuple(betas),
-                       cells=tuple(cells))
+    return SweepReport(betas=tuple(betas), cells=tuple(cells))

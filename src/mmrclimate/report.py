@@ -176,15 +176,10 @@ def sweep_csv(report: SweepReport, timestamp: bool = True) -> str:
 
 
 def _blocks_side_by_side(blocks, gap="    "):
-    rows = max(len(b) for b in blocks)
+    """Blocks of equal line count, their lines joined left to right."""
     width = [max(len(line) for line in b) for b in blocks]
-    out = []
-    for i in range(rows):
-        cells = [
-            (b[i] if i < len(b) else "").ljust(w) for b, w in zip(blocks, width)
-        ]
-        out.append(gap.join(cells).rstrip())
-    return "\n".join(out)
+    return "\n".join(gap.join(line.ljust(w) for line, w in zip(lines, width)).rstrip()
+                     for lines in zip(*blocks))
 
 
 def _sweep_table(report: SweepReport, title: str, header: str, row,

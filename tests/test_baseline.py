@@ -1,6 +1,7 @@
 """Emissions ingestion and the three-parameter baseline fit."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +64,44 @@ class TestLoadEmissions:
         path.write_text("year,emissions_gtc\n2020,ten\n")
         with pytest.raises(ParseError):
             load_emissions(path)
+
+    def test_error_names_the_file_line_counting_comments(self, tmp_path):
+        # the bundled series opens with two comment lines; a bad row on
+        # file line 5 is reported as line 5
+        bundled = Path(bundled_data_path("extended_rcp85_emissions.csv")).read_text()
+        lines = bundled.splitlines(keepends=True)
+        assert [line.startswith("#") for line in lines[:3]] == [True, True, False]
+        lines[4] = "2030;12.40\n"
+        path = tmp_path / "bad.csv"
+        path.write_text("".join(lines))
+        with pytest.raises(ParseError, match=r"bad\.csv:5: malformed row"):
+            load_emissions(path)
+
+    @pytest.mark.parametrize("row", ["2040,nan", "2040,inf", "2040,-inf", "nan,14.7",
+                                     "inf,14.7", "2040,1e309"])
+    def test_non_finite_row_names_its_line(self, tmp_path, row):
+        rows = [f"{2020 + 10 * i},{10.0 + i}" for i in range(25)]
+        rows[2] = row
+        path = tmp_path / "nonfinite.csv"
+        path.write_text("# a comment\nyear,emissions_gtc\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ParseError, match=r"nonfinite\.csv:5: non-finite value"):
+            load_emissions(path)
+
+    def test_non_utf8_file_is_parse_error(self, tmp_path):
+        rows = "\n".join(f"{2020 + 10 * i},{10.0 + i}" for i in range(25))
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"# caf\xe9\nyear,emissions_gtc\n" + rows.encode() + b"\n")
+        with pytest.raises(ParseError, match="latin.csv: 'utf-8' codec"):
+            load_emissions(path)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["year_offsets", "emissions"])
+    def test_series_refuses_non_finite_arrays(self, field, bad):
+        arrays = {"year_offsets": np.arange(0.0, 250.0, 10.0),
+                  "emissions": np.full(25, 10.0)}
+        arrays[field][3] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            EmissionsSeries(**arrays)
 
     def test_non_increasing_years(self, tmp_path):
         rows = "\n".join(f"{2020 + 10 * i},{10.0}" for i in range(25))

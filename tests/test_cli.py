@@ -342,6 +342,21 @@ class TestFitBaseline:
         assert refit.baseline.phi == original.baseline.phi
         assert refit.baseline.b0 == original.baseline.b0
 
+    @pytest.mark.parametrize("directory", ["out%x", "out%%x", "out%(beta)s"])
+    def test_writes_and_reads_back_a_literal_directory(self, tmp_path, monkeypatch,
+                                                       capsys, directory):
+        # the output directory is read and written as it stands: fit-baseline
+        # writes there and its config names the same directory
+        text = Path(bundled_data_path("default_config.ini")).read_text()
+        path = tmp_path / "percent.ini"
+        path.write_text(text.replace("directory = out", f"directory = {directory}"))
+        monkeypatch.chdir(tmp_path)
+        assert run(["fit-baseline"], config=str(path)) == 0
+        fitted = tmp_path / directory / "fitted_config.ini"
+        assert f"directory = {directory}\n" in fitted.read_text()
+        assert load_config(str(fitted)).output_dir == directory
+        assert (tmp_path / directory / "fit_report.txt").exists()
+
     def test_config_round_trip_is_exact(self, tmp_path):
         cfg = load_config()
         path = tmp_path / "copy.ini"
@@ -645,6 +660,25 @@ class TestConfigHandling:
         assert run(["regret-table"], str(out), str(path)) == 2
         assert "formats" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "latin.ini"
+        path.write_bytes(b"# caf\xe9\n"
+                         + Path(bundled_data_path("default_config.ini")).read_bytes())
+        out = tmp_path / "o"
+        assert run(["fit-baseline"], str(out), str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad config") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["%(beta)s", "%"])
+    def test_percent_is_literal_not_substituted(self, tmp_path, capsys, value):
+        # no % interpolation: alpha = %(beta)s is not beta's value
+        text = Path(bundled_data_path("default_config.ini")).read_text()
+        path = tmp_path / "percent.ini"
+        path.write_text(text.replace("alpha = 0.000125", f"alpha = {value}"))
+        assert run(["mmr"], config=str(path)) == 2
+        assert f"'{value}'" in capsys.readouterr().err
 
     def test_unreadable_config(self, tmp_path, capsys):
         assert run(["mmr"], config=str(tmp_path / "missing.ini")) == 2

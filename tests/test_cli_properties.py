@@ -36,7 +36,8 @@ _parser.read_string(DEFAULT_TEXT)
 KEYS = [key for section in _parser.sections() for key in _parser[section]
         if key != "directory"]
 
-VALUES = ["0", "-1", "nan", "inf", "-inf", "1e300", "1e-300", "text", ""]
+VALUES = ["0", "-1", "nan", "inf", "-inf", "1e300", "1e-300", "text", "", "50%",
+          "%(beta)s"]
 COMMANDS = [["fit-baseline"], ["tmax", "--no-abatement"], ["mmr"], ["sweep"],
             ["solve", "--delta", "0.02", "--model", "IPSL"]]
 NON_FINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
@@ -50,6 +51,7 @@ NON_FINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
 @example(key="root_tol", value="nan", command=["fit-baseline"])
 @example(key="GFDL", value="1e300", command=["mmr"])
 @example(key="start_year", value="-1", command=["fit-baseline"])
+@example(key="data", value="50%", command=["fit-baseline"])
 def test_bad_config_value_ends_in_documented_exit(key, value, command):
     text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", DEFAULT_TEXT,
                           count=1, flags=re.M)

@@ -171,6 +171,21 @@ class TestSolveOptimal:
                            for d in (0.035, 0.045))
         assert neighbors[0] < sol.j_star < neighbors[1]
 
+    @pytest.mark.parametrize("delta, name", [(0.02, "IPSL"), (0.05, "GFDL"), (0.07, "HAD")])
+    def test_reported_stable_root_is_the_path_stable_mode(self, config, scenario,
+                                                          delta, name):
+        # away from resonance E is the particular response plus the stable
+        # mode (e0 - E_p(0)) e^{lam_minus t}: the reported root is the rate
+        # of a term of the path itself, and no baseline rate
+        sol = solve_optimal(delta, config.model(name), scenario)
+        lam = sol.roots.lam_minus
+        assert lam not in scenario.baseline.rates()
+        (mode,) = [(c, n) for c, n, rate in sol.net_emissions.terms if rate == lam]
+        particular = sum(c for c, n, rate in sol.net_emissions.terms if n == 0 and rate != lam)
+        assert mode[1] == 0
+        assert mode[0] == pytest.approx(scenario.e0 - particular, rel=1e-12)
+        assert mode[0] != 0.0
+
     def test_near_resonant_costing_matches_quadrature(self, scenario):
         # gap ~ 1e-5: float path coefficients cancel, yet the cost engine
         # must still agree with adaptive quadrature of the float-built path

@@ -24,6 +24,7 @@ from mmrclimate.config import load_config  # noqa: E402
 from mmrclimate.control import (  # noqa: E402
     ScenarioConfig,
     _paths,
+    _roots,
     _stiffness,
     char_roots,
     closed_loop_integrals,
@@ -337,7 +338,7 @@ def test_batched_paths_equal_each_solved_path(decimal_emissions, baseline, econ,
     times = np.arange(0.0, 1001.0, 5.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, _, emissions = _paths(delta, k, scenario)
+        emissions = _paths(delta, k, scenario)
         for (kind, *_), (d, m), k_i, batched in zip(specs, loops, k.tolist(), emissions):
             path = solve_optimal(d, ClimateModel("m", m), scenario)
             assert _bits(batched) == _bits(path.net_emissions)
@@ -356,11 +357,12 @@ def test_resonant_loop_is_nudged_alone():
     scenario = ScenarioConfig(baseline=TWO_RATES, e0=500.0, econ=EconParams(1.25e-4, 0.018))
     mu, delta = -0.0125, np.array([0.03, 0.005, 0.02])
     k = np.array([0.0, mu * mu - 0.005 * mu, 0.0007])
-    _, lam_minus, emissions = _paths(delta, k, scenario)
-    _, _, others = _paths(delta[[0, 2]], k[[0, 2]], scenario)
+    emissions = _paths(delta, k, scenario)
+    others = _paths(delta[[0, 2]], k[[0, 2]], scenario)
     assert [_bits(e) for e in others] == [_bits(emissions[0]), _bits(emissions[2])]
     # here lam_minus == mu, so the series is its n = 0 term alone, of
     # power 3 on the power-2 block
+    _, lam_minus = _roots(delta, k)
     assert lam_minus[1] == mu
     assert max(n for _, n, rate in emissions[1].terms if rate == mu) == 3
 
@@ -373,10 +375,10 @@ def test_passive_loop_is_never_resonant():
     scenario = replace(config, baseline=replace(config.baseline, theta=1e-300)).to_scenario()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        (_, lam_minus, (emissions,)) = _paths([1.0], [0.0], scenario)
+        (emissions,) = _paths([1.0], [0.0], scenario)
     assert emissions == net_cumulative_emissions(ExpPoly.zero(), scenario.baseline,
                                                  scenario.e0)
-    assert lam_minus[0] == 0.0
+    assert _roots(1.0, 0.0)[1] == 0.0
 
 
 BAD_DELTAS = (st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0])

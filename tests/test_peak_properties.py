@@ -19,7 +19,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from mmrclimate.config import load_config  # noqa: E402
-from mmrclimate.control import _paths, _stiffness, solve_optimal  # noqa: E402
+from mmrclimate.control import _paths, _roots, _stiffness, solve_optimal  # noqa: E402
 from mmrclimate.economy import ClimateModel, EconParams, net_cumulative_emissions  # noqa: E402
 from mmrclimate.errors import NoPeak  # noqa: E402
 from mmrclimate.exppoly import ExpPoly  # noqa: E402
@@ -50,7 +50,7 @@ def paths(draw):
     m = draw(st.sampled_from(CONFIG.ensemble)).ccr
     alpha = CONFIG.econ.alpha * draw(st.floats(0.3, 3.0))
     k = _stiffness(alpha, CONFIG.econ.beta * draw(st.floats(0.3, 3.0)), m)
-    return _paths([delta], [k], SCENARIO)[-1][0]
+    return _paths([delta], [k], SCENARIO)[0]
 
 
 def reference_peak(emissions, root_tol):
@@ -100,7 +100,7 @@ def test_bisection_kept_where_noise_flips_the_sign():
                       beta=CONFIG.econ.beta * 2.4310862099073614)
     delta = 0.011008526799724472
     k = _stiffness(econ.alpha, econ.beta, CONFIG.model("GFDL").ccr)
-    (path,) = _paths([delta], [k], SCENARIO)[-1]
+    (path,) = _paths([delta], [k], SCENARIO)
     want_time = reference_peak(path, 1e-9)
     assert _peaks([path], 1e-9)[0].time == want_time
 
@@ -203,10 +203,10 @@ def test_peak_is_the_lambert_w_root(delta, model, econ, e0, root_tol):
     # half the final bracket of it, plus the slope's rounding window
     scenario = replace(SCENARIO, econ=econ, e0=e0)
     k = _stiffness(econ.alpha, econ.beta, model.ccr)
-    _, lam_minus, (path,) = _paths([delta], [k], scenario)
+    (path,) = _paths([delta], [k], scenario)
     slope = path.derivative()
     curvature = slope.derivative()
-    descending = [t for t in lambert_roots(slope, float(lam_minus[0]))
+    descending = [t for t in lambert_roots(slope, float(_roots(delta, k)[1]))
                   if 0.0 < t < 3000.0 and curvature(t) < 0]
     (peak,) = _peaks([path], root_tol)
     assert (peak.time not in (0.0, None)) == bool(descending)

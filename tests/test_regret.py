@@ -298,7 +298,7 @@ class TestTmax:
         got = [tmax(policy, model, scenario) for model in config.ensemble]
         assert calls == [1]
         k = _stiffness(scenario.econ.alpha, scenario.econ.beta, config.model("IPSL").ccr)
-        (peak,) = search(_paths([0.02], [k], scenario)[-1], ROOT_TOL)
+        (peak,) = search(_paths([0.02], [k], scenario), ROOT_TOL)
         assert got == [peak.tmax(model, policy.label()) for model in config.ensemble]
 
     def test_kept_peaks_are_keyed_by_scenario_and_tolerance(self, config, scenario):
