@@ -84,9 +84,9 @@ class BaselineParams:
 
 
 def load_emissions(path, start_year: int = 2020) -> EmissionsSeries:
-    """Read a UTF-8 `year,emissions_gtc` CSV into offsets from
-    ``start_year``.  Lines starting with ``#`` are comments; an error names
-    the file's own line number, comments counted."""
+    """Read a UTF-8 `year,emissions_gtc` CSV, with or without a byte-order
+    mark, into offsets from ``start_year``.  Lines starting with ``#`` are
+    comments; an error names the file's own line number, comments counted."""
     years, values = [], []
     numbers = []   # file line number of each line the reader has read
 
@@ -97,7 +97,7 @@ def load_emissions(path, start_year: int = 2020) -> EmissionsSeries:
                 yield line
 
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(lines(fh))
             header = next(reader, None)
             if header is None:

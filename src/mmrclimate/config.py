@@ -57,7 +57,8 @@ class ToleranceConfig:
 class RunConfig:
     """A parsed config, held to the library's rules for its ensemble, grid
     cells and ``root_tol``, plus its own: every response positive (``e0 =
-    auto`` divides by the anchor's) and both grids nonempty.  The engine's
+    auto`` divides by the anchor's), model names distinct ignoring case
+    (:meth:`model` ignores it) and both grids nonempty.  The engine's
     root rule holds for every model's closed loop under the weights and
     under each grid cell, at every rate, so no subcommand meets a model
     whose stiffness k = beta m^2 / alpha overflows."""
@@ -79,6 +80,12 @@ class RunConfig:
 
     def __post_init__(self):
         build_states(self.deltas, self.ensemble)
+        names = {}
+        for m in self.ensemble:
+            if m.name.lower() in names:
+                raise ValidationError(f"ensemble names {names[m.name.lower()]!r} and "
+                                      f"{m.name!r} are the same ignoring case")
+            names[m.name.lower()] = m.name
         _halvings(self.tolerances.root_tol)
         if any(m.ccr <= 0 for m in self.ensemble):
             raise ValidationError("ensemble responses must be positive")
@@ -151,20 +158,22 @@ def _floats(text: str) -> tuple:
 
 
 def load_config(path: str | None = None) -> RunConfig:
-    """Read a config file, by default the bundled one: UTF-8 INI whose
-    values are literal, with no ``%`` substitution."""
+    """Read a config file, by default the bundled one: UTF-8 INI, with or
+    without a byte-order mark, whose values are literal, with no ``%``
+    substitution.  A syntax error is one line, with its line number."""
     if path is None:
         path = bundled_data_path("default_config.ini")
     parser = configparser.ConfigParser(delimiters=("=",), comment_prefixes=("#",),
                                        inline_comment_prefixes=("#",), interpolation=None)
     parser.optionxform = str
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             parser.read_file(fh)
     except OSError as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from exc
     except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ParseError(f"bad config {path}: {exc}") from exc
+        # configparser spreads a syntax error over several lines
+        raise ParseError(f"bad config {path}: {' '.join(str(exc).split())}") from exc
 
     try:
         scen = parser["scenario"]

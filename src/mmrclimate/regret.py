@@ -134,10 +134,10 @@ def build_policy_set(deltas, ensemble, scenario: ScenarioConfig) -> list:
 
 @dataclass(frozen=True)
 class RegretMatrix:
-    """Rows: actual states.  Columns: policies.  Values are regrets in
-    percent of the present value of output.  ``values`` is read-only by
-    contract: :attr:`max_regret` and :attr:`mmr_index` are computed once
-    per matrix and kept."""
+    """One weighting of :func:`_regrets`.  Rows: actual states.  Columns:
+    policies.  Values are regrets in percent of the present value of
+    output.  ``values`` is read-only by contract: :attr:`max_regret` and
+    :attr:`mmr_index` are computed once per matrix and kept."""
 
     states: tuple
     policies: tuple
@@ -147,11 +147,6 @@ class RegretMatrix:
     def __post_init__(self):
         if self.values.shape != (len(self.states), len(self.policies)):
             raise ValidationError("matrix shape does not match labels")
-        if self.values.min() < -NONNEG_TOL:
-            raise ValidationError(
-                f"negative regret {self.values.min():.3e}; optimal costs are "
-                "not actually optimal"
-            )
 
     @cached_property
     def max_regret(self) -> np.ndarray:
@@ -160,18 +155,8 @@ class RegretMatrix:
 
     @cached_property
     def mmr_index(self) -> int:
-        """Column of the policy minimizing the worst-case regret.  Ties go
-        to the lower discount rate, then the lower climate response, with
-        no abatement last, then to the first column."""
-        column_max = self.max_regret
-
-        def key(j):
-            policy = self.policies[j]
-            if policy.is_no_abatement:
-                return column_max[j], (math.inf, math.inf), j
-            return column_max[j], (policy.delta, policy.model.ccr), j
-
-        return min(range(len(self.policies)), key=key)
+        """Column of the least worst-case regret, ties broken by :func:`_picks`."""
+        return int(_picks(self.policies, self.max_regret))
 
     def diagonal_indices(self):
         """(row, col) pairs where the policy provenance equals the state."""
@@ -181,49 +166,64 @@ class RegretMatrix:
 
 def regret_matrix(policies, states, scenario: ScenarioConfig) -> RegretMatrix:
     """Evaluate every policy in every state: the one-weighting case of
-    :func:`_regret_matrices`, under the scenario's own weights."""
-    return _regret_matrices(policies, states, scenario, [scenario.econ])[0]
+    :func:`_regrets`, under the scenario's own weights."""
+    values, j_opt = _regrets(policies, states, scenario, [scenario.econ])
+    return RegretMatrix(tuple(states), tuple(policies), values[0], j_opt[0])
 
 
-def _regret_matrices(policies, states, scenario: ScenarioConfig, weights) -> list:
-    """One regret matrix per weighting of ``weights``, a list of
-    :class:`EconParams`, under the baseline and e0 of ``scenario``.
+def _regrets(policies, states, scenario: ScenarioConfig, weights):
+    """The regrets of every policy in every state under each weighting of
+    ``weights``, a list of :class:`EconParams`, with the baseline and e0
+    of ``scenario``: a (weighting, state, policy) array, and each state's
+    optimal cost, a (weighting, state) array.
 
-    Each distinct state or policy is a pair, (delta, m) by :func:`_pair`,
-    and a closed loop under each weighting, of stiffness k = beta m^2 /
-    alpha; a state shares its pair with the policy optimal for it, and no
-    abatement is the k = 0 loop.  One :func:`closed_loop_integrals` call
-    integrates every (weighting, pair) loop at every distinct state
-    discount rate, and one :func:`weighted_costs` call weighs every
-    (weighting, state, policy) cell together with each state's optimal
-    cost, the cost of its own loop; so wherever that loop is also a
+    Each distinct (delta, m) of :func:`_pair` is a closed loop under each
+    weighting, of stiffness k = beta m^2 / alpha; a state shares its pair
+    with the policy optimal for it, and no abatement is the k = 0 loop.
+    One :func:`closed_loop_integrals` call integrates every (weighting,
+    pair) loop at every distinct state discount rate, and one
+    :func:`weighted_costs` call weighs every (weighting, state, policy)
+    cell and each state's own loop, so wherever that loop is also a
     column the regret is exactly zero.  Each entry depends on its own
-    (loop, rate) pair alone, so a matrix is the same to the last bit
-    whichever weightings share the call.  Empty states or policies, and
-    no abatement as a state, raise ValidationError.
-    """
+    (loop, rate) pair alone, so a weighting's regrets are the same to the
+    last bit whichever weightings share the call.  Empty states or
+    policies, no abatement as a state, and a negative regret raise
+    ValidationError."""
     if not policies:
         raise ValidationError("policies must be nonempty")
     if not states or any(state.is_no_abatement for state in states):
         raise ValidationError("states must be nonempty {delta, model} pairs, not no abatement")
-    pair_index = {pair: i for i, pair in enumerate(dict.fromkeys([*states, *policies]))}
-    delta, m = np.array([_pair(pair) for pair in pair_index], dtype=float).T
+    index = {}   # the loop of each distinct (delta, m), policies first
+    loop = [index.setdefault(pair, len(index)) for pair in map(_pair, [*policies, *states])]
+    delta, m = np.array(list(index), dtype=float).T
     # alpha and beta over (weighting, 1, 1); _roots refuses an infinite k
     alpha, beta = np.array([[w.alpha, w.beta] for w in weights]).T[..., None, None]
     k = _stiffness(alpha[:, 0], beta[:, 0], m)
-    rates = sorted({s.delta for s in states})
+    rates, rows = np.unique(delta[loop[len(policies):]], return_inverse=True)
     # per state, the loop of each policy and then its own, whose m is its ccr
-    at = np.column_stack((np.broadcast_to([pair_index[p] for p in policies],
-                                          (len(states), len(policies))),
-                          [pair_index[s] for s in states]))
-    rows = np.array([rates.index(s.delta) for s in states])[:, None]
-    i_a, i_e = (i.reshape(*k.shape, len(rates))[:, at, rows] for i in closed_loop_integrals(
-        np.broadcast_to(delta, k.shape).ravel(), k.ravel(), rates, scenario))
+    at = np.column_stack((np.broadcast_to(loop[:len(policies)], (len(states), len(policies))),
+                          loop[len(policies):]))
+    i_a, i_e = (i.reshape(*k.shape, len(rates))[:, at, rows[:, None]]
+                for i in closed_loop_integrals(np.broadcast_to(delta, k.shape).ravel(),
+                                               k.ravel(), rates, scenario))
     costs = weighted_costs(i_a, i_e, m[at[:, -1:]], alpha, beta, scenario.e0)
+    values = costs[..., :-1] - costs[..., -1:]
+    if values.min() < -NONNEG_TOL:
+        raise ValidationError(
+            f"negative regret {values.min():.3e}; optimal costs are not actually optimal")
     # a copied j_opt holds no view of ``costs``, which is freed on return
-    return [RegretMatrix(states=tuple(states), policies=tuple(policies),
-                         values=cost[:, :-1] - cost[:, -1:], j_opt=cost[:, -1].copy())
-            for cost in costs]
+    return values, costs[..., -1].copy()
+
+
+def _picks(policies, max_regret):
+    """Column of the least worst-case regret along the last axis of
+    ``max_regret``, over any leading axes.  Ties go to the lower discount
+    rate, then the lower climate response, with no abatement last, then to
+    the first column: a stable sort of the columns by (delta, ccr)."""
+    delta, ccr = np.array([(math.inf, math.inf) if p.is_no_abatement
+                           else (p.delta, p.model.ccr) for p in policies]).T
+    order = np.lexsort((ccr, delta))
+    return order[np.argmin(max_regret[..., order], axis=-1)]
 
 
 def mmr_select(matrix: RegretMatrix):
@@ -399,10 +399,10 @@ def sweep(alphas, betas, deltas, ensemble, scenario: ScenarioConfig,
     """MMR selection and peak warming across an (alpha, beta) grid.
 
     Each cell is one weighting (alpha, beta) of the scenario's loops.
-    The regret matrices of all cells come from one
-    :func:`_regret_matrices` call over the grid's weightings, and each
-    cell's matrix is the same as a lone :func:`regret_matrix` for it
-    under the scenario with the cell's weights.  One ``control._paths`` call
+    One :func:`_regrets` call over the grid's weightings gives each
+    cell's regrets, the same as a lone :func:`regret_matrix` under the
+    cell's weights, and one :func:`_picks` call every cell's MMR policy,
+    whose worst-case regret is the cell's least.  One ``control._paths`` call
     then builds the path E of the loop of every cell's MMR policy, and
     one :func:`_peaks` over them gives each cell's peak under the
     highest-response model, the worst case a planner can prepare for:
@@ -415,18 +415,18 @@ def sweep(alphas, betas, deltas, ensemble, scenario: ScenarioConfig,
     policies = build_policy_set(deltas, ensemble, scenario)
     grid = [(alpha, beta) for alpha in alphas for beta in betas]
     weights = [EconParams(alpha=alpha, beta=beta) for alpha, beta in grid]
-    chosen = [mmr_select(matrix)
-              for matrix in _regret_matrices(policies, states, scenario, weights)]
-    delta, m = np.array([_pair(policy) for policy, _ in chosen]).T
+    max_regret = _regrets(policies, states, scenario, weights)[0].max(axis=1)
+    chosen = [policies[j] for j in _picks(policies, max_regret).tolist()]
+    delta, m = np.array([_pair(policy) for policy in chosen]).T
     emissions = _paths(delta, _stiffness(*np.array(grid, dtype=float).T, m), scenario)
     peaks = _peaks(emissions, root_tol)
     cells = []
-    for (alpha, beta), (policy, value), peak in zip(grid, chosen, peaks):
+    for (alpha, beta), policy, value, peak in zip(grid, chosen, max_regret.min(axis=1), peaks):
         years, peak_degc = peak.tmax(worst_model, policy.label())
         cells.append(SweepCell(
             alpha=alpha, beta=beta,
             policy_delta=policy.delta, policy_model=policy.model.name,
-            mmr_value=value, years_to_peak=years, tmax_degc=peak_degc,
+            mmr_value=float(value), years_to_peak=years, tmax_degc=peak_degc,
             tmax_model=worst_model.name,
         ))
     return SweepReport(betas=tuple(betas), cells=tuple(cells))

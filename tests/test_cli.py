@@ -662,13 +662,32 @@ class TestConfigHandling:
         assert not out.exists()
 
     def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
-        path = tmp_path / "latin.ini"
-        path.write_bytes(b"# caf\xe9\n"
-                         + Path(bundled_data_path("default_config.ini")).read_bytes())
+        # so is a syntax error, in one line that keeps its line number
+        text = Path(bundled_data_path("default_config.ini")).read_bytes()
+        for name, data, where in [
+                ("latin.ini", b"# caf\xe9\n" + text, ""),
+                ("bracket.ini", text.replace(b"[scenario]", b"[scenario"), "line: 1 "),
+                ("bare.ini", text.replace(b"[economy]\n", b"[economy]\nx\n"), "[line 16]: "),
+        ]:
+            path = tmp_path / name
+            path.write_bytes(data)
+            out = tmp_path / "o"
+            assert run(["fit-baseline"], str(out), str(path)) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: bad config") and err.count("\n") == 1
+            assert where in err
+            assert not out.exists()
+
+    def test_names_colliding_ignoring_case_are_config_error(self, tmp_path, capsys):
+        # tmax --model had would find HAD first and evaluate its pair
+        text = Path(bundled_data_path("default_config.ini")).read_text()
+        path = tmp_path / "had.ini"
+        path.write_text(text.replace("HAD = 0.002286\n", "HAD = 0.002286\nhad = 0.0021\n"))
         out = tmp_path / "o"
-        assert run(["fit-baseline"], str(out), str(path)) == 2
+        assert run(["tmax", "--delta", "0.02", "--model", "had"], str(out), str(path)) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: bad config") and err.count("\n") == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "'HAD'" in err and "'had'" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["%(beta)s", "%"])

@@ -6,7 +6,8 @@ engine: the ExpPoly closed form on the solved path, exact rational
 arithmetic, a Schur-based Lyapunov solve, or the brute-force oracle.
 The solved paths themselves are held against a 120-digit reference, and
 the batched paths a sweep searches against each pair's own path.  Every
-entry point that takes a discount rate refuses the same bad ones."""
+entry point that takes a discount rate refuses the same bad ones, and the
+vectorised MMR pick keeps the column-by-column tie-break."""
 
 import math
 import warnings
@@ -42,6 +43,7 @@ from mmrclimate.errors import InvalidDiscount, ValidationError  # noqa: E402
 from mmrclimate.exppoly import ExpPoly  # noqa: E402
 from mmrclimate.regret import (  # noqa: E402
     Policy,
+    _picks,
     build_policy_set,
     build_states,
     mmr_select,
@@ -423,3 +425,37 @@ def test_raw_roots_hold_the_weights_rule():
     # char_roots checks raw weights by EconParams' rule: beta = 0 is refused
     with pytest.raises(ValidationError, match="alpha and beta must be positive"):
         char_roots(0.04, 0.002, 1.25e-4, 0.0)
+
+
+@st.composite
+def tied_columns(draw):
+    """Policies over a few (delta, ccr) pairs, each repeated under other
+    names, rates at and past no abatement's 1.0, and no abatement at any
+    column; and rows of max regrets from three values, so ties abound."""
+    pairs = draw(st.lists(st.tuples(st.sampled_from([0.01, 0.02, 1.0, 2.5]),
+                                    st.sampled_from([0.0015, 0.002, 0.0025])),
+                          min_size=1, max_size=4))
+    which = draw(st.lists(st.integers(-1, len(pairs) - 1), min_size=1, max_size=8))
+    policies = [Policy.no_abatement() if i < 0 else
+                Policy(pairs[i][0], ClimateModel(f"M{j}", pairs[i][1]))
+                for j, i in enumerate(which)]
+    rows = draw(st.lists(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=len(which),
+                                  max_size=len(which)), min_size=1, max_size=5))
+    return policies, np.array(rows)
+
+
+@PROPERTY
+@given(columns=tied_columns())
+def test_picks_keep_the_column_by_column_tie_break(columns):
+    # least max regret, then lower delta, then lower ccr, no abatement
+    # last, then the first column: one Python min per row
+    policies, max_regret = columns
+
+    def key(row, j):
+        p = policies[j]
+        pair = (math.inf, math.inf) if p.is_no_abatement else (p.delta, p.model.ccr)
+        return row[j], pair, j
+
+    want = [min(range(len(policies)), key=lambda j: key(row, j)) for row in max_regret]
+    assert _picks(policies, max_regret).tolist() == want
+    assert _picks(policies, max_regret[:, None]).tolist() == [[j] for j in want]

@@ -20,11 +20,13 @@ values to tolerances instead (``test_report.py`` holds
 ``regret_matrix.csv`` to the matrix it prints, bit for bit).
 """
 
+import codecs
 from pathlib import Path
 
 import pytest
 
 from mmrclimate.cli import main
+from mmrclimate.config import bundled_data_path
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -68,3 +70,20 @@ def test_tmax_variant_stdout_matches_golden(run_default, args, name):
 
 def test_mmr_stdout_matches_golden(run_default):
     assert run_default("mmr") == (GOLDEN / "mmr_stdout.txt").read_text()
+
+
+def test_byte_order_marked_config_prints_golden(run_default, tmp_path):
+    text = Path(bundled_data_path("default_config.ini")).read_bytes()
+    (tmp_path / "bom.ini").write_bytes(codecs.BOM_UTF8 + text)
+    assert run_default("--config", "bom.ini", "mmr") == (GOLDEN / "mmr_stdout.txt").read_text()
+
+
+def test_byte_order_marked_series_fits_golden(run_default, tmp_path):
+    series = Path(bundled_data_path("extended_rcp85_emissions.csv")).read_bytes()
+    (tmp_path / "bom.csv").write_bytes(codecs.BOM_UTF8 + series)
+    text = Path(bundled_data_path("default_config.ini")).read_text()
+    (tmp_path / "bom.ini").write_text(
+        text.replace("data = extended_rcp85_emissions.csv", "data = bom.csv"))
+    run_default("--config", "bom.ini", "fit-baseline")
+    name = "fit_report.txt"
+    assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()

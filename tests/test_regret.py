@@ -14,6 +14,7 @@ from mmrclimate.control import (
     _paths,
     _stiffness,
     solve_optimal,
+    weighted_costs,
 )
 from mmrclimate.economy import ClimateModel, EconParams
 from mmrclimate.errors import NonConvergence, NoPeak, ValidationError
@@ -22,7 +23,8 @@ from mmrclimate.regret import (
     ROOT_TOL,
     Policy,
     _peaks,
-    _regret_matrices,
+    _picks,
+    _regrets,
     build_policy_set,
     build_states,
     mmr_select,
@@ -199,8 +201,24 @@ class TestMatrixInvariants:
                    EconParams(alpha=3e-4, beta=1e308)]
         with pytest.raises(NonConvergence,
                            match=r"alpha = 0\.0002, beta = 1e\+308, e0 = 500\.0:"):
-            _regret_matrices(small_matrix.policies, small_matrix.states,
-                             small_scenario, weights)
+            _regrets(small_matrix.policies, small_matrix.states, small_scenario, weights)
+
+    def test_negative_regret_is_refused(self, small_matrix, small_scenario, monkeypatch):
+        # each state's own cost raised past every column's: regret_matrix
+        # and sweep meet the one check, every weighting at once
+        regret_module = importlib.import_module("mmrclimate.regret")
+
+        def raised(*args):
+            costs = weighted_costs(*args)
+            costs[..., -1] += 1.0
+            return costs
+
+        monkeypatch.setattr(regret_module, "weighted_costs", raised)
+        with pytest.raises(ValidationError, match="negative regret"):
+            regret_matrix(small_matrix.policies, small_matrix.states, small_scenario)
+        with pytest.raises(ValidationError, match="negative regret"):
+            sweep([1.25e-4, 2.5e-4], [0.018], (0.01, 0.03, 0.05), TWO_MODELS,
+                  small_scenario)
 
 
 class TestScalingInvariance:
@@ -448,8 +466,8 @@ class TestSweep:
     def test_no_abatement_choice_has_no_peak(self, config, scenario, monkeypatch):
         # no abatement is the k = 0 loop, whose path is the passive one
         regret_module = importlib.import_module("mmrclimate.regret")
-        monkeypatch.setattr(regret_module, "mmr_select",
-                            lambda matrix: (Policy.no_abatement(), 1.0))
+        monkeypatch.setattr(regret_module, "_picks", lambda policies, max_regret: np.full(
+            max_regret.shape[:-1], len(policies) - 1))
         with pytest.raises(NoPeak, match="under no-abatement"):
             sweep(config.alpha_grid, config.beta_grid, config.deltas,
                   config.ensemble, scenario)
@@ -496,10 +514,10 @@ class TestSweep:
         weights = [EconParams(alpha=a, beta=b) for a in alphas for b in betas]
         scenarios = [replace(scenario, econ=econ) for econ in weights]
         lone = [regret_matrix(policies, states, s) for s in scenarios]
-        for together, alone in zip(_regret_matrices(policies, states, scenario, weights),
-                                   lone):
-            assert together.values.tobytes() == alone.values.tobytes()
-            assert together.j_opt.tobytes() == alone.j_opt.tobytes()
+        values, j_opt = _regrets(policies, states, scenario, weights)
+        for i, alone in enumerate(lone):
+            assert values[i].tobytes() == alone.values.tobytes()
+            assert j_opt[i].tobytes() == alone.j_opt.tobytes()
         report = sweep(alphas, betas, config.deltas, config.ensemble, scenario)
         worst = max(config.ensemble, key=lambda m: m.ccr)
         for cell, matrix, cell_scenario in zip(report.cells, lone, scenarios):
