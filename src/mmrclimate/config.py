@@ -12,13 +12,16 @@ Schema (see README for the full key list)::
     [scenario]   start_year, e0, anchor_temp_degc, anchor_model
     [baseline]   variant (theta-scaled only), theta, phi, b0, r_squared,
                  data   (the series fit-baseline fits)
-    [economy]    alpha, beta
+    [economy]    alpha, beta, report_scale (1 only)
     [uncertainty] deltas, alpha_grid, beta_grid   (space separated)
     [ensemble]   NAME = ccr   (one per model, order defines m1..mN; each
                  loop's k = beta ccr^2 / alpha keeps finite roots under
                  every weight)
     [tolerances] root_tol   (bracket width of the peak search, years)
     [output]     directory, formats   (a nonempty subset of csv txt svg)
+
+A section or key the schema does not name is refused, and so is any
+key under [DEFAULT]; [ensemble] keys are model names and may be any.
 """
 
 from __future__ import annotations
@@ -41,6 +44,16 @@ from .errors import NonConvergence, ParseError, ValidationError
 from .regret import ROOT_TOL, _halvings, build_states
 
 FORMATS = ("csv", "txt", "svg")
+# the keys of each section; [ensemble] keys are model names, so any goes
+SCHEMA = {
+    "scenario": {"start_year", "e0", "anchor_temp_degc", "anchor_model"},
+    "baseline": {"variant", "theta", "phi", "b0", "r_squared", "data"},
+    "economy": {"alpha", "beta", "report_scale"},
+    "uncertainty": {"deltas", "alpha_grid", "beta_grid"},
+    "ensemble": None,
+    "tolerances": {"root_tol"},
+    "output": {"directory", "formats"},
+}
 
 
 def bundled_data_path(name: str) -> str:
@@ -160,7 +173,8 @@ def _floats(text: str) -> tuple:
 def load_config(path: str | None = None) -> RunConfig:
     """Read a config file, by default the bundled one: UTF-8 INI, with or
     without a byte-order mark, whose values are literal, with no ``%``
-    substitution.  A syntax error is one line, with its line number."""
+    substitution.  A syntax error is one line, with its line number, and
+    so is a section or key that :data:`SCHEMA` does not name."""
     if path is None:
         path = bundled_data_path("default_config.ini")
     parser = configparser.ConfigParser(delimiters=("=",), comment_prefixes=("#",),
@@ -174,6 +188,16 @@ def load_config(path: str | None = None) -> RunConfig:
     except (configparser.Error, UnicodeDecodeError) as exc:
         # configparser spreads a syntax error over several lines
         raise ParseError(f"bad config {path}: {' '.join(str(exc).split())}") from exc
+    # a misspelt name would leave its default in place unseen, and a
+    # [DEFAULT] key would reach every section, [ensemble] too
+    if parser.defaults():
+        raise ParseError(f"bad config {path}: unknown section [{parser.default_section}]")
+    for section in parser.sections():
+        if section not in SCHEMA:
+            raise ParseError(f"bad config {path}: unknown section [{section}]")
+        for key in parser[section]:
+            if SCHEMA[section] is not None and key not in SCHEMA[section]:
+                raise ParseError(f"bad config {path}: unknown key {key!r} in [{section}]")
 
     try:
         scen = parser["scenario"]

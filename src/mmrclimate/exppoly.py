@@ -7,7 +7,9 @@ differentiation and running integration, and the discounted integral
 over ``[0, inf)`` has the closed form ``sum c * n! / (delta - mu)**(n+1)``.
 Every trajectory in this package (baseline emissions, abatement paths,
 cumulative emissions, temperature) lives in this family, which is what
-makes the whole pipeline free of time stepping.
+makes the whole pipeline free of time stepping.  :func:`_stacked`
+evaluates many paths at once by :meth:`ExpPoly.__call__`'s arithmetic,
+to the bit: the two evaluators are one computation.
 
 Terms are kept canonical: coefficients of equal ``(power, rate)`` pairs
 are combined (rates compared exactly, never by epsilon) and zero
@@ -210,3 +212,22 @@ class ExpPoly:
             return "ExpPoly(0)"
         bits = [f"{c:g}*t^{n}*e^({mu:g}t)" for c, n, mu in self.terms]
         return "ExpPoly(" + " + ".join(bits) + ")"
+
+
+def _stacked(polys):
+    """Evaluator of ``polys[i]`` at row i of points ``t`` (rows x points),
+    by :meth:`ExpPoly.__call__`'s arithmetic over a table of their terms
+    padded with zero terms, which add exactly zero at a finite t."""
+    width = max((len(p.terms) for p in polys), default=0)
+    table = np.reshape([p.terms + ((0.0, 0, 0.0),) * (width - len(p.terms)) for p in polys],
+                       (len(polys), width, 3))
+    coeffs, powers, rates = table[..., 0], table[..., 1].astype(int), table[..., 2]
+    def evaluate(t):
+        t_powers = np.stack([t**n for n in range(powers.max(initial=0) + 1)])
+        terms = (coeffs[..., None] * t_powers[powers, np.arange(len(t))[:, None]]
+                 * np.exp(rates[..., None] * t[:, None, :]))
+        out = np.zeros(terms.shape[::2])
+        for j in range(terms.shape[1]):
+            out = out + terms[:, j]
+        return out
+    return evaluate

@@ -37,7 +37,7 @@ from .control import (
 )
 from .economy import ClimateModel, EconParams, _check_discount
 from .errors import MmrClimateError, NoPeak, ValidationError
-from .exppoly import ExpPoly
+from .exppoly import ExpPoly, _stacked
 
 NONNEG_TOL = 1e-9
 _PEAK_HORIZON = 3000.0   # years scanned for the emissions peak
@@ -262,18 +262,13 @@ def _peaks(emissions, root_tol: float) -> list:
     above = values > 0
     rising = above.any(axis=1)
     owner, year = np.nonzero(above[:, :-1] & (values[:, 1:] <= 0))
-    # the terms of each bracket's slope, padded with zero terms
-    table = np.zeros((len(owner), max((len(s.terms) for s in slopes), default=0), 3))
-    for row, i in enumerate(owner.tolist()):
-        table[row, :len(slopes[i].terms)] = slopes[i].terms
-    coeffs, powers, rates = table[..., 0], table[..., 1].astype(int), table[..., 2]
+    slope_values = _stacked([slopes[i] for i in owner.tolist()])   # one row per bracket
     lo, width = grid[year], 1.0
     while halvings and len(lo):
         bits = min(_REFINE_BITS, halvings)
         halvings -= bits
         width /= 2**bits
-        inner = _slope_values(coeffs, powers, rates,
-                              lo[:, None] + width * np.arange(1, 2**bits)) > 0
+        inner = slope_values(lo[:, None] + width * np.arange(1, 2**bits)) > 0
         # bisect each bracket over these values: the midpoint of sub-steps
         # [step, step + 2**(level + 1)] is interior point step + 2**level - 1
         steps = []
@@ -307,20 +302,6 @@ def _halvings(root_tol: float) -> int:
         # no number of halvings reaches a width <= 0
         raise ValidationError(f"root_tol must be positive and finite, got {root_tol}")
     return max(0, 1 - math.frexp(root_tol)[1])
-
-
-def _slope_values(coeffs, powers, rates, t):
-    """Each row's sum of c t^n e^{mu t} over its terms in order, at that
-    row of the points ``t`` (rows x points): the arithmetic of
-    :meth:`ExpPoly.__call__`, so every value is the same to the bit.
-    Padded terms have c = 0 and add exactly zero."""
-    t_powers = np.stack([t**n for n in range(powers.max(initial=0) + 1)])
-    terms = (coeffs[..., None] * t_powers[powers, np.arange(len(t))[:, None]]
-             * np.exp(rates[..., None] * t[:, None, :]))
-    out = np.zeros(terms.shape[::2])
-    for j in range(terms.shape[1]):
-        out = out + terms[:, j]
-    return out
 
 
 def _pair(policy: Policy):
@@ -357,8 +338,8 @@ def tmax(policy: Policy, model: ClimateModel, scenario: ScenarioConfig,
         peak = _peak(*_pair(policy), scenario, root_tol)
     except MmrClimateError as exc:
         # name the pair, keeping the failure's type, attributes and exit code
-        exc.args = (f"solver failed for policy pair (delta={policy.delta}, "
-                    f"model={policy.model.name}): {exc}",) + exc.args[1:]
+        exc.args = (f"policy pair (delta={policy.delta}, model={policy.model.name}): "
+                    f"{exc}",) + exc.args[1:]
         raise
     return peak.tmax(model, policy.label())
 

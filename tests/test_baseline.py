@@ -59,6 +59,25 @@ class TestLoadEmissions:
         with pytest.raises(ParseError):
             load_emissions(path)
 
+    def test_wrong_header_names_file_and_header(self, tmp_path):
+        path = tmp_path / "co2.csv"
+        path.write_text("year,co2_gtc\n2020,10.0\n")
+        with pytest.raises(ParseError, match=r"co2\.csv: expected header .*'co2_gtc'"):
+            load_emissions(path)
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        # blank and whitespace-only rows read as absent: the same series,
+        # so the same fit to the bit
+        bundled = Path(bundled_data_path("extended_rcp85_emissions.csv")).read_text()
+        lines = bundled.splitlines(keepends=True)
+        path = tmp_path / "blank.csv"
+        path.write_text("".join(lines[:5] + ["\n", " , \n", "\t\n"] + lines[5:] + ["\n"]))
+        plain, spaced = (load_emissions(bundled_data_path("extended_rcp85_emissions.csv")),
+                         load_emissions(path))
+        assert spaced.year_offsets.tobytes() == plain.year_offsets.tobytes()
+        assert spaced.emissions.tobytes() == plain.emissions.tobytes()
+        assert fit_baseline(spaced) == fit_baseline(plain)
+
     def test_malformed_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("year,emissions_gtc\n2020,ten\n")

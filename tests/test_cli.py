@@ -18,6 +18,7 @@ from mmrclimate.baseline import fit_baseline, load_emissions
 from mmrclimate.cli import main
 from mmrclimate.config import bundled_data_path, load_config, save_config
 from mmrclimate.control import char_roots, solve_optimal
+from mmrclimate.economy import ClimateModel
 from mmrclimate.errors import ValidationError
 
 
@@ -358,11 +359,16 @@ class TestFitBaseline:
         assert (tmp_path / directory / "fit_report.txt").exists()
 
     def test_config_round_trip_is_exact(self, tmp_path):
+        # save_config writes only keys the schema names; [ensemble] keys
+        # are model names, so a model may be called anything
         cfg = load_config()
-        path = tmp_path / "copy.ini"
-        save_config(cfg, str(path))
-        again = load_config(str(path))
-        assert again == cfg
+        renamed = replace(cfg, anchor_model="E0",
+                          ensemble=(ClimateModel("E0", 0.002), ClimateModel("root_toll", 0.0024)),
+                          baseline=replace(cfg.baseline, r_squared=None))
+        for config in (cfg, renamed):
+            path = tmp_path / "copy.ini"
+            save_config(config, str(path))
+            assert load_config(str(path)) == config
 
     @staticmethod
     def _config_with_data(tmp_path, data):
@@ -374,6 +380,15 @@ class TestFitBaseline:
         config = self._config_with_data(tmp_path, "/nonexistent.csv")
         assert run(["fit-baseline"], outdir, config) == 2
         assert "no such data file" in capsys.readouterr().err
+        assert not os.path.exists(outdir)
+
+    def test_wrong_header_is_parse_error(self, outdir, tmp_path, capsys):
+        data = tmp_path / "co2.csv"
+        data.write_text("year,co2_gtc\n2020,10.0\n")
+        assert run(["fit-baseline"], outdir, self._config_with_data(tmp_path, data)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "co2.csv" in err and "'co2_gtc'" in err
         assert not os.path.exists(outdir)
 
     def test_config_target_directory_is_created(self, tmp_path, capsys):
@@ -698,6 +713,27 @@ class TestConfigHandling:
         path.write_text(text.replace("alpha = 0.000125", f"alpha = {value}"))
         assert run(["mmr"], config=str(path)) == 2
         assert f"'{value}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("e0 = auto", "E0 = 400", "unknown key 'E0' in [scenario]"),
+        ("root_tol = 1e-06", "root_toll = 0.5", "unknown key 'root_toll' in [tolerances]"),
+        ("[output]", "[Output]", "unknown section [Output]"),
+        ("[scenario]", "[DEFAULT]\nstart_year = 2020\n\n[scenario]",
+         "unknown section [DEFAULT]"),
+    ])
+    def test_unknown_section_or_key_is_config_error(self, old, new, message, tmp_path,
+                                                    capsys):
+        # keys are case-sensitive, so each typo once loaded and left its
+        # default in place, and a [DEFAULT] key reached every section,
+        # [ensemble] too
+        text = Path(bundled_data_path("default_config.ini")).read_text()
+        assert old in text
+        path = tmp_path / "typo.ini"
+        path.write_text(text.replace(old, new))
+        out = tmp_path / "o"
+        assert run(["fit-baseline"], str(out), str(path)) == 2
+        assert capsys.readouterr().err == f"error: bad config {path}: {message}\n"
+        assert not out.exists()
 
     def test_unreadable_config(self, tmp_path, capsys):
         assert run(["mmr"], config=str(tmp_path / "missing.ini")) == 2

@@ -1,13 +1,15 @@
 """Exponential-polynomial algebra: pointwise identities, closed-form
-discounted integrals against numerical quadrature, calculus round trips."""
+discounted integrals against numerical quadrature, calculus round trips,
+and the stacked evaluator held to ``ExpPoly.__call__`` bit for bit."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
-from mmrclimate.exppoly import ExpPoly, MAX_POWER
+from mmrclimate.exppoly import ExpPoly, MAX_POWER, _stacked
 from mmrclimate.errors import DivergentIntegral, InvalidDiscount
 
 
@@ -109,6 +111,42 @@ class TestEval:
         f = ep((1.0, 1, -0.02))
         t = np.array([0.0, 1.0, 2.0])
         np.testing.assert_allclose(f(t), [f(0.0), f(1.0), f(2.0)], rtol=1e-14)
+
+
+# deterministic draws, so the suite is reproducible and writes no example
+# database into the checkout
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
+                    database=None)
+# |rate| * 3000 stays below exp's overflow, so every value is finite
+terms = st.tuples(st.floats(-1e3, 1e3), st.integers(0, MAX_POWER),
+                  st.one_of(st.just(0.0), st.floats(-0.2, 0.2)))
+exppolys = st.lists(terms, max_size=6).map(lambda ts: ExpPoly(tuple(ts)))
+times = st.one_of(st.sampled_from([0.0, 3000.0]), st.floats(0.0, 3000.0))
+
+
+@st.composite
+def batches(draw):
+    """Paths of unequal term counts, the zero ExpPoly among them, and a
+    row of points for each."""
+    polys = draw(st.lists(exppolys, min_size=1, max_size=6))
+    width = draw(st.integers(1, 8))
+    rows = st.lists(times, min_size=width, max_size=width)
+    return polys, np.array(draw(st.lists(rows, min_size=len(polys), max_size=len(polys))))
+
+
+@PROPERTY
+@given(batch=batches())
+@example(batch=([ExpPoly.zero(), ep((2.0, MAX_POWER, -0.01), (1.0, 0, 0.0))],
+                np.array([[0.0, 1.5, 3000.0], [0.0, 1.5, 3000.0]])))
+@example(batch=([ExpPoly.zero()], np.array([[0.0, 7.0]])))
+def test_stacked_rows_are_call_to_the_bit(batch):
+    # the peak search refines its brackets through _stacked and reports E
+    # through __call__: one arithmetic, so one set of bits
+    polys, t = batch
+    values = _stacked(polys)(t)
+    assert values.shape == t.shape
+    for row, poly, points in zip(values, polys, t):
+        assert row.tobytes() == poly(points).tobytes()
 
 
 class TestDiscountedIntegral:

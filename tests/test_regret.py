@@ -22,6 +22,7 @@ from mmrclimate.exppoly import ExpPoly
 from mmrclimate.regret import (
     ROOT_TOL,
     Policy,
+    RegretMatrix,
     _peaks,
     _picks,
     _regrets,
@@ -69,6 +70,11 @@ class TestPolicySet:
     def test_duplicate_delta_rejected(self, small_scenario):
         with pytest.raises(ValidationError):
             build_policy_set([0.05, 0.05], [TWO_MODELS[0]], small_scenario)
+
+    @pytest.mark.parametrize("deltas, ensemble", [([], TWO_MODELS), ([0.05], [])])
+    def test_empty_deltas_or_ensemble_rejected(self, deltas, ensemble):
+        with pytest.raises(ValidationError, match="at least one discount rate and one model"):
+            build_states(deltas, ensemble)
 
     def test_duplicate_response_rejected(self, small_scenario):
         with pytest.raises(ValidationError):
@@ -118,6 +124,12 @@ class TestPolicySet:
 
 
 class TestMatrixInvariants:
+    @pytest.mark.parametrize("cut", [np.s_[:, :-1], np.s_[:-1, :], np.s_[0]])
+    def test_values_of_another_shape_rejected(self, small_matrix, cut):
+        with pytest.raises(ValidationError, match="shape"):
+            RegretMatrix(small_matrix.states, small_matrix.policies,
+                         small_matrix.values[cut], small_matrix.j_opt)
+
     def test_diagonal_is_zero(self, default_matrix):
         pairs = default_matrix.diagonal_indices()
         assert len(pairs) == 42
