@@ -22,8 +22,9 @@ The bounded particular response is E_p = p.w with
 (G - lam_minus I)^T p = c - s.  Each component of w is a term
 t^j e^{mu t} / j!, so the optimal paths are exact ExpPoly objects,
 built in double precision.  :func:`_paths` builds the ExpPoly path E of
-many loops at once, one stacked solve each; :func:`solve_optimal` is its
-one-loop case, and the peak search reads the same E.  Near resonance
+many loops at once, one stacked solve each; :func:`_path` is its
+one-loop case, kept per loop and scenario, and both :func:`solve_optimal`
+and the peak search read E from it.  Near resonance
 (a baseline rate close to lam_minus) the particular response and the
 stable mode carry large coefficients of opposite sign; the path's error
 grows like 1/gap^2 times the rounding unit (about 1e-9 of max|E| at a
@@ -59,6 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -159,11 +161,11 @@ def solve_optimal(delta: float, model: ClimateModel,
                   scenario: ScenarioConfig) -> OptimalSolution:
     """Exact optimal abatement for one {delta, model} pair and its cost.
 
-    ``roots`` and k are :func:`char_roots` of the pair.  The path is the
-    one-loop case of :func:`_paths`, which writes a baseline rate that
-    collides with lam_minus as a series in the root gap (see the module
-    notes on the path's accuracy).  A zero stiffness k makes damages
-    insensitive to emissions, so the strictly convex cost pins abatement
+    ``roots`` and k are :func:`char_roots` of the pair.  The path is
+    :func:`_path`, the one-loop case of :func:`_paths`, which writes a
+    baseline rate that collides with lam_minus as a series in the root
+    gap (see the module notes on the path's accuracy).  A zero stiffness
+    k makes damages insensitive to emissions, so the strictly convex cost pins abatement
     at exactly zero and E is the passive path.  Otherwise abatement is B - dE/dt, so the state
     equation holds exactly.  ``j_star`` is the cost of the pair's own
     loop at the requested rate, from :func:`closed_loop_integrals`
@@ -172,7 +174,7 @@ def solve_optimal(delta: float, model: ClimateModel,
     """
     roots = char_roots(delta, model.ccr, scenario.econ.alpha, scenario.econ.beta)
     k = roots.stiffness
-    (emissions,) = _paths([delta], [k], scenario)
+    emissions = _path(delta, k, scenario)
     abatement = (ExpPoly.zero() if k == 0.0
                  else scenario.baseline - emissions.derivative())
     i_a, i_e = closed_loop_integrals([delta], [k], [delta], scenario)
@@ -186,6 +188,18 @@ def solve_optimal(delta: float, model: ClimateModel,
         j_star=float(weighted_costs(i_a[0, 0], i_e[0, 0], model.ccr, scenario.econ.alpha,
                                     scenario.econ.beta, scenario.e0)),
     )
+
+
+@lru_cache(maxsize=16)
+def _path(delta: float, k: float, scenario: ScenarioConfig) -> ExpPoly:
+    """The path E of one loop, the one-loop case of :func:`_paths`, kept
+    for :func:`solve_optimal` and the peak search alike, so a solve and
+    the peaks of its pair build E once.  Scenarios are frozen and compare
+    by value, equal keys give the same path to the bit, and an ExpPoly is
+    immutable, so a kept one serves every equal key; the last 16 are
+    kept."""
+    (emissions,) = _paths([delta], [k], scenario)
+    return emissions
 
 
 def _paths(delta, k, scenario: ScenarioConfig):

@@ -30,6 +30,7 @@ import numpy as np
 from .control import (
     OptimalSolution,
     ScenarioConfig,
+    _path,
     _paths,
     _stiffness,
     closed_loop_integrals,
@@ -349,9 +350,11 @@ def _peak(delta: float, m: float, scenario: ScenarioConfig, root_tol: float) -> 
     """The peak of one pair's loop under the scenario, kept for
     :func:`tmax`'s calls under each model.  Scenarios are frozen and
     compare by value, equal keys give the same peak to the bit, and a Peak
-    is immutable, so a kept one serves every equal key."""
+    is immutable, so a kept one serves every equal key.  E is the kept
+    ``control._path`` of the loop, so a pair solved by ``solve_optimal``
+    is not solved again."""
     k = _stiffness(scenario.econ.alpha, scenario.econ.beta, m)
-    return _peaks(_paths([delta], [k], scenario), root_tol)[0]
+    return _peaks([_path(delta, k, scenario)], root_tol)[0]
 
 
 @dataclass(frozen=True)

@@ -6,16 +6,20 @@ with ``timestamp=False``.  No plotting library is used; the heatmap is
 written as self-contained SVG markup.  Each writer reads its matrix or
 path columns as Python floats once, formats every value once and joins
 its lines in one call; what is fixed per row or per column (labels, the
-``*`` marker, coordinates, constant tag text) is formatted once too.
+``*`` marker, coordinates, constant tag text) is formatted once too, and
+the columns of ``solution_csv`` that depend on the scenario alone once
+per scenario and horizon.
 """
 
 from __future__ import annotations
 
 import datetime
+from functools import lru_cache
 
 import numpy as np
 
 from .economy import net_cumulative_emissions
+from .errors import ValidationError
 from .exppoly import ExpPoly
 from .regret import RegretMatrix, SweepReport
 
@@ -38,21 +42,49 @@ def _text(lines) -> str:
 def solution_csv(solution, scenario, horizon_years: int = 500,
                  timestamp: bool = True) -> str:
     """Annual path samples: baseline, abatement, net cumulative emissions
-    under the policy and under no abatement, temperature."""
-    no_abate = net_cumulative_emissions(ExpPoly.zero(), scenario.baseline,
-                                        scenario.e0)
-    t = np.arange(horizon_years + 1.0)
-    columns = (scenario.baseline, solution.abatement, solution.net_emissions,
-               no_abate, solution.temperature)
-    rows = zip(*(f(t).tolist() for f in columns))
-    start = scenario.start_year
+    under the policy and under no abatement, temperature.  The horizon
+    must be a whole number of years >= 0 (ValidationError otherwise).
+    Only the solution's three columns are evaluated and formatted here;
+    the rest of each row is :func:`_scenario_columns`'s."""
+    t, heads, mids = _scenario_columns(scenario, _horizon(horizon_years))
+    rows = zip(heads, solution.abatement(t).tolist(), solution.net_emissions(t).tolist(),
+               mids, solution.temperature(t).tolist())
     lines = [_stamp(timestamp) + "year,t_years,baseline_gtc_yr,"
              "abatement_gtc_yr,net_cumulative_gtc,"
              "net_cumulative_no_abatement_gtc,temperature_degc"]
-    lines += [f"{start + year},{year},{base:.6f},{abate:.6f},{net:.4f},"
-              f"{net_passive:.4f},{temp:.6f}"
-              for year, (base, abate, net, net_passive, temp) in enumerate(rows)]
+    lines += map("%s%.6f,%.4f%s%.6f".__mod__, rows)
     return _text(lines)
+
+
+def _horizon(years) -> int:
+    """``years`` as an int, if it is a whole number >= 0 and not a bool."""
+    try:
+        whole = (not isinstance(years, (bool, np.bool_)) and years >= 0
+                 and float(years).is_integer())
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise ValidationError(
+            f"horizon_years must be a whole number of years >= 0, got {years!r}")
+    return int(years)
+
+
+@lru_cache(maxsize=8)
+def _scenario_columns(scenario, horizon_years: int):
+    """The sample times of :func:`solution_csv` and, per row, the text of
+    the columns that depend on the scenario alone: ``year,t_years,
+    baseline,`` before the solution's abatement and E, and ``,E under no
+    abatement,`` before its temperature.  Scenarios are frozen and compare
+    by value, so the last 8 (scenario, horizon) pairs are kept."""
+    no_abate = net_cumulative_emissions(ExpPoly.zero(), scenario.baseline,
+                                        scenario.e0)
+    t = np.arange(horizon_years + 1.0)
+    t.flags.writeable = False
+    start = scenario.start_year
+    heads = tuple(f"{start + year},{year},{base:.6f},"
+                  for year, base in enumerate(scenario.baseline(t).tolist()))
+    mids = tuple(f",{net_passive:.4f}," for net_passive in no_abate(t).tolist())
+    return t, heads, mids
 
 
 def matrix_csv(matrix: RegretMatrix, timestamp: bool = True) -> str:
@@ -91,8 +123,9 @@ def matrix_table(matrix: RegretMatrix, timestamp: bool = True) -> str:
     for part_no, (a, b) in enumerate(parts, start=1):
         lines += ["", f"Part {part_no} of {len(parts)}",
                   "actual world".ljust(width) + "".join(header[a:b])]
-        lines += [label + "".join([f"{v:.3f}".rjust(width) for v in row])
-                  for label, row in zip(labels, matrix.values[:, a:b].tolist())]
+        format_row = ("%s" + f"%{width}.3f" * (b - a)).__mod__
+        lines += [format_row((label, *values))
+                  for label, values in zip(labels, matrix.values[:, a:b].tolist())]
         lines.append("max regret".ljust(width) + "".join(max_row[a:b]))
     lines += ["", "* minimax-regret policy"]
     return _text(lines)
@@ -116,20 +149,23 @@ def svg_heatmap(matrix: RegretMatrix, timestamp: bool = True) -> str:
     height = top + (n_rows + 2) * cell + 30   # gap + max-regret row
     vmax = float(matrix.values.max())
     mmr_idx = matrix.mmr_index
+    # the fill level of every cell and then of the max-regret row; a
+    # regret <= 0 has ratio 0 and level 255.  The fourth root is Python's
+    # pow, value by value: numpy's power can differ from it in the last
+    # bit and so move a level at a rounding tie.
+    if vmax > 0:
+        ratio = np.maximum(np.vstack((matrix.values, matrix.max_regret)) / vmax, 0.0)
+        root = np.reshape([r ** 0.25 for r in ratio.ravel().tolist()], ratio.shape)
+        levels = np.rint(255 - 225 * np.minimum(1.0, root)).astype(int).tolist()
+    else:
+        levels = [[255] * n_cols] * (n_rows + 1)
 
-    def fills(row):
-        if vmax <= 0:
-            return [_FILLS[255]] * len(row)
-        return [_FILLS[255] if v <= 0
-                else _FILLS[round(255 - 225 * min(1.0, (v / vmax) ** 0.25))]
-                for v in row.tolist()]
-
-    def rects(y, row, stroke, stroke_width):
+    def rects(y, row_levels, stroke, stroke_width):
         # only x and the fill vary along a row: the rest is formatted once
         mid = f'" y="{y}" width="{cell}" height="{cell}" fill="'
         end = f'" stroke="{stroke}" stroke-width="{stroke_width}"/>'
-        return "\n".join([f'<rect x="{x}{mid}{fill}{end}'
-                          for x, fill in zip(xs, fills(row))])
+        return "\n".join([f'<rect x="{x}{mid}{_FILLS[level]}{end}'
+                          for x, level in zip(xs, row_levels)])
 
     xs = [str(left + j * cell) for j in range(n_cols)]
     x_mid = [left + j * cell + cell // 2 for j in range(n_cols)]
@@ -150,18 +186,18 @@ def svg_heatmap(matrix: RegretMatrix, timestamp: bool = True) -> str:
               f'transform="rotate(-60 {x} {y_label})">'
               f'{policy.label()}{"*" if j == mmr_idx else ""}</text>'
               for j, (x, policy) in enumerate(zip(x_mid, matrix.policies))]
-    for i, (state, row) in enumerate(zip(matrix.states, matrix.values)):
+    for i, (state, row_levels) in enumerate(zip(matrix.states, levels)):
         y = top + i * cell
         lines.append(f'<text x="{left - 6}" y="{y + cell - 4}" '
                      f'font-family="sans-serif" font-size="7" '
                      f'text-anchor="end">{state.label()}</text>')
-        lines.append(rects(y, row, "#cccccc", 0.5))
+        lines.append(rects(y, row_levels, "#cccccc", 0.5))
 
     y_max = top + (n_rows + 1) * cell
     lines.append(f'<text x="{left - 6}" y="{y_max + cell - 4}" '
                  f'font-family="sans-serif" font-size="7" '
                  f'text-anchor="end">max regret</text>')
-    lines.append(rects(y_max, matrix.max_regret, "#999999", 0.8))
+    lines.append(rects(y_max, levels[-1], "#999999", 0.8))
     lines.append("</svg>")
     return _text(lines)
 

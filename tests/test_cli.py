@@ -487,10 +487,10 @@ class TestMmrAndTmax:
                              (regret, "_peaks")):
             monkeypatch.setattr(module, name,
                                 counting(f"{module.__name__}.{name}", getattr(module, name)))
-        monkeypatch.setattr(regret, "_paths", control._paths)   # regret's own name
         for args in (["tmax", "--delta", "0.02", "--model", "HAD"], ["tmax"]):
             calls.clear()
             regret._peak.cache_clear()
+            control._path.cache_clear()   # the peak's E comes from the kept path
             assert run(args, outdir, small_config_path) == 0
             out = capsys.readouterr().out
             assert out.count("Tmax =") == 2

@@ -88,7 +88,8 @@ class TestPolicySet:
             raise NoPeak("no interior maximum", asymptote_degc=1.5)
 
         regret_module._peak.cache_clear()
-        monkeypatch.setattr(regret_module, "_paths", failing_solver)
+        regret_module._path.cache_clear()
+        monkeypatch.setattr(regret_module, "_path", failing_solver)
         policy = Policy(delta=0.05, model=TWO_MODELS[0])
         with pytest.raises(NoPeak) as err:
             tmax(policy, TWO_MODELS[1], small_scenario)
@@ -104,7 +105,7 @@ class TestPolicySet:
         def failing_solver(delta, k, scenario):
             raise NoPeak("no interior maximum")
 
-        monkeypatch.setattr(regret_module, "_paths", failing_solver)
+        monkeypatch.setattr(regret_module, "_path", failing_solver)
         states = build_states(config.deltas, config.ensemble)
         policies = build_policy_set(config.deltas, config.ensemble, scenario)
         matrix = regret_matrix(policies, states, scenario)
@@ -329,6 +330,26 @@ class TestTmax:
         assert calls == [1]
         k = _stiffness(scenario.econ.alpha, scenario.econ.beta, config.model("IPSL").ccr)
         (peak,) = search(_paths([0.02], [k], scenario), ROOT_TOL)
+        assert got == [peak.tmax(model, policy.label()) for model in config.ensemble]
+
+    def test_solve_and_its_peaks_build_one_path(self, config, scenario, monkeypatch):
+        # tmax under every model reads the path solve_optimal built for the pair
+        control = importlib.import_module("mmrclimate.control")
+        regret = importlib.import_module("mmrclimate.regret")
+        regret._peak.cache_clear()
+        control._path.cache_clear()
+        build, calls = control._paths, []
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(control, "_paths", counted)
+        sol = solve_optimal(0.02, config.model("IPSL"), scenario)
+        policy = Policy.from_solution(sol)
+        got = [tmax(policy, model, scenario) for model in config.ensemble]
+        assert len(calls) == 1
+        (peak,) = _peaks([sol.net_emissions], ROOT_TOL)
         assert got == [peak.tmax(model, policy.label()) for model in config.ensemble]
 
     def test_kept_peaks_are_keyed_by_scenario_and_tolerance(self, config, scenario):
