@@ -3,8 +3,10 @@
 Subcommands: fit-baseline, solve, regret-table, mmr, tmax, sweep.
 Configuration comes from --config or else the bundled default, which
 reproduces the published middle case; fit-baseline fits its data series.
-Every subcommand writes its files to the output directory.  Exit codes:
-0 success, 2 usage or configuration error, 3 numerical failure.
+``main`` sets up each run once: it loads the config, applies --alpha and
+--beta, and resolves the output directory.  Every subcommand but mmr,
+which only prints, writes its files there through one writer.  Exit
+codes: 0 success, 2 usage or configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -72,34 +74,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _with_econ(config: RunConfig, alpha, beta):
-    if alpha is None and beta is None:
-        return config
-    econ = EconParams(alpha=alpha if alpha is not None else config.econ.alpha,
-                      beta=beta if beta is not None else config.econ.beta)
-    return replace(config, econ=econ)
-
-
-def _outdir(args, config) -> str:
-    return args.output_dir or config.output_dir
-
-
 @contextmanager
-def _output(path: str):
-    """Create the directory of an output file only when it is written, so
-    a failed run leaves none behind; a path that cannot be written is a
-    usage error."""
+def _output(args, name: str, shown: str = ""):
+    """Yield the path of ``name`` in the run's output directory, creating
+    the directory only when the file is written, so a failed run leaves
+    none behind; a path that cannot be written is a usage error.  Once
+    the file is closed, ``shown`` (if any) and ``wrote`` print outside
+    the handler, so a failing stdout is not blamed on the file."""
+    path = os.path.join(args.output_dir, name)
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        yield
+        yield path
     except OSError as exc:
         raise ParseError(f"cannot write {path}: {exc}") from exc
+    if shown:
+        print(shown)
     print(f"wrote {path}")
 
 
-def _write(path: str, content: str):
-    with _output(path), open(path, "w", newline="") as fh:
-        fh.write(content)
+def _write(args, name: str, writer, *inputs, shown: str = ""):
+    """Write the report text ``writer(*inputs)`` to ``name``, stamped
+    unless --no-timestamp is given."""
+    text = writer(*inputs, timestamp=not args.no_timestamp)
+    with _output(args, name, shown) as path, open(path, "w", newline="") as fh:
+        fh.write(text)
 
 
 def _resolve_data(config: RunConfig) -> str:
@@ -113,30 +111,24 @@ def _resolve_data(config: RunConfig) -> str:
 
 
 def cmd_fit_baseline(args, config: RunConfig) -> int:
-    outdir = _outdir(args, config)
     series = load_emissions(_resolve_data(config), config.start_year)
     params = fit_baseline(series)
     fitted = replace(config, baseline=params)
     fitted.to_scenario()   # every other subcommand builds one from the written config
-    stamp = not args.no_timestamp
-    _write(os.path.join(outdir, "fit_report.txt"),
-           report.fit_report(params, series, timestamp=stamp))
-    target = os.path.join(outdir, "fitted_config.ini")
-    with _output(target):
-        save_config(fitted, target)
+    _write(args, "fit_report.txt", report.fit_report, params, series)
+    with _output(args, "fitted_config.ini") as path:
+        save_config(fitted, path)
     print(f"fit: theta={params.theta:.6g} phi={params.phi:.6g} "
           f"b0={params.b0:.6g} r_squared={params.r_squared:.4f}")
     return 0
 
 
 def cmd_solve(args, config: RunConfig) -> int:
-    outdir = _outdir(args, config)
     model = config.model(args.model)
     scenario = config.to_scenario()
     sol = solve_optimal(args.delta, model, scenario)
-    name = f"solution_d{args.delta:g}_{model.name}.csv"
-    _write(os.path.join(outdir, name),
-           report.solution_csv(sol, scenario, timestamp=not args.no_timestamp))
+    _write(args, f"solution_d{args.delta:g}_{model.name}.csv", report.solution_csv,
+           sol, scenario)
     print(f"J* = {sol.j_star:.6f} (percent of present value of output)")
     print(f"roots: lam+ = {sol.roots.lam_plus:.6f}, lam- = {sol.roots.lam_minus:.6f}")
     return 0
@@ -149,26 +141,18 @@ def _matrix_for(config: RunConfig, scenario):
 
 
 def cmd_regret_table(args, config: RunConfig) -> int:
-    config = _with_econ(config, args.alpha, args.beta)
-    outdir = _outdir(args, config)
     matrix = _matrix_for(config, config.to_scenario())
-    stamp = not args.no_timestamp
-    if "csv" in config.formats:
-        _write(os.path.join(outdir, "regret_matrix.csv"),
-               report.matrix_csv(matrix, timestamp=stamp))
-    if "txt" in config.formats:
-        _write(os.path.join(outdir, "regret_table.txt"),
-               report.matrix_table(matrix, timestamp=stamp))
-    if "svg" in config.formats:
-        _write(os.path.join(outdir, "regret_heatmap.svg"),
-               report.svg_heatmap(matrix, timestamp=stamp))
+    for fmt, name, writer in (("csv", "regret_matrix.csv", report.matrix_csv),
+                              ("txt", "regret_table.txt", report.matrix_table),
+                              ("svg", "regret_heatmap.svg", report.svg_heatmap)):
+        if fmt in config.formats:
+            _write(args, name, writer, matrix)
     policy, value = mmr_select(matrix)
     print(f"minimax regret: {policy.label()} (max regret {value:.3f})")
     return 0
 
 
 def cmd_mmr(args, config: RunConfig) -> int:
-    config = _with_econ(config, args.alpha, args.beta)
     policy, value = mmr_select(_matrix_for(config, config.to_scenario()))
     print(f"alpha={config.econ.alpha:g} beta={config.econ.beta:g}")
     print(f"minimax-regret policy: {policy.label()}")
@@ -177,8 +161,6 @@ def cmd_mmr(args, config: RunConfig) -> int:
 
 
 def cmd_tmax(args, config: RunConfig) -> int:
-    config = _with_econ(config, args.alpha, args.beta)
-    outdir = _outdir(args, config)
     scenario = config.to_scenario()
     if args.no_abatement:
         if args.delta is not None or args.model is not None:
@@ -192,7 +174,7 @@ def cmd_tmax(args, config: RunConfig) -> int:
         else:
             policy, _ = mmr_select(_matrix_for(config, scenario))
     shown = [f"policy: {policy.label()}"]
-    lines = ["model,ccr,years_to_peak,tmax_degc"]
+    peaks = []
     for model in config.ensemble:
         # one peak search serves every model, which only scales E(t)
         try:
@@ -200,35 +182,22 @@ def cmd_tmax(args, config: RunConfig) -> int:
                                     root_tol=config.tolerances.root_tol)
             shown.append(f"  {model.name:<6} peak in {years:7.1f} years, "
                          f"Tmax = {peak_degc:.3f} degC")
-            lines.append(f"{model.name},{model.ccr!r},{years:.1f},{peak_degc!r}")
         except NoPeak as exc:
-            note = ("" if exc.asymptote_degc is None
-                    else f" (asymptote {exc.asymptote_degc:.2f} degC)")
+            years, peak_degc = None, exc.asymptote_degc
+            note = "" if peak_degc is None else f" (asymptote {peak_degc:.2f} degC)"
             shown.append(f"  {model.name:<6} no peak: emissions keep rising{note}")
-            lines.append(f"{model.name},{model.ccr!r},,"
-                         + ("" if exc.asymptote_degc is None
-                            else repr(exc.asymptote_degc)))
-    stamp = "" if args.no_timestamp else report._stamp(True)
-    path = os.path.join(outdir, "tmax.csv")
-    # the table is printed only once its file is written, as by every writer
-    with _output(path), open(path, "w", newline="") as fh:
-        fh.write(stamp + "\n".join(lines) + "\n")
-        print("\n".join(shown))
+        peaks.append((model, years, peak_degc))
+    _write(args, "tmax.csv", report.tmax_csv, peaks, shown="\n".join(shown))
     return 0
 
 
 def cmd_sweep(args, config: RunConfig) -> int:
-    outdir = _outdir(args, config)
     scenario = config.to_scenario()
     rep = sweep(config.alpha_grid, config.beta_grid, config.deltas,
                 config.ensemble, scenario, root_tol=config.tolerances.root_tol)
-    stamp = not args.no_timestamp
-    _write(os.path.join(outdir, "sweep_summary.csv"),
-           report.sweep_csv(rep, timestamp=stamp))
-    _write(os.path.join(outdir, "sweep_mmr.txt"),
-           report.sweep_table_mmr(rep, timestamp=stamp))
-    _write(os.path.join(outdir, "sweep_tmax.txt"),
-           report.sweep_table_tmax(rep, timestamp=stamp))
+    _write(args, "sweep_summary.csv", report.sweep_csv, rep)
+    _write(args, "sweep_mmr.txt", report.sweep_table_mmr, rep)
+    _write(args, "sweep_tmax.txt", report.sweep_table_tmax, rep)
     chosen = {c.policy_delta for c in rep.cells}
     print(f"MMR discount rate(s) selected across the grid: "
           f"{sorted(chosen)}")
@@ -249,6 +218,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
+        # regret-table, mmr and tmax take --alpha/--beta; either alone
+        # keeps the config's other weight
+        alpha, beta = getattr(args, "alpha", None), getattr(args, "beta", None)
+        if alpha is not None or beta is not None:
+            config = replace(config, econ=EconParams(
+                alpha=config.econ.alpha if alpha is None else alpha,
+                beta=config.econ.beta if beta is None else beta))
+        args.output_dir = args.output_dir or config.output_dir
         return _COMMANDS[args.command](args, config)
     except MmrClimateError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -211,6 +211,15 @@ def sweep_csv(report: SweepReport, timestamp: bool = True) -> str:
     return _text(lines)
 
 
+def tmax_csv(peaks, timestamp: bool = True) -> str:
+    """One row per ``(model, years_to_peak, tmax_degc)``; a model with no
+    peak has no years, and its asymptote, if any, as its Tmax."""
+    lines = [_stamp(timestamp) + "model,ccr,years_to_peak,tmax_degc"]
+    lines += [f"{m.name},{m.ccr!r},{'' if years is None else f'{years:.1f}'},"
+              f"{'' if degc is None else repr(degc)}" for m, years, degc in peaks]
+    return _text(lines)
+
+
 def _blocks_side_by_side(blocks, gap="    "):
     """Blocks of equal line count, their lines joined left to right."""
     width = [max(len(line) for line in b) for b in blocks]

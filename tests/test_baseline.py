@@ -122,6 +122,18 @@ class TestLoadEmissions:
         with pytest.raises(ValidationError, match="finite"):
             EmissionsSeries(**arrays)
 
+    @pytest.mark.parametrize("year_offsets, emissions", [
+        (np.arange(0.0, 250.0, 10.0), np.full(24, 10.0)),
+        (np.arange(0.0, 250.0, 10.0).reshape(5, 5), np.full((5, 5), 10.0)),
+    ], ids=["unequal-length", "2-d"])
+    def test_series_refuses_misshapen_arrays(self, year_offsets, emissions):
+        with pytest.raises(ValidationError, match="1-d and equal length"):
+            EmissionsSeries(year_offsets, emissions)
+
+    def test_series_spanning_under_200_years(self):
+        with pytest.raises(ValidationError, match="span at least 200 years"):
+            EmissionsSeries(np.arange(0.0, 151.0, 10.0), np.full(16, 10.0))
+
     def test_non_increasing_years(self, tmp_path):
         rows = "\n".join(f"{2020 + 10 * i},{10.0}" for i in range(25))
         path = tmp_path / "dup.csv"

@@ -1,7 +1,10 @@
 """Command line surface: subcommands, exit codes, file outputs,
 byte-for-byte determinism."""
 
+import csv
+import errno
 import importlib
+import io
 import os
 import re
 import subprocess
@@ -13,13 +16,15 @@ from pathlib import Path
 import pytest
 
 import mmrclimate
-from mmrclimate import cli
+from mmrclimate import cli, report
 from mmrclimate.baseline import fit_baseline, load_emissions
 from mmrclimate.cli import main
 from mmrclimate.config import bundled_data_path, load_config, save_config
 from mmrclimate.control import char_roots, solve_optimal
 from mmrclimate.economy import ClimateModel
 from mmrclimate.errors import ValidationError
+from mmrclimate.regret import (build_policy_set, build_states, mmr_select,
+                               regret_matrix, tmax)
 
 
 @pytest.fixture()
@@ -330,6 +335,24 @@ class TestBadInput:
             out = capsys.readouterr().out
             assert "peak in" not in out and "no peak" not in out, extra
 
+    def test_tmax_does_not_blame_its_file_when_stdout_fails(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # a closed pipe on stdout (mmrclimate tmax | head) fails the table's
+        # print once tmax.csv is written in full: that is no file error
+        args = ["--no-timestamp", "tmax", "--delta", "0.02", "--model", "IPSL"]
+        assert run(args, tmp_path / "ok") == 0
+
+        class BrokenPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", BrokenPipe())
+        with pytest.raises(BrokenPipeError):
+            run(args, tmp_path / "broken")
+        assert "tmax.csv" not in capsys.readouterr().err
+        assert ((tmp_path / "broken" / "tmax.csv").read_bytes()
+                == (tmp_path / "ok" / "tmax.csv").read_bytes())
+
 
 class TestFitBaseline:
     def test_fit_writes_report_and_config(self, outdir, capsys):
@@ -412,6 +435,14 @@ class TestFitBaseline:
         assert fitted.baseline == fit_baseline(load_emissions(str(half), start_year))
         assert fitted.baseline.b0 != load_config().baseline.b0
 
+    def test_short_series_is_usage_error(self, outdir, tmp_path, capsys):
+        data = tmp_path / "short.csv"
+        data.write_text("year,emissions_gtc\n" + "".join(
+            f"{2020 + 10 * i},10.0\n" for i in range(16)))   # 150 years
+        assert run(["fit-baseline"], outdir, self._config_with_data(tmp_path, data)) == 2
+        assert capsys.readouterr().err == "error: series must span at least 200 years\n"
+        assert not os.path.exists(outdir)
+
     @pytest.mark.parametrize("flag", ["--data", "--write-config"])
     def test_takes_no_second_data_or_config_path(self, flag, outdir, tmp_path, capsys):
         # the series is the config's data key and the fitted config goes to
@@ -453,6 +484,26 @@ class TestRegretTable:
                    outdir, None)
         assert code == 0
         assert "d=0.02/MIROC" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("formats, names", [
+        (("svg", "csv"), ["regret_matrix.csv", "regret_heatmap.svg"]),
+        (("txt",), ["regret_table.txt"]),
+    ], ids=["svg-csv", "txt"])
+    def test_formats_subset(self, formats, names, tmp_path, small_config_path, capsys):
+        # only the configured files, in the order csv, txt, svg, each the
+        # full run's bytes
+        full, part = tmp_path / "full", tmp_path / "part"
+        assert run(["--no-timestamp", "regret-table"], full, small_config_path) == 0
+        config = tmp_path / "subset.ini"
+        save_config(replace(load_config(small_config_path), formats=formats), str(config))
+        capsys.readouterr()
+        assert run(["--no-timestamp", "regret-table"], part, config) == 0
+        wrote = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("wrote ")]
+        assert wrote == [f"wrote {part / name}" for name in names]
+        assert sorted(os.listdir(part)) == sorted(names)
+        for name in names:
+            assert (part / name).read_bytes() == (full / name).read_bytes()
 
     def test_deterministic_bytes(self, tmp_path, small_config_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -546,6 +597,53 @@ class TestMmrAndTmax:
     def test_tmax_requires_full_provenance(self, outdir, small_config_path, capsys):
         code = run(["tmax", "--delta", "0.02"], outdir, small_config_path)
         assert code == 2
+
+
+class TestWeightOverrides:
+    @pytest.mark.parametrize("weights", [{"alpha": 0.0002}, {"beta": 0.014},
+                                         {"alpha": 0.0002, "beta": 0.014}],
+                             ids=["alpha", "beta", "both"])
+    @pytest.mark.parametrize("command", ["regret-table", "mmr", "tmax"])
+    def test_outputs_match_the_library(self, command, weights, tmp_path, capsys):
+        # each flag replaces its weight alone; the other is the config's
+        config = load_config()
+        econ = replace(config.econ, **weights)
+        scenario = replace(config.to_scenario(), econ=econ)
+        matrix = regret_matrix(build_policy_set(config.deltas, config.ensemble, scenario),
+                               build_states(config.deltas, config.ensemble), scenario)
+        policy, value = mmr_select(matrix)
+        flags = [arg for name, weight in weights.items() for arg in (f"--{name}", repr(weight))]
+        out = tmp_path / "o"
+        assert run(["--no-timestamp", command, *flags], out) == 0
+        stdout = capsys.readouterr().out
+        if command == "regret-table":
+            assert (out / "regret_matrix.csv").read_bytes() == \
+                report.matrix_csv(matrix, timestamp=False).encode()
+            assert f"minimax regret: {policy.label()} (max regret {value:.3f})\n" in stdout
+        elif command == "mmr":
+            assert stdout == (f"alpha={econ.alpha:g} beta={econ.beta:g}\n"
+                              f"minimax-regret policy: {policy.label()}\n"
+                              f"maximum regret: {value:.6f}\n")
+        else:
+            assert stdout.startswith(f"policy: {policy.label()}\n")
+            with open(out / "tmax.csv") as fh:
+                rows = list(csv.DictReader(fh))
+            assert [row["model"] for row in rows] == [m.name for m in config.ensemble]
+            for row, model in zip(rows, config.ensemble):
+                years, peak_degc = tmax(policy, model, scenario,
+                                        root_tol=config.tolerances.root_tol)
+                assert row["years_to_peak"] == f"{years:.1f}"
+                assert float(row["tmax_degc"]) == peak_degc
+
+    @pytest.mark.parametrize("command", [["fit-baseline"], ["sweep"],
+                                         ["solve", "--delta", "0.02", "--model", "IPSL"]],
+                             ids=lambda command: command[0])
+    def test_other_subcommands_take_no_weights(self, command, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run([*command, "--alpha", "0.0002"], tmp_path / "o")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --alpha" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 TINY_THETA_STDOUT = """\

@@ -245,6 +245,15 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             ExpPoly(((1.0, MAX_POWER + 1, 0.0),))
 
+    @pytest.mark.parametrize("term", [(1.0, -1, 0.0), (math.nan, 0, 0.0),
+                                      (math.inf, 0, 0.0), (1.0, 0, math.nan),
+                                      (1.0, 0, -math.inf)],
+                             ids=["negative-power", "nan-coefficient", "inf-coefficient",
+                                  "nan-rate", "inf-rate"])
+    def test_bad_term_rejected(self, term):
+        with pytest.raises(ValueError):
+            ExpPoly((term,))
+
     def test_power_cap_via_mul(self):
         f = ep((1.0, 2, -0.1))
         g = f * f  # power 4: allowed
