@@ -8,14 +8,14 @@ brute-force discretized optimizer confirms the closed form from the
 outside.
 """
 
-import numpy as np
-
 from mmrclimate import (
     ExpPoly,
+    Policy,
     discounted_total_cost,
     load_config,
     numeric_oracle,
     solve_optimal,
+    tmax,
 )
 
 config = load_config()
@@ -42,9 +42,9 @@ for t in (0.0, 40.0, 80.0, 120.0, 160.0, 250.0, 400.0):
           f"{sol.abatement(t):>10.2f} {sol.net_emissions(t):>8.0f} "
           f"{sol.temperature(t):>6.2f}")
 
-slope = scenario.baseline - sol.abatement
-crossing = next(t for t in np.arange(60.0, 300.0, 0.25)
-                if slope(t) > 0 >= slope(t + 0.25))
+# the stock peaks where dE/dt = B - A turns negative: the package's one peak
+# search finds it
+crossing, _ = tmax(Policy(0.05, had), had, scenario)
 print(f"\nabatement overtakes the baseline around year "
       f"{config.start_year + crossing:.0f}; the emissions stock peaks there "
       f"and then declines toward zero "

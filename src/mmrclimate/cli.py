@@ -6,15 +6,17 @@ reproduces the published middle case; fit-baseline fits its data series.
 ``main`` sets up each run once: it loads the config, applies --alpha and
 --beta, and resolves the output directory.  Every subcommand but mmr,
 which only prints, writes its files there through one writer.  Exit
-codes: 0 success, 2 usage or configuration error, 3 numerical failure.
+codes: 0 success, 2 usage or configuration error, 3 numerical failure,
+141 stdout closed early (every file is still written).
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import replace
 
 from . import report
@@ -44,6 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output-dir", help="override the configured output directory")
     parser.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp header from emitted files")
+    parser.set_defaults(stdout_closed=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("fit-baseline", help="fit the baseline curve to the configured "
@@ -76,20 +79,50 @@ def build_parser() -> argparse.ArgumentParser:
 
 @contextmanager
 def _output(args, name: str, shown: str = ""):
-    """Yield the path of ``name`` in the run's output directory, creating
-    the directory only when the file is written, so a failed run leaves
-    none behind; a path that cannot be written is a usage error.  Once
-    the file is closed, ``shown`` (if any) and ``wrote`` print outside
-    the handler, so a failing stdout is not blamed on the file."""
+    """Yield a temporary path beside ``name`` in the run's output
+    directory, then rename the closed file onto ``name``, so the file is
+    whole or absent.  The directory is created only when the file is
+    written, so a failed run leaves none behind; a path that cannot be
+    written is a usage error, and leaves no temporary file.  Once the
+    file is in place, ``shown`` (if any) and ``wrote`` print outside the
+    handler, so a failing stdout is not blamed on the file."""
     path = os.path.join(args.output_dir, name)
+    directory = os.path.dirname(path)
+    # a name of fixed length, so any name that fits the directory fits too
+    temporary = os.path.join(directory, f".mmrclimate-{os.getpid()}.tmp")
     try:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        yield path
+        os.makedirs(directory or ".", exist_ok=True)
+        try:
+            yield temporary
+            os.replace(temporary, path)
+        finally:
+            with suppress(FileNotFoundError):
+                os.remove(temporary)
     except OSError as exc:
         raise ParseError(f"cannot write {path}: {exc}") from exc
     if shown:
-        print(shown)
-    print(f"wrote {path}")
+        _say(args, shown)
+    _say(args, f"wrote {path}")
+
+
+def _say(args, *lines: str) -> None:
+    """Print lines of the run's report.  Once stdout is closed (say, by
+    ``mmrclimate ... | head``), the run goes on writing its files, and
+    :func:`main` exits 141."""
+    try:
+        print(*lines, sep="\n")
+    except BrokenPipeError:
+        _close_stdout(args)
+
+
+def _close_stdout(args) -> None:
+    """Point stdout at os.devnull, so no later print, nor the
+    interpreter's last flush, fails on it again."""
+    args.stdout_closed = True
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    with suppress(io.UnsupportedOperation):   # a stdout with no descriptor
+        os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 def _write(args, name: str, writer, *inputs, shown: str = ""):
@@ -101,13 +134,12 @@ def _write(args, name: str, writer, *inputs, shown: str = ""):
 
 
 def _resolve_data(config: RunConfig) -> str:
-    path = config.data_file
-    if os.path.exists(path):
-        return path
-    bundled = bundled_data_path(path)
-    if os.path.exists(bundled):
-        return bundled
-    raise ParseError(f"no such data file: {path}")
+    """The configured series: a file at ``data``, else a bundled file of
+    that name; never a directory."""
+    for path in (config.data_file, bundled_data_path(config.data_file)):
+        if os.path.isfile(path):
+            return path
+    raise ParseError(f"no such data file: {config.data_file!r}")
 
 
 def cmd_fit_baseline(args, config: RunConfig) -> int:
@@ -118,8 +150,8 @@ def cmd_fit_baseline(args, config: RunConfig) -> int:
     _write(args, "fit_report.txt", report.fit_report, params, series)
     with _output(args, "fitted_config.ini") as path:
         save_config(fitted, path)
-    print(f"fit: theta={params.theta:.6g} phi={params.phi:.6g} "
-          f"b0={params.b0:.6g} r_squared={params.r_squared:.4f}")
+    _say(args, f"fit: theta={params.theta:.6g} phi={params.phi:.6g} "
+               f"b0={params.b0:.6g} r_squared={params.r_squared:.4f}")
     return 0
 
 
@@ -129,8 +161,8 @@ def cmd_solve(args, config: RunConfig) -> int:
     sol = solve_optimal(args.delta, model, scenario)
     _write(args, f"solution_d{args.delta:g}_{model.name}.csv", report.solution_csv,
            sol, scenario)
-    print(f"J* = {sol.j_star:.6f} (percent of present value of output)")
-    print(f"roots: lam+ = {sol.roots.lam_plus:.6f}, lam- = {sol.roots.lam_minus:.6f}")
+    _say(args, f"J* = {sol.j_star:.6f} (percent of present value of output)",
+         f"roots: lam+ = {sol.roots.lam_plus:.6f}, lam- = {sol.roots.lam_minus:.6f}")
     return 0
 
 
@@ -148,15 +180,15 @@ def cmd_regret_table(args, config: RunConfig) -> int:
         if fmt in config.formats:
             _write(args, name, writer, matrix)
     policy, value = mmr_select(matrix)
-    print(f"minimax regret: {policy.label()} (max regret {value:.3f})")
+    _say(args, f"minimax regret: {policy.label()} (max regret {value:.3f})")
     return 0
 
 
 def cmd_mmr(args, config: RunConfig) -> int:
     policy, value = mmr_select(_matrix_for(config, config.to_scenario()))
-    print(f"alpha={config.econ.alpha:g} beta={config.econ.beta:g}")
-    print(f"minimax-regret policy: {policy.label()}")
-    print(f"maximum regret: {value:.6f}")
+    _say(args, f"alpha={config.econ.alpha:g} beta={config.econ.beta:g}",
+         f"minimax-regret policy: {policy.label()}",
+         f"maximum regret: {value:.6f}")
     return 0
 
 
@@ -199,8 +231,8 @@ def cmd_sweep(args, config: RunConfig) -> int:
     _write(args, "sweep_mmr.txt", report.sweep_table_mmr, rep)
     _write(args, "sweep_tmax.txt", report.sweep_table_tmax, rep)
     chosen = {c.policy_delta for c in rep.cells}
-    print(f"MMR discount rate(s) selected across the grid: "
-          f"{sorted(chosen)}")
+    _say(args, f"MMR discount rate(s) selected across the grid: "
+               f"{sorted(chosen)}")
     return 0
 
 
@@ -226,10 +258,15 @@ def main(argv=None) -> int:
                 alpha=config.econ.alpha if alpha is None else alpha,
                 beta=config.econ.beta if beta is None else beta))
         args.output_dir = args.output_dir or config.output_dir
-        return _COMMANDS[args.command](args, config)
+        code = _COMMANDS[args.command](args, config)
+        sys.stdout.flush()   # a closed stdout that buffered every line fails here
+    except BrokenPipeError:
+        _close_stdout(args)
     except MmrClimateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    # 128 + SIGPIPE, as a shell reports a process that a closed pipe ended
+    return 141 if args.stdout_closed else code
 
 
 if __name__ == "__main__":

@@ -7,26 +7,19 @@ asymptotic-temperature anchor: the no-abatement temperature limit under
 the anchor model equals ``anchor_temp_degc``, so E0 = anchor / ccr -
 total baseline emissions.  Any float overrides it.
 
-Schema (see README for the full key list)::
-
-    [scenario]   start_year, e0, anchor_temp_degc, anchor_model
-    [baseline]   variant (theta-scaled only), theta, phi, b0, r_squared,
-                 data   (the series fit-baseline fits)
-    [economy]    alpha, beta, report_scale (1 only)
-    [uncertainty] deltas, alpha_grid, beta_grid   (space separated)
-    [ensemble]   NAME = ccr   (one per model, order defines m1..mN; each
-                 loop's k = beta ccr^2 / alpha keeps finite roots under
-                 every weight)
-    [tolerances] root_tol   (bracket width of the peak search, years)
-    [output]     directory, formats   (a nonempty subset of csv txt svg)
-
-A section or key the schema does not name is refused, and so is any
-key under [DEFAULT]; [ensemble] keys are model names and may be any.
+The format is one table, :data:`SCHEMA`: each section's keys in the
+order :func:`save_config` writes them, each with the text
+:func:`load_config` reads when a file leaves it out, or required (see
+README for what each key means).  A section or key the table does not
+name is refused, and so is any key under [DEFAULT]; [ensemble] keys are
+model names (``NAME = ccr``, in the order m1..mN) and may be any.  A
+missing required section or key is named.
 """
 
 from __future__ import annotations
 
 import configparser
+import io
 from dataclasses import dataclass
 from importlib.resources import files
 
@@ -44,16 +37,22 @@ from .errors import NonConvergence, ParseError, ValidationError
 from .regret import ROOT_TOL, _halvings, build_states
 
 FORMATS = ("csv", "txt", "svg")
-# the keys of each section; [ensemble] keys are model names, so any goes
+REQUIRED = None   # a key that has no default
+# The config format: each section's keys in the order save_config writes
+# them, each mapped to the text load_config reads when a file leaves it
+# out, or to REQUIRED; [ensemble] keys are model names, so any goes.
 SCHEMA = {
-    "scenario": {"start_year", "e0", "anchor_temp_degc", "anchor_model"},
-    "baseline": {"variant", "theta", "phi", "b0", "r_squared", "data"},
-    "economy": {"alpha", "beta", "report_scale"},
-    "uncertainty": {"deltas", "alpha_grid", "beta_grid"},
+    "scenario": {"start_year": "2020", "e0": "auto", "anchor_temp_degc": "14.7",
+                 "anchor_model": "HAD"},
+    "baseline": {"variant": BASELINE_VARIANT, "theta": REQUIRED, "phi": REQUIRED,
+                 "b0": REQUIRED, "data": "extended_rcp85_emissions.csv", "r_squared": ""},
+    "economy": {"alpha": REQUIRED, "beta": REQUIRED, "report_scale": "1"},
+    "uncertainty": {"deltas": REQUIRED, "alpha_grid": REQUIRED, "beta_grid": REQUIRED},
     "ensemble": None,
-    "tolerances": {"root_tol"},
-    "output": {"directory", "formats"},
+    "tolerances": {"root_tol": repr(ROOT_TOL)},
+    "output": {"directory": "out", "formats": " ".join(FORMATS)},
 }
+OPTIONAL = ("tolerances", "output")   # the sections a config may leave out
 
 
 def bundled_data_path(name: str) -> str:
@@ -170,16 +169,23 @@ def _floats(text: str) -> tuple:
     return tuple(float(tok) for tok in text.split())
 
 
+def _parser() -> configparser.ConfigParser:
+    """The one INI dialect: keys keep their case, values are literal."""
+    parser = configparser.ConfigParser(delimiters=("=",), comment_prefixes=("#",),
+                                       inline_comment_prefixes=("#",), interpolation=None)
+    parser.optionxform = str
+    return parser
+
+
 def load_config(path: str | None = None) -> RunConfig:
     """Read a config file, by default the bundled one: UTF-8 INI, with or
     without a byte-order mark, whose values are literal, with no ``%``
     substitution.  A syntax error is one line, with its line number, and
-    so is a section or key that :data:`SCHEMA` does not name."""
+    so is a section or key that :data:`SCHEMA` does not name, or a
+    required one that the file leaves out."""
     if path is None:
         path = bundled_data_path("default_config.ini")
-    parser = configparser.ConfigParser(delimiters=("=",), comment_prefixes=("#",),
-                                       inline_comment_prefixes=("#",), interpolation=None)
-    parser.optionxform = str
+    parser = _parser()
     try:
         with open(path, encoding="utf-8-sig") as fh:
             parser.read_file(fh)
@@ -198,95 +204,129 @@ def load_config(path: str | None = None) -> RunConfig:
         for key in parser[section]:
             if SCHEMA[section] is not None and key not in SCHEMA[section]:
                 raise ParseError(f"bad config {path}: unknown key {key!r} in [{section}]")
+    text = {}
+    for section, keys in SCHEMA.items():
+        if section not in OPTIONAL and not parser.has_section(section):
+            raise ParseError(f"bad config {path}: missing section [{section}]")
+        for key, default in (keys or {}).items():
+            text[key] = parser.get(section, key, fallback=default)
+            if text[key] is REQUIRED:
+                raise ParseError(f"bad config {path}: missing key {key!r} in [{section}]")
 
     try:
-        scen = parser["scenario"]
-        base = parser["baseline"]
-        econ = parser["economy"]
-        unc = parser["uncertainty"]
-        ens = parser["ensemble"]
-        tol = parser["tolerances"] if parser.has_section("tolerances") else {}
-        out = parser["output"] if parser.has_section("output") else {}
-
-        r2 = base.get("r_squared", "").strip()
+        r2 = text["r_squared"].strip()
         baseline = BaselineParams(
-            theta=float(base["theta"]),
-            phi=float(base["phi"]),
-            b0=float(base["b0"]),
+            theta=float(text["theta"]),
+            phi=float(text["phi"]),
+            b0=float(text["b0"]),
             r_squared=float(r2) if r2 else None,
         )
-        variant = base.get("variant", BASELINE_VARIANT)
+        variant = text["variant"]
         if variant != BASELINE_VARIANT:
             raise ParseError(
                 f"bad config {path}: variant = {variant} is not supported; "
                 f"the baseline form is {BASELINE_VARIANT}")
         ensemble = tuple(
-            ClimateModel(name=name, ccr=float(value)) for name, value in ens.items()
+            ClimateModel(name=name, ccr=float(value))
+            for name, value in parser["ensemble"].items()
         )
-        scale = econ.get("report_scale", "1")
+        scale = text["report_scale"]
         if float(scale) != 1.0:
             raise ParseError(
                 f"bad config {path}: report_scale = {scale} is not supported; "
                 "scale alpha and beta (and alpha_grid, beta_grid) instead")
-        formats = tuple(out.get("formats", " ".join(FORMATS)).split())
+        formats = tuple(text["formats"].split())
         if not formats or not set(formats) <= set(FORMATS):
             raise ParseError(
                 f"bad config {path}: formats must name one or more of "
                 f"{', '.join(FORMATS)}; got {' '.join(formats) or 'none'}")
         return RunConfig(
-            start_year=int(scen.get("start_year", "2020")),
-            e0_setting=scen.get("e0", "auto"),
-            anchor_temp_degc=float(scen.get("anchor_temp_degc", "14.7")),
-            anchor_model=scen.get("anchor_model", "HAD"),
+            start_year=int(text["start_year"]),
+            e0_setting=text["e0"],
+            anchor_temp_degc=float(text["anchor_temp_degc"]),
+            anchor_model=text["anchor_model"],
             baseline=baseline,
-            data_file=base.get("data", "extended_rcp85_emissions.csv"),
-            econ=EconParams(alpha=float(econ["alpha"]), beta=float(econ["beta"])),
-            deltas=_floats(unc["deltas"]),
-            alpha_grid=_floats(unc["alpha_grid"]),
-            beta_grid=_floats(unc["beta_grid"]),
+            data_file=text["data"],
+            econ=EconParams(alpha=float(text["alpha"]), beta=float(text["beta"])),
+            deltas=_floats(text["deltas"]),
+            alpha_grid=_floats(text["alpha_grid"]),
+            beta_grid=_floats(text["beta_grid"]),
             ensemble=ensemble,
-            tolerances=ToleranceConfig(root_tol=float(tol.get("root_tol", ROOT_TOL))),
-            output_dir=out.get("directory", "out"),
+            tolerances=ToleranceConfig(root_tol=float(text["root_tol"])),
+            output_dir=text["directory"],
             formats=formats,
         )
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ParseError(f"bad config {path}: {exc}") from exc
 
 
+def _ini(sections: dict) -> str:
+    """The text of ``sections`` ({section: {key: text}}) as a config file."""
+    parser = _parser()
+    parser.read_dict(sections)
+    out = io.StringIO()
+    parser.write(out)
+    return out.getvalue()
+
+
+def _read_back(text: str) -> dict | None:
+    """What :func:`load_config` reads from a file of ``text``, through
+    UTF-8 and universal newlines, as {section: {key: text}}; None for a
+    file it cannot read."""
+    parser = _parser()
+    try:
+        text.encode("utf-8")
+        parser.read_file(io.StringIO(text, newline=None))
+    except (configparser.Error, UnicodeEncodeError):
+        return None
+    return {section: dict(parser[section]) for section in parser.sections()}
+
+
 def save_config(config: RunConfig, path: str) -> None:
-    """Serialize as UTF-8 with full float precision and literal values, so
-    a round trip is exact."""
-    parser = configparser.ConfigParser(delimiters=("=",), interpolation=None)
-    parser.optionxform = str
-    parser["scenario"] = {
+    """Serialize as UTF-8, with full float precision and literal values,
+    each section's keys in :data:`SCHEMA`'s order, so a round trip is
+    exact: text that :func:`load_config` would not read back as written
+    (a model named ``#MIROC`` or ``MI=ROC``, a value with `` #`` in it,
+    space at either end or a newline at the end) is refused with
+    ValidationError naming its key, or its model, and no file is opened."""
+    fields = {
         "start_year": str(config.start_year),
         "e0": config.e0_setting,
         "anchor_temp_degc": repr(config.anchor_temp_degc),
         "anchor_model": config.anchor_model,
-    }
-    parser["baseline"] = {
         "variant": BASELINE_VARIANT,
         "theta": repr(config.baseline.theta),
         "phi": repr(config.baseline.phi),
         "b0": repr(config.baseline.b0),
         "data": config.data_file,
-    }
-    if config.baseline.r_squared is not None:
-        parser["baseline"]["r_squared"] = repr(config.baseline.r_squared)
-    parser["economy"] = {
         "alpha": repr(config.econ.alpha),
         "beta": repr(config.econ.beta),
-    }
-    parser["uncertainty"] = {
         "deltas": " ".join(repr(d) for d in config.deltas),
         "alpha_grid": " ".join(repr(a) for a in config.alpha_grid),
         "beta_grid": " ".join(repr(b) for b in config.beta_grid),
-    }
-    parser["ensemble"] = {m.name: repr(m.ccr) for m in config.ensemble}
-    parser["tolerances"] = {"root_tol": repr(config.tolerances.root_tol)}
-    parser["output"] = {
+        "root_tol": repr(config.tolerances.root_tol),
         "directory": config.output_dir,
         "formats": " ".join(config.formats),
     }
+    if config.baseline.r_squared is not None:
+        fields["r_squared"] = repr(config.baseline.r_squared)
+    sections = {}
+    for section, keys in SCHEMA.items():
+        if keys is None:
+            sections[section] = {m.name: repr(m.ccr) for m in config.ensemble}
+        else:   # report_scale is never written, nor an unknown r_squared
+            sections[section] = {key: fields[key] for key in keys if key in fields}
+    text = _ini(sections)
+    if _read_back(text) != sections:
+        # name the first key whose line does not read back after the
+        # lines before it
+        kept = {}
+        for section, values in sections.items():
+            kept[section] = {}
+            for key, value in values.items():
+                kept[section][key] = value
+                if _read_back(_ini(kept)) != kept:
+                    raise ValidationError(f"[{section}] {key!r} = {value!r} "
+                                          "would not read back as written")
     with open(path, "w", encoding="utf-8") as fh:
-        parser.write(fh)
+        fh.write(text)

@@ -27,6 +27,20 @@ from mmrclimate.regret import (build_policy_set, build_states, mmr_select,
                                regret_matrix, tmax)
 
 
+# the sections and keys a config must give; every other key has a default
+REQUIRED_SECTIONS = ["scenario", "baseline", "economy", "uncertainty", "ensemble"]
+REQUIRED_KEYS = {"baseline": ["theta", "phi", "b0"], "economy": ["alpha", "beta"],
+                 "uncertainty": ["deltas", "alpha_grid", "beta_grid"]}
+
+
+class BrokenPipe(io.StringIO):
+    """A stdout whose reader is gone, as under ``mmrclimate ... | head``
+    with unbuffered output."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
 @pytest.fixture()
 def outdir(tmp_path):
     return str(tmp_path / "out")
@@ -341,17 +355,72 @@ class TestBadInput:
         # print once tmax.csv is written in full: that is no file error
         args = ["--no-timestamp", "tmax", "--delta", "0.02", "--model", "IPSL"]
         assert run(args, tmp_path / "ok") == 0
-
-        class BrokenPipe(io.StringIO):
-            def write(self, text):
-                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
-
         monkeypatch.setattr(sys, "stdout", BrokenPipe())
-        with pytest.raises(BrokenPipeError):
-            run(args, tmp_path / "broken")
+        assert run(args, tmp_path / "broken") == 141
         assert "tmax.csv" not in capsys.readouterr().err
         assert ((tmp_path / "broken" / "tmax.csv").read_bytes()
                 == (tmp_path / "ok" / "tmax.csv").read_bytes())
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("command", [
+        ["fit-baseline"], ["solve", "--delta", "0.02", "--model", "HAD"],
+        ["regret-table"], ["mmr"], ["tmax"], ["sweep"]], ids=lambda command: command[0])
+    def test_run_writes_every_file_and_exits_141(self, command, tmp_path, capsys,
+                                                 monkeypatch, small_config_path):
+        args = ["--no-timestamp", *command]
+        ok, closed = tmp_path / "ok", tmp_path / "closed"
+        assert run(args, ok, small_config_path) == 0
+        monkeypatch.setattr(sys, "stdout", BrokenPipe())
+        assert run(args, closed, small_config_path) == 141
+        assert capsys.readouterr().err == ""
+        names = sorted(os.listdir(ok)) if ok.exists() else []   # mmr writes none
+        assert (sorted(os.listdir(closed)) if closed.exists() else []) == names
+        for name in names:
+            assert (closed / name).read_bytes() == (ok / name).read_bytes(), name
+
+    def test_file_is_whole_or_absent(self, tmp_path, capsys, monkeypatch,
+                                     small_config_path):
+        # a write that fails part-way (a full disk) is a usage error that
+        # leaves no part of the file, under its name or a temporary one,
+        # and an earlier run's file as it was
+        real_open = open
+
+        class Full:
+            def __init__(self, *args, **kwargs):
+                self.fh = real_open(*args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[:len(text) // 2])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        opened = []
+
+        def failing_open(*args, **kwargs):
+            # regret-table writes regret_matrix.csv, then regret_table.txt
+            opened.append(args[0])
+            return (Full if len(opened) == 2 else real_open)(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", failing_open, raising=False)
+        earlier = tmp_path / "earlier"
+        earlier.mkdir()
+        (earlier / "regret_table.txt").write_text("an earlier run\n")
+        for out, left in [(tmp_path / "fresh", ["regret_matrix.csv"]),
+                          (earlier, ["regret_matrix.csv", "regret_table.txt"])]:
+            opened.clear()
+            assert run(["regret-table"], out, small_config_path) == 2
+            assert capsys.readouterr().err == (
+                f"error: cannot write {out / 'regret_table.txt'}: "
+                f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+            assert sorted(os.listdir(out)) == left
+        assert (earlier / "regret_table.txt").read_text() == "an earlier run\n"
 
 
 class TestFitBaseline:
@@ -403,6 +472,15 @@ class TestFitBaseline:
         config = self._config_with_data(tmp_path, "/nonexistent.csv")
         assert run(["fit-baseline"], outdir, config) == 2
         assert "no such data file" in capsys.readouterr().err
+        assert not os.path.exists(outdir)
+
+    @pytest.mark.parametrize("data", ["", ".", "directory"])
+    def test_data_must_name_a_file(self, data, outdir, tmp_path, capsys):
+        # an empty name once resolved to the bundled data directory
+        if data == "directory":
+            data = str(tmp_path)
+        assert run(["fit-baseline"], outdir, self._config_with_data(tmp_path, data)) == 2
+        assert capsys.readouterr().err == f"error: no such data file: {data!r}\n"
         assert not os.path.exists(outdir)
 
     def test_wrong_header_is_parse_error(self, outdir, tmp_path, capsys):
@@ -832,6 +910,39 @@ class TestConfigHandling:
         assert run(["fit-baseline"], str(out), str(path)) == 2
         assert capsys.readouterr().err == f"error: bad config {path}: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("section, key", [
+        *[(section, key) for section, keys in REQUIRED_KEYS.items() for key in keys],
+        *[(section, None) for section in REQUIRED_SECTIONS]])
+    def test_missing_section_or_key_is_named(self, section, key, tmp_path, capsys):
+        text = Path(bundled_data_path("default_config.ini")).read_text()
+        if key is None:
+            pattern, message = rf"^\[{section}\]\n(.+\n)*\n?", f"missing section [{section}]"
+        else:
+            pattern, message = rf"^{key} = .*\n", f"missing key {key!r} in [{section}]"
+        path = tmp_path / "missing.ini"
+        path.write_text(re.sub(pattern, "", text, count=1, flags=re.M))
+        out = tmp_path / "o"
+        assert run(["fit-baseline"], str(out), str(path)) == 2
+        assert capsys.readouterr().err == f"error: bad config {path}: {message}\n"
+        assert not out.exists()
+
+    def test_required_keys_alone_take_the_defaults(self, tmp_path):
+        # every other key's default is the bundled config's value, and
+        # [tolerances] and [output] may be left out
+        kept, section = [], None
+        for line in Path(bundled_data_path("default_config.ini")).read_text().splitlines():
+            if line.startswith("["):
+                section = line[1:-1]
+                if section in REQUIRED_SECTIONS:
+                    kept.append(line)
+            elif section == "ensemble" or line.split(" = ")[0] in REQUIRED_KEYS.get(section, ()):
+                kept.append(line)
+        path = tmp_path / "required.ini"
+        path.write_text("\n".join(kept) + "\n")
+        bundled = load_config()
+        assert load_config(str(path)) == replace(
+            bundled, baseline=replace(bundled.baseline, r_squared=None))
 
     def test_unreadable_config(self, tmp_path, capsys):
         assert run(["mmr"], config=str(tmp_path / "missing.ini")) == 2
