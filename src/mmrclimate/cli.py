@@ -50,19 +50,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("fit-baseline", help="fit the baseline curve to the configured "
-                   "emissions series and write the updated config")
+                   "emissions series and write the updated config"
+                   ).set_defaults(run=cmd_fit_baseline)
 
     p = sub.add_parser("solve", help="closed-form optimal paths for one "
                        "{delta, model} pair")
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--model", required=True)
+    p.set_defaults(run=cmd_solve)
 
     weights = argparse.ArgumentParser(add_help=False)
     weights.add_argument("--alpha", type=float)
     weights.add_argument("--beta", type=float)
     sub.add_parser("regret-table", parents=[weights], help="full regret matrix: "
-                   "CSV, three-part table, SVG heatmap")
-    sub.add_parser("mmr", parents=[weights], help="print the minimax-regret policy")
+                   "CSV, three-part table, SVG heatmap"
+                   ).set_defaults(run=cmd_regret_table)
+    sub.add_parser("mmr", parents=[weights], help="print the minimax-regret policy"
+                   ).set_defaults(run=cmd_mmr)
 
     p = sub.add_parser("tmax", parents=[weights], help="peak temperature of a "
                        "policy under every ensemble model")
@@ -71,9 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="policy provenance model")
     p.add_argument("--no-abatement", action="store_true",
                    help="evaluate the passive benchmark instead")
+    p.set_defaults(run=cmd_tmax)
 
     sub.add_parser("sweep", help="MMR selection and peak warming over the "
-                   "configured (alpha, beta) grid")
+                   "configured (alpha, beta) grid").set_defaults(run=cmd_sweep)
     return parser
 
 
@@ -236,16 +241,6 @@ def cmd_sweep(args, config: RunConfig) -> int:
     return 0
 
 
-_COMMANDS = {
-    "fit-baseline": cmd_fit_baseline,
-    "solve": cmd_solve,
-    "regret-table": cmd_regret_table,
-    "mmr": cmd_mmr,
-    "tmax": cmd_tmax,
-    "sweep": cmd_sweep,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -258,7 +253,7 @@ def main(argv=None) -> int:
                 alpha=config.econ.alpha if alpha is None else alpha,
                 beta=config.econ.beta if beta is None else beta))
         args.output_dir = args.output_dir or config.output_dir
-        code = _COMMANDS[args.command](args, config)
+        code = args.run(args, config)
         sys.stdout.flush()   # a closed stdout that buffered every line fails here
     except BrokenPipeError:
         _close_stdout(args)

@@ -68,12 +68,13 @@ class ToleranceConfig:
 @dataclass(frozen=True)
 class RunConfig:
     """A parsed config, held to the library's rules for its ensemble, grid
-    cells and ``root_tol``, plus its own: every response positive (``e0 =
-    auto`` divides by the anchor's), model names distinct ignoring case
-    (:meth:`model` ignores it) and both grids nonempty.  The engine's
-    root rule holds for every model's closed loop under the weights and
-    under each grid cell, at every rate, so no subcommand meets a model
-    whose stiffness k = beta m^2 / alpha overflows."""
+    cells and ``root_tol``, plus its own: ``formats`` one or more of
+    :data:`FORMATS`, every response positive (``e0 = auto`` divides by the
+    anchor's), model names distinct ignoring case (:meth:`model` ignores
+    it) and both grids nonempty.  The engine's root rule holds for every
+    model's closed loop under the weights and under each grid cell, at
+    every rate, so no subcommand meets a model whose stiffness k = beta
+    m^2 / alpha overflows."""
 
     start_year: int
     e0_setting: str                  # "auto" or a float literal
@@ -91,6 +92,10 @@ class RunConfig:
     formats: tuple
 
     def __post_init__(self):
+        if not self.formats or not set(self.formats) <= set(FORMATS):
+            raise ValidationError(
+                f"formats must name one or more of {', '.join(FORMATS)}; "
+                f"got {' '.join(self.formats) or 'none'}")
         build_states(self.deltas, self.ensemble)
         names = {}
         for m in self.ensemble:
@@ -235,11 +240,6 @@ def load_config(path: str | None = None) -> RunConfig:
             raise ParseError(
                 f"bad config {path}: report_scale = {scale} is not supported; "
                 "scale alpha and beta (and alpha_grid, beta_grid) instead")
-        formats = tuple(text["formats"].split())
-        if not formats or not set(formats) <= set(FORMATS):
-            raise ParseError(
-                f"bad config {path}: formats must name one or more of "
-                f"{', '.join(FORMATS)}; got {' '.join(formats) or 'none'}")
         return RunConfig(
             start_year=int(text["start_year"]),
             e0_setting=text["e0"],
@@ -254,7 +254,7 @@ def load_config(path: str | None = None) -> RunConfig:
             ensemble=ensemble,
             tolerances=ToleranceConfig(root_tol=float(text["root_tol"])),
             output_dir=text["directory"],
-            formats=formats,
+            formats=tuple(text["formats"].split()),
         )
     except ValueError as exc:
         raise ParseError(f"bad config {path}: {exc}") from exc

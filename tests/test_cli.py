@@ -27,6 +27,8 @@ from mmrclimate.regret import (build_policy_set, build_states, mmr_select,
                                regret_matrix, tmax)
 
 
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
 # the sections and keys a config must give; every other key has a default
 REQUIRED_SECTIONS = ["scenario", "baseline", "economy", "uncertainty", "ensemble"]
 REQUIRED_KEYS = {"baseline": ["theta", "phi", "b0"], "economy": ["alpha", "beta"],
@@ -39,6 +41,22 @@ class BrokenPipe(io.StringIO):
 
     def write(self, text):
         raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+class BufferedBrokenPipe(io.StringIO):
+    """A stdout whose reader is gone and which buffered every line, so
+    only the last flush fails."""
+
+    def flush(self):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def child_env():
+    """The environment of a child process that imports the package this
+    suite imports, whether from the checkout or from an install."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(mmrclimate.__file__))]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
 @pytest.fixture()
@@ -133,8 +151,12 @@ class TestBadInput:
             "beta-inf"])
     def test_usage_error_exit_code(self, args, outdir, capsys):
         assert run(args, outdir) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
         assert not os.path.exists(outdir) or not os.listdir(outdir)
+        if args[0] == "tmax":
+            # tmax names the policy pair, and a bad input is no solver failure
+            assert "delta=0" in err.splitlines()[0] and "solver failed" not in err
 
     @pytest.mark.parametrize("horizon", ["5", "100000000000"])
     def test_solve_takes_no_horizon(self, horizon, outdir, capsys):
@@ -165,13 +187,10 @@ class TestBadInput:
         path = tmp_path / "tol.ini"
         path.write_text(text.replace("root_tol = 1e-06", f"root_tol = {root_tol}"))
         outdir = tmp_path / "o"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [os.path.dirname(os.path.dirname(mmrclimate.__file__))]
-            + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         proc = subprocess.run(
             [sys.executable, "-m", "mmrclimate.cli", "--config", str(path),
              "--output-dir", str(outdir), command],
-            capture_output=True, text=True, env=env, timeout=30)
+            capture_output=True, text=True, env=child_env(), timeout=30)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and "root_tol" in proc.stderr
         assert not outdir.exists() or not os.listdir(outdir)
@@ -369,13 +388,40 @@ class TestClosedStdout:
     def test_run_writes_every_file_and_exits_141(self, command, tmp_path, capsys,
                                                  monkeypatch, small_config_path):
         args = ["--no-timestamp", *command]
-        ok, closed = tmp_path / "ok", tmp_path / "closed"
+        ok = tmp_path / "ok"
         assert run(args, ok, small_config_path) == 0
-        monkeypatch.setattr(sys, "stdout", BrokenPipe())
-        assert run(args, closed, small_config_path) == 141
-        assert capsys.readouterr().err == ""
         names = sorted(os.listdir(ok)) if ok.exists() else []   # mmr writes none
-        assert (sorted(os.listdir(closed)) if closed.exists() else []) == names
+        for stdout in (BrokenPipe, BufferedBrokenPipe):
+            closed = tmp_path / stdout.__name__
+            monkeypatch.setattr(sys, "stdout", stdout())
+            assert run(args, closed, small_config_path) == 141, stdout
+            assert capsys.readouterr().err == ""
+            assert (sorted(os.listdir(closed)) if closed.exists() else []) == names
+            for name in names:
+                assert (closed / name).read_bytes() == (ok / name).read_bytes(), name
+
+    @pytest.mark.parametrize("unbuffered, taken", [("1", 1), ("", 0)],
+                             ids=["unbuffered-one-byte", "buffered-none"])
+    def test_pipe_closed_by_its_reader(self, unbuffered, taken, tmp_path):
+        # a real pipe whose reader takes a byte or none and exits: the exit
+        # races the writes, so the run exits 0 or 141, with nothing on
+        # stderr and every file equal to a normal run's.  Unbuffered, the
+        # child prints each line as it goes, so the pipe can close before
+        # its later files are written; buffered, its whole report is one
+        # write at the last flush, which must not fail again at exit
+        args = ["--no-timestamp", "regret-table"]
+        ok, closed = tmp_path / "ok", tmp_path / "closed"
+        assert run(args, ok) == 0
+        command = [sys.executable, "-m", "mmrclimate.cli", "--output-dir", str(closed), *args]
+        with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=dict(child_env(), PYTHONUNBUFFERED=unbuffered)) as proc:
+            proc.stdout.read(taken)
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        assert proc.returncode in (0, 141)
+        assert err == b""
+        names = ["regret_heatmap.svg", "regret_matrix.csv", "regret_table.txt"]
+        assert sorted(os.listdir(closed)) == sorted(os.listdir(ok)) == names
         for name in names:
             assert (closed / name).read_bytes() == (ok / name).read_bytes(), name
 
@@ -566,7 +612,8 @@ class TestRegretTable:
     @pytest.mark.parametrize("formats, names", [
         (("svg", "csv"), ["regret_matrix.csv", "regret_heatmap.svg"]),
         (("txt",), ["regret_table.txt"]),
-    ], ids=["svg-csv", "txt"])
+        (("csv",), ["regret_matrix.csv"]),
+    ], ids=["svg-csv", "txt", "csv"])
     def test_formats_subset(self, formats, names, tmp_path, small_config_path, capsys):
         # only the configured files, in the order csv, txt, svg, each the
         # full run's bytes
@@ -627,6 +674,21 @@ class TestMmrAndTmax:
                              "mmrclimate.regret._peaks": 1}
             assert os.path.exists(os.path.join(outdir, "tmax.csv"))
 
+    def test_tmax_file_bounds_the_solve_file(self, tmp_path, capsys):
+        # tmax reads the path solve writes: IPSL's Tmax exceeds the highest
+        # yearly temperature of the pair's solution by no more than a yearly
+        # grid misses of a flat peak, less the CSV's 6-decimal rounding
+        out = tmp_path / "o"
+        for command in ("solve", "tmax"):
+            assert run(["--no-timestamp", command, "--delta", "0.02", "--model", "IPSL"],
+                       out) == 0
+        with open(out / "tmax.csv") as fh:
+            (peak_degc,) = [float(row["tmax_degc"]) for row in csv.DictReader(fh)
+                            if row["model"] == "IPSL"]
+        with open(out / "solution_d0.02_IPSL.csv") as fh:
+            highest = max(float(row["temperature_degc"]) for row in csv.DictReader(fh))
+        assert -5e-7 <= peak_degc - highest <= 2e-5
+
     def test_tmax_no_abatement_reports_asymptote(self, outdir, small_config_path,
                                                  capsys):
         code = run(["tmax", "--no-abatement"], outdir, small_config_path)
@@ -672,9 +734,52 @@ class TestMmrAndTmax:
             text = (out / name).read_text().lower()
             assert "nan" not in text and "inf" not in text
 
+    def test_underflowing_stiffness_abates_nothing(self, tmp_path, capsys):
+        # k = beta m^2 / alpha underflows to 0 for GFDL = 1e-170: the passive
+        # loop, whose abatement column is zero, never -0.000000
+        config = tmp_path / "tiny_ccr.ini"
+        text = Path(bundled_data_path("default_config.ini")).read_text()
+        config.write_text(re.sub(r"(?m)^GFDL = .*$", "GFDL = 1e-170", text))
+        out = tmp_path / "o"
+        assert run(["--no-timestamp", "solve", "--delta", "0.02", "--model", "GFDL"],
+                   out, config) == 0
+        text = (out / "solution_d0.02_GFDL.csv").read_text()
+        assert "-0.000000" not in text
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert len(rows) == 501
+        assert {row["abatement_gtc_yr"] for row in rows} == {"0.000000"}
+
+    def test_one_process_keeps_each_scenario_apart(self, tmp_path, capsys):
+        # solve under the bundled config, under e0 = 400, then the bundled
+        # config again: each file is the one a fresh process writes, so
+        # nothing kept for one scenario reaches another's file
+        bundled = bundled_data_path("default_config.ini")
+        e0_400 = tmp_path / "e0_400.ini"
+        e0_400.write_text(re.sub(r"(?m)^e0 = .*$", "e0 = 400", Path(bundled).read_text()))
+        args = ["--no-timestamp", "solve", "--delta", "0.02", "--model", "IPSL"]
+        name = "solution_d0.02_IPSL.csv"
+        written = []
+        for i, config in enumerate((bundled, e0_400, bundled)):
+            assert run(args, tmp_path / str(i), config) == 0
+            written.append((tmp_path / str(i) / name).read_bytes())
+        fresh = tmp_path / "fresh"
+        subprocess.run([sys.executable, "-m", "mmrclimate.cli", "--config", str(e0_400),
+                        "--output-dir", str(fresh), *args],
+                       check=True, capture_output=True, env=child_env(), timeout=60)
+        assert written[0] == written[2] == (GOLDEN / name).read_bytes()
+        assert written[1] == (fresh / name).read_bytes() != written[0]
+
     def test_tmax_requires_full_provenance(self, outdir, small_config_path, capsys):
         code = run(["tmax", "--delta", "0.02"], outdir, small_config_path)
         assert code == 2
+
+
+# what each subcommand prints of the pick under --alpha 0.0002 --beta 0.014
+BOTH_WEIGHTS_PICK = {
+    "regret-table": "minimax regret: d=0.02/MIROC (max regret 0.479)\n",
+    "mmr": "minimax-regret policy: d=0.02/MIROC\nmaximum regret: 0.479380\n",
+    "tmax": "policy: d=0.02/MIROC\n",
+}
 
 
 class TestWeightOverrides:
@@ -694,6 +799,8 @@ class TestWeightOverrides:
         out = tmp_path / "o"
         assert run(["--no-timestamp", command, *flags], out) == 0
         stdout = capsys.readouterr().out
+        if len(weights) == 2:
+            assert BOTH_WEIGHTS_PICK[command] in stdout
         if command == "regret-table":
             assert (out / "regret_matrix.csv").read_bytes() == \
                 report.matrix_csv(matrix, timestamp=False).encode()
@@ -849,8 +956,18 @@ class TestConfigHandling:
         path.write_text(text.replace("formats = csv txt svg", f"formats = {formats}"))
         out = tmp_path / "o"
         assert run(["regret-table"], str(out), str(path)) == 2
-        assert "formats" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("error: formats must name one or more of "
+                                           f"csv, txt, svg; got {formats or 'none'}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("formats, got", [(("pdf",), "pdf"), ((), "none"),
+                                              (("csv txt",), "csv txt")])
+    def test_run_config_refuses_formats_a_file_cannot_hold(self, formats, got):
+        # saved, the first two would fail to load and the third would load
+        # as ("csv", "txt")
+        with pytest.raises(ValidationError) as exc:
+            replace(load_config(), formats=formats)
+        assert str(exc.value) == f"formats must name one or more of csv, txt, svg; got {got}"
 
     def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
         # so is a syntax error, in one line that keeps its line number
@@ -927,7 +1044,7 @@ class TestConfigHandling:
         assert capsys.readouterr().err == f"error: bad config {path}: {message}\n"
         assert not out.exists()
 
-    def test_required_keys_alone_take_the_defaults(self, tmp_path):
+    def test_required_keys_alone_take_the_defaults(self, tmp_path, capsys):
         # every other key's default is the bundled config's value, and
         # [tolerances] and [output] may be left out
         kept, section = [], None
@@ -943,6 +1060,8 @@ class TestConfigHandling:
         bundled = load_config()
         assert load_config(str(path)) == replace(
             bundled, baseline=replace(bundled.baseline, r_squared=None))
+        assert run(["mmr"], tmp_path / "o", path) == 0
+        assert capsys.readouterr().out == (GOLDEN / "mmr_stdout.txt").read_text()
 
     def test_unreadable_config(self, tmp_path, capsys):
         assert run(["mmr"], config=str(tmp_path / "missing.ini")) == 2

@@ -267,6 +267,11 @@ class TestCanonicalForm:
         assert -0.1 in f.rates()
         assert -0.2 not in f.rates()
 
+    def test_repr_lists_terms_in_canonical_order(self):
+        assert repr(ExpPoly.zero()) == "ExpPoly(0)"
+        assert repr(ExpPoly(((0.5, 1, -0.02), (3.0, 0, -0.02)))) == \
+            "ExpPoly(3*t^0*e^(-0.02t) + 0.5*t^1*e^(-0.02t))"
+
 
 class TestLimit:
     def test_decaying_plus_constant(self):
