@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import configparser
 import io
+import os
 from dataclasses import dataclass
-from importlib.resources import files
 
 import numpy as np
 
@@ -46,7 +46,7 @@ SCHEMA = {
                  "anchor_model": "HAD"},
     "baseline": {"variant": BASELINE_VARIANT, "theta": REQUIRED, "phi": REQUIRED,
                  "b0": REQUIRED, "data": "extended_rcp85_emissions.csv", "r_squared": ""},
-    "economy": {"alpha": REQUIRED, "beta": REQUIRED, "report_scale": "1"},
+    "economy": {"alpha": REQUIRED, "beta": REQUIRED},
     "uncertainty": {"deltas": REQUIRED, "alpha_grid": REQUIRED, "beta_grid": REQUIRED},
     "ensemble": None,
     "tolerances": {"root_tol": repr(ROOT_TOL)},
@@ -57,7 +57,7 @@ OPTIONAL = ("tolerances", "output")   # the sections a config may leave out
 
 def bundled_data_path(name: str) -> str:
     """Filesystem path of a file shipped under ``mmrclimate/data``."""
-    return str(files("mmrclimate").joinpath("data", name))
+    return os.path.join(os.path.dirname(__file__), "data", name)
 
 
 @dataclass(frozen=True)
@@ -235,11 +235,6 @@ def load_config(path: str | None = None) -> RunConfig:
             ClimateModel(name=name, ccr=float(value))
             for name, value in parser["ensemble"].items()
         )
-        scale = text["report_scale"]
-        if float(scale) != 1.0:
-            raise ParseError(
-                f"bad config {path}: report_scale = {scale} is not supported; "
-                "scale alpha and beta (and alpha_grid, beta_grid) instead")
         return RunConfig(
             start_year=int(text["start_year"]),
             e0_setting=text["e0"],
@@ -314,7 +309,7 @@ def save_config(config: RunConfig, path: str) -> None:
     for section, keys in SCHEMA.items():
         if keys is None:
             sections[section] = {m.name: repr(m.ccr) for m in config.ensemble}
-        else:   # report_scale is never written, nor an unknown r_squared
+        else:   # an unknown r_squared is not written
             sections[section] = {key: fields[key] for key in keys if key in fields}
     text = _ini(sections)
     if _read_back(text) != sections:

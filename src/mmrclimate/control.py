@@ -88,7 +88,7 @@ class ScenarioConfig:
         if not (math.isfinite(self.e0) and self.e0 >= 0):
             raise ValidationError(
                 f"initial cumulative emissions must be finite and >= 0, got {self.e0}")
-        if not self.baseline.is_zero and self.baseline.max_rate() >= 0:
+        if any(mu >= 0 for mu in self.baseline.rates()):
             raise ValidationError("baseline must decay (all rates < 0)")
 
 

@@ -70,7 +70,7 @@ def _check_discount(delta: float, name: str = "discount rate") -> None:
 def net_cumulative_emissions(abatement: ExpPoly, baseline: ExpPoly,
                              e0: float) -> ExpPoly:
     """E(t) = E0 + integral over [0, t] of (B - A), exact."""
-    return ExpPoly.constant(e0) + (baseline - abatement).cumulative()
+    return ExpPoly.term(e0) + (baseline - abatement).cumulative()
 
 
 def discounted_total_cost(abatement: ExpPoly, econ: EconParams,

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -35,14 +35,9 @@ from .errors import DivergentIntegral, InvalidDiscount
 MAX_POWER = 4
 
 
-class Term(NamedTuple):
-    coeff: float
-    power: int
-    rate: float
-
-
 def _canonical(terms: Iterable[tuple]) -> tuple:
-    """Combine like terms in encounter order, drop zeros, sort for display.
+    """Combine like terms in encounter order, drop zeros, sort for display,
+    as ``(coeff, power, rate)`` tuples.
 
     Summation order is the iteration order of ``terms``; this keeps
     cancellation bit-exact when an operand was itself built as the
@@ -65,7 +60,7 @@ def _canonical(terms: Iterable[tuple]) -> tuple:
         key = (power, rate)
         acc[key] = acc.get(key, 0.0) + coeff
     return tuple(
-        Term(c, n, mu)
+        (c, n, mu)
         for (n, mu), c in sorted(acc.items(), key=lambda kv: (kv[0][1], kv[0][0]))
         if c != 0.0
     )
@@ -89,10 +84,6 @@ class ExpPoly:
     @staticmethod
     def term(coeff: float, power: int = 0, rate: float = 0.0) -> "ExpPoly":
         return ExpPoly(((coeff, power, rate),))
-
-    @staticmethod
-    def constant(value: float) -> "ExpPoly":
-        return ExpPoly(((value, 0, 0.0),))
 
     # -- algebra -------------------------------------------------------
 
@@ -191,11 +182,6 @@ class ExpPoly:
 
     def rates(self) -> tuple:
         return tuple(sorted({mu for _, _, mu in self.terms}))
-
-    def max_rate(self) -> float:
-        if not self.terms:
-            return -math.inf
-        return max(mu for _, _, mu in self.terms)
 
     def limit_at_infinity(self) -> float:
         """Limit as t -> inf; only defined when every non-constant term decays."""

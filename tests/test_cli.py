@@ -898,9 +898,9 @@ class TestSinglePair:
 
 
 class TestReportScale:
-    """A config may set report_scale only to 1 and [baseline] variant only
-    to theta-scaled, which change nothing; any other value is an error
-    rather than being ignored."""
+    """A config may set [baseline] variant only to theta-scaled, which
+    changes nothing; any other value is an error rather than being
+    ignored.  report_scale is no key at all: the weights carry the scale."""
 
     def config_with(self, tmp_path, old, new):
         text = Path(bundled_data_path("default_config.ini")).read_text()
@@ -915,7 +915,7 @@ class TestReportScale:
     def test_scale_other_than_one_is_config_error(self, tmp_path, capsys):
         for old, new, key, hint in [
             ("beta = 0.018\n", "beta = 0.018\nreport_scale = 2\n",
-             "report_scale", "scale alpha and beta"),
+             "report_scale", "unknown key"),
             ("variant = theta-scaled", "variant = as-printed",
              "variant", "theta-scaled"),
         ]:
@@ -923,11 +923,11 @@ class TestReportScale:
             err = capsys.readouterr().err
             assert key in err and hint in err, key
 
-    def test_scale_of_one_loads_as_before(self, tmp_path, capsys):
-        assert run(["mmr"], config=self.config_with_scale(tmp_path, "1.0")) == 0
-        scaled = capsys.readouterr().out
-        assert run(["mmr"], config=bundled_data_path("default_config.ini")) == 0
-        assert scaled == capsys.readouterr().out
+    def test_scale_of_one_is_unknown_key(self, tmp_path, capsys):
+        path = self.config_with_scale(tmp_path, "1")
+        assert run(["mmr"], config=path) == 2
+        assert capsys.readouterr() == (
+            "", f"error: bad config {path}: unknown key 'report_scale' in [economy]\n")
 
 
 class TestConfigHandling:
@@ -938,6 +938,21 @@ class TestConfigHandling:
         out = capsys.readouterr().out
         assert run(["mmr"], config=bundled_data_path("default_config.ini")) == 0
         assert out == capsys.readouterr().out
+
+    def test_cli_import_loads_no_importlib_resources(self):
+        # bundled files are found beside the package, so importing the CLI
+        # adds no importlib.resources (nor its zipfile, tempfile, shutil);
+        # -S keeps site's .pth files from importing it first, and numpy is
+        # imported before the snapshot, so whatever it imports is allowed
+        import numpy
+        path = os.pathsep.join(os.path.dirname(os.path.dirname(module.__file__))
+                               for module in (mmrclimate, numpy))
+        code = ("import sys, numpy; before = set(sys.modules); import mmrclimate.cli; "
+                "print(sorted(m for m in set(sys.modules) - before "
+                "if m.startswith('importlib.resources')))")
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
     def test_empty_grid_is_config_error(self, tmp_path, capsys):
         text = Path(bundled_data_path("default_config.ini")).read_text()

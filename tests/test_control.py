@@ -120,7 +120,7 @@ class TestSolveOptimal:
     def test_integrability_bound_on_rates(self, config, scenario):
         for delta in config.deltas:
             sol = solve_optimal(delta, FIG_MODEL, scenario)
-            assert sol.abatement.max_rate() < 0.5 * delta
+            assert max(sol.abatement.rates(), default=-math.inf) < 0.5 * delta
 
     def test_emissions_decay_to_zero(self, scenario):
         sol = solve_optimal(0.05, FIG_MODEL, scenario)
@@ -296,7 +296,16 @@ class TestScenarioValidation:
             ScenarioConfig(baseline=ExpPoly.term(10.0, 0, -0.01), e0=-1.0,
                            econ=EconParams(1e-4, 0.018))
 
-    def test_growing_baseline_rejected(self):
+    @pytest.mark.parametrize("terms", [((10.0, 0, 0.01),), ((10.0, 0, 0.0),),
+                                       ((10.0, 0, -0.01), (1.0, 0, 0.0))],
+                             ids=["growing", "constant", "decaying-plus-constant"])
+    def test_growing_baseline_rejected(self, terms):
+        # every rate must be < 0: a rate of exactly 0 is refused too
         with pytest.raises(ValidationError):
-            ScenarioConfig(baseline=ExpPoly.term(10.0, 0, 0.01), e0=0.0,
+            ScenarioConfig(baseline=ExpPoly(terms), e0=0.0,
                            econ=EconParams(1e-4, 0.018))
+
+    def test_zero_baseline_accepted(self):
+        scenario = ScenarioConfig(baseline=ExpPoly.zero(), e0=0.0,
+                                  econ=EconParams(1e-4, 0.018))
+        assert scenario.baseline.is_zero

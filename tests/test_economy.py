@@ -25,7 +25,7 @@ class TestQuadraticForms:
 
     def cost(self, alpha, abatement):
         # no climate response, so only the abatement term is left
-        return discounted_total_cost(ExpPoly.constant(abatement),
+        return discounted_total_cost(ExpPoly.term(abatement),
                                      EconParams(alpha, 0.018),
                                      ClimateModel("none", 0.0), 1.0,
                                      ExpPoly.zero(), 0.0)

@@ -283,6 +283,17 @@ class TestTmax:
         assert slope(years - 1.0) > 0 > slope(years + 1.0)
         assert peak == config.model("MIROC").ccr * sol.net_emissions(years)
 
+    def test_peak_is_the_turning_point_not_the_maximum(self, scenario, config):
+        # Tmax is ccr * E where dE/dt falls through zero (Table 3's "years
+        # to peak"), not the maximum of T over t >= 0: at 0.01/MIROC the
+        # stock first drains, so its turning point is below ccr * e0
+        miroc = config.model("MIROC")
+        years, peak = tmax(Policy(0.01, miroc), miroc, scenario)
+        assert years == pytest.approx(136.72211, abs=1e-5)
+        assert peak == miroc.ccr * solve_optimal(0.01, miroc, scenario).net_emissions(years)
+        assert peak == pytest.approx(0.88390, abs=1e-5)
+        assert peak < miroc.ccr * scenario.e0
+
     def test_no_abatement_has_no_peak(self, scenario, config):
         with pytest.raises(NoPeak) as err:
             tmax(Policy.no_abatement(), config.model("HAD"), scenario)
