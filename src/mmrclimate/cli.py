@@ -27,7 +27,6 @@ from .errors import MmrClimateError, NoPeak, ParseError, ValidationError
 from .regret import (
     Policy,
     build_policy_set,
-    build_states,
     mmr_select,
     regret_matrix,
     sweep,
@@ -172,9 +171,8 @@ def cmd_solve(args, config: RunConfig) -> int:
 
 
 def _matrix_for(config: RunConfig, scenario):
-    states = build_states(config.deltas, config.ensemble)
     policies = build_policy_set(config.deltas, config.ensemble, scenario)
-    return regret_matrix(policies, states, scenario)
+    return regret_matrix(policies, policies[:-1], scenario)   # no abatement is no state
 
 
 def cmd_regret_table(args, config: RunConfig) -> int:

@@ -38,7 +38,7 @@ from .control import (
 )
 from .economy import ClimateModel, EconParams, _check_discount
 from .errors import MmrClimateError, NoPeak, ValidationError
-from .exppoly import ExpPoly, _stacked
+from .exppoly import _stacked
 
 NONNEG_TOL = 1e-9
 _PEAK_HORIZON = 3000.0   # years scanned for the emissions peak
@@ -75,31 +75,25 @@ class Policy:
 
 
 class Peak(NamedTuple):
-    """Where a path's net cumulative emissions E(t) peak: ``time`` in
-    years, 0.0 when the stock only drains, or None when E never stops
-    rising; ``emissions`` is E itself, the ExpPoly path in GtC that
-    ``control._paths`` built, and ``peak`` is E at ``time`` (None
-    without a peak)."""
+    """Where a path's net cumulative emissions E(t) peak, as numbers:
+    ``time`` in years, 0.0 when the stock only drains, or None when E
+    never stops rising; ``emissions`` is E at ``time`` in GtC or, without
+    a peak, E's limit as t -> inf (None when E has none)."""
 
     time: float | None
-    emissions: ExpPoly
-    peak: float | None
+    emissions: float | None
 
     def tmax(self, model: ClimateModel, label: str):
         """(years to peak, peak degC) if ``model`` is the true model.  No
         peak raises NoPeak, naming the policy ``label`` and carrying the
         asymptotic temperature when it is finite."""
         if self.time is None:
-            try:
-                asymptote = model.ccr * self.emissions.limit_at_infinity()
-            except ValueError:
-                asymptote = None
             raise NoPeak(
                 f"net cumulative emissions are nondecreasing under {label}; "
                 "the supremum is at the horizon",
-                asymptote_degc=asymptote,
+                asymptote_degc=None if self.emissions is None else model.ccr * self.emissions,
             )
-        return float(self.time), float(model.ccr * self.peak)
+        return float(self.time), float(model.ccr * self.emissions)
 
 
 def _check_ensemble(deltas, ensemble):
@@ -137,8 +131,9 @@ def build_policy_set(deltas, ensemble, scenario: ScenarioConfig) -> list:
 class RegretMatrix:
     """One weighting of :func:`_regrets`.  Rows: actual states.  Columns:
     policies.  Values are regrets in percent of the present value of
-    output.  ``values`` is read-only by contract: :attr:`max_regret` and
-    :attr:`mmr_index` are computed once per matrix and kept."""
+    output.  :func:`regret_matrix` makes ``values`` and ``j_opt``
+    read-only, since :attr:`max_regret` and :attr:`mmr_index` are
+    computed once per matrix and kept."""
 
     states: tuple
     policies: tuple
@@ -151,8 +146,10 @@ class RegretMatrix:
 
     @cached_property
     def max_regret(self) -> np.ndarray:
-        """Worst-case regret of each policy (column maxima)."""
-        return self.values.max(axis=0)
+        """Worst-case regret of each policy (column maxima), read-only."""
+        out = self.values.max(axis=0)
+        out.flags.writeable = False
+        return out
 
     @cached_property
     def mmr_index(self) -> int:
@@ -168,8 +165,9 @@ class RegretMatrix:
 def regret_matrix(policies, states, scenario: ScenarioConfig) -> RegretMatrix:
     """Evaluate every policy in every state: the one-weighting case of
     :func:`_regrets`, under the scenario's own weights."""
-    values, j_opt = _regrets(policies, states, scenario, [scenario.econ])
-    return RegretMatrix(tuple(states), tuple(policies), values[0], j_opt[0])
+    values, j_opt = (a[0] for a in _regrets(policies, states, scenario, [scenario.econ]))
+    values.flags.writeable = j_opt.flags.writeable = False
+    return RegretMatrix(tuple(states), tuple(policies), values, j_opt)
 
 
 def _regrets(policies, states, scenario: ScenarioConfig, weights):
@@ -236,7 +234,8 @@ def mmr_select(matrix: RegretMatrix):
 
 def _peaks(emissions, root_tol: float) -> list:
     """The peak of each path E of net cumulative emissions, an ExpPoly:
-    one :class:`Peak` per path, keeping E itself.
+    one :class:`Peak` per path, holding E at the peak, or E's limit (None
+    when E has none) for a path that never peaks.
 
     A peak is a root of the slope dE/dt where it goes from > 0 to <= 0:
     the turning point of E, Table 3's "years to peak", not the maximum
@@ -290,11 +289,13 @@ def _peaks(emissions, root_tol: float) -> list:
     peaks = []
     for path, times, positive in zip(emissions, crossings, rising):
         if times or not positive:
-            time, peak = max(((t, path(t)) for t in times or [0.0]),
-                             key=lambda candidate: candidate[1])
+            peaks.append(max((Peak(t, path(t)) for t in times or [0.0]),
+                             key=lambda candidate: candidate.emissions))
         else:
-            time = peak = None
-        peaks.append(Peak(time, path, peak))
+            try:
+                peaks.append(Peak(None, path.limit_at_infinity()))
+            except ValueError:   # E grows without bound
+                peaks.append(Peak(None, None))
     return peaks
 
 
@@ -338,7 +339,8 @@ def tmax(policy: Policy, model: ClimateModel, scenario: ScenarioConfig,
     and attributes and names the pair.
 
     Repeated calls on an equal pair, scenario and ``root_tol`` share one
-    search, since the model only scales E; the last 16 searches are kept.
+    search, since the model only scales E, the one number a :class:`Peak`
+    holds; the last 16 searches are kept.
     """
     _halvings(root_tol)   # before any solve
     try:
@@ -401,8 +403,8 @@ def sweep(alphas, betas, deltas, ensemble, scenario: ScenarioConfig,
     if not alphas or not betas:
         raise ValidationError("alpha and beta grids must be nonempty")
     worst_model = max(ensemble, key=lambda m: m.ccr)
-    states = build_states(deltas, ensemble)
     policies = build_policy_set(deltas, ensemble, scenario)
+    states = policies[:-1]   # every policy but no abatement
     grid = [(alpha, beta) for alpha in alphas for beta in betas]
     weights = [EconParams(alpha=alpha, beta=beta) for alpha, beta in grid]
     max_regret = _regrets(policies, states, scenario, weights)[0].max(axis=1)

@@ -18,6 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .baseline import BASELINE_VARIANT, eval_baseline
 from .economy import net_cumulative_emissions
 from .errors import ValidationError
 from .exppoly import ExpPoly
@@ -220,10 +221,11 @@ def tmax_csv(peaks, timestamp: bool = True) -> str:
     return _text(lines)
 
 
-def _blocks_side_by_side(blocks, gap="    "):
-    """Blocks of equal line count, their lines joined left to right."""
+def _blocks_side_by_side(blocks):
+    """Blocks of equal line count, their lines joined left to right,
+    four spaces apart."""
     width = [max(len(line) for line in b) for b in blocks]
-    return "\n".join(gap.join(line.ljust(w) for line, w in zip(lines, width)).rstrip()
+    return "\n".join("    ".join(line.ljust(w) for line, w in zip(lines, width)).rstrip()
                      for lines in zip(*blocks))
 
 
@@ -260,8 +262,6 @@ def sweep_table_tmax(report: SweepReport, timestamp: bool = True) -> str:
 
 
 def fit_report(params, series, timestamp: bool = True) -> str:
-    from .baseline import BASELINE_VARIANT, eval_baseline
-
     fitted = eval_baseline(series.year_offsets, params.theta, params.phi,
                            params.b0)
     resid = fitted - series.emissions

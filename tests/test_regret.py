@@ -157,6 +157,14 @@ class TestMatrixInvariants:
         policy, value = mmr_select(default_matrix)
         assert np.all(value <= default_matrix.max_regret + 1e-15)
 
+    def test_arrays_are_read_only(self, small_matrix):
+        # max_regret and mmr_index are kept, so a write would leave them stale
+        for array in (small_matrix.values, small_matrix.j_opt, small_matrix.max_regret):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        copy = small_matrix.values.copy()
+        assert replace(small_matrix, values=copy).values is copy
+
     def test_standalone_regret_matches_matrix(self, default_matrix, scenario):
         state = default_matrix.states[10]
         policy = default_matrix.policies[3]
