@@ -7,13 +7,14 @@ asymptotic-temperature anchor: the no-abatement temperature limit under
 the anchor model equals ``anchor_temp_degc``, so E0 = anchor / ccr -
 total baseline emissions.  Any float overrides it.
 
-The format is one table, :data:`SCHEMA`: each section's keys in the
-order :func:`save_config` writes them, each with the text
-:func:`load_config` reads when a file leaves it out, or required (see
-README for what each key means).  A section or key the table does not
-name is refused, and so is any key under [DEFAULT]; [ensemble] keys are
-model names (``NAME = ccr``, in the order m1..mN) and may be any.  A
-missing required section or key is named.
+The format is one table, :data:`SCHEMA`, which :func:`load_config` and
+:func:`save_config` each loop over: each section's keys in the order
+they are written, each a row of its default text (or required), the
+:class:`RunConfig` field it fills and how its text is read (see README
+for what each key means).  A section or key the table does not name is
+refused, and so is any key under [DEFAULT]; [ensemble] keys are model
+names (``NAME = ccr``, in the order m1..mN) under :class:`ClimateModel`'s
+name rule.  A missing required section or key is named.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import configparser
 import io
 import os
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -38,31 +40,56 @@ from .regret import ROOT_TOL, _halvings, build_states
 
 FORMATS = ("csv", "txt", "svg")
 REQUIRED = None   # a key that has no default
-# The config format: each section's keys in the order save_config writes
-# them, each mapped to the text load_config reads when a file leaves it
-# out, or to REQUIRED; [ensemble] keys are model names, so any goes.
-SCHEMA = {
-    "scenario": {"start_year": "2020", "e0": "auto", "anchor_temp_degc": "14.7",
-                 "anchor_model": "HAD"},
-    "baseline": {"variant": BASELINE_VARIANT, "theta": REQUIRED, "phi": REQUIRED,
-                 "b0": REQUIRED, "data": "extended_rcp85_emissions.csv", "r_squared": ""},
-    "economy": {"alpha": REQUIRED, "beta": REQUIRED},
-    "uncertainty": {"deltas": REQUIRED, "alpha_grid": REQUIRED, "beta_grid": REQUIRED},
-    "ensemble": None,
-    "tolerances": {"root_tol": repr(ROOT_TOL)},
-    "output": {"directory": "out", "formats": " ".join(FORMATS)},
-}
-OPTIONAL = ("tolerances", "output")   # the sections a config may leave out
-
-
-def bundled_data_path(name: str) -> str:
-    """Filesystem path of a file shipped under ``mmrclimate/data``."""
-    return os.path.join(os.path.dirname(__file__), "data", name)
 
 
 @dataclass(frozen=True)
 class ToleranceConfig:
     root_tol: float = ROOT_TOL
+
+
+def _floats(text: str) -> tuple:
+    return tuple(float(tok) for tok in text.split())
+
+
+def _words(text: str) -> tuple:
+    return tuple(text.split())
+
+
+def _float_or_none(text: str) -> float | None:
+    return float(text) if text.strip() else None
+
+
+# each key's row: (default text or REQUIRED, the field attrgetter reads or None,
+# its text's reader); variant fills no field, as its one legal text is its default
+SCHEMA = {
+    "scenario": {"start_year": ("2020", "start_year", int),
+                 "e0": ("auto", "e0_setting", str),
+                 "anchor_temp_degc": ("14.7", "anchor_temp_degc", float),
+                 "anchor_model": ("HAD", "anchor_model", str)},
+    "baseline": {"variant": (BASELINE_VARIANT, None, str),
+                 "theta": (REQUIRED, "baseline.theta", float),
+                 "phi": (REQUIRED, "baseline.phi", float),
+                 "b0": (REQUIRED, "baseline.b0", float),
+                 "data": ("extended_rcp85_emissions.csv", "data_file", str),
+                 "r_squared": ("", "baseline.r_squared", _float_or_none)},
+    "economy": {"alpha": (REQUIRED, "econ.alpha", float),
+                "beta": (REQUIRED, "econ.beta", float)},
+    "uncertainty": {"deltas": (REQUIRED, "deltas", _floats),
+                    "alpha_grid": (REQUIRED, "alpha_grid", _floats),
+                    "beta_grid": (REQUIRED, "beta_grid", _floats)},
+    "ensemble": None,
+    "tolerances": {"root_tol": (repr(ROOT_TOL), "tolerances.root_tol", float)},
+    "output": {"directory": ("out", "output_dir", str),
+               "formats": (" ".join(FORMATS), "formats", _words)},
+}
+OPTIONAL = ("tolerances", "output")   # the sections a config may leave out
+# the records a dotted field fills, by the RunConfig field that holds them
+RECORDS = {"baseline": BaselineParams, "econ": EconParams, "tolerances": ToleranceConfig}
+
+
+def bundled_data_path(name: str) -> str:
+    """Filesystem path of a file shipped under ``mmrclimate/data``."""
+    return os.path.join(os.path.dirname(__file__), "data", name)
 
 
 @dataclass(frozen=True)
@@ -170,10 +197,6 @@ class RunConfig:
         return scenario
 
 
-def _floats(text: str) -> tuple:
-    return tuple(float(tok) for tok in text.split())
-
-
 def _parser() -> configparser.ConfigParser:
     """The one INI dialect: keys keep their case, values are literal."""
     parser = configparser.ConfigParser(delimiters=("=",), comment_prefixes=("#",),
@@ -187,7 +210,8 @@ def load_config(path: str | None = None) -> RunConfig:
     without a byte-order mark, whose values are literal, with no ``%``
     substitution.  A syntax error is one line, with its line number, and
     so is a section or key that :data:`SCHEMA` does not name, or a
-    required one that the file leaves out."""
+    required one that the file leaves out.  Then one loop over the rows
+    reads each key's text into its field, in :data:`SCHEMA`'s order."""
     if path is None:
         path = bundled_data_path("default_config.ini")
     parser = _parser()
@@ -209,50 +233,41 @@ def load_config(path: str | None = None) -> RunConfig:
         for key in parser[section]:
             if SCHEMA[section] is not None and key not in SCHEMA[section]:
                 raise ParseError(f"bad config {path}: unknown key {key!r} in [{section}]")
-    text = {}
+    rows = {}   # {key: (its text, its field, its reader)}
     for section, keys in SCHEMA.items():
         if section not in OPTIONAL and not parser.has_section(section):
             raise ParseError(f"bad config {path}: missing section [{section}]")
-        for key, default in (keys or {}).items():
-            text[key] = parser.get(section, key, fallback=default)
-            if text[key] is REQUIRED:
+        for key, (default, field, read) in (keys or {}).items():
+            rows[key] = (parser.get(section, key, fallback=default), field, read)
+            if rows[key][0] is REQUIRED:
                 raise ParseError(f"bad config {path}: missing key {key!r} in [{section}]")
+    if rows["variant"][0] != BASELINE_VARIANT:
+        raise ParseError(
+            f"bad config {path}: variant = {rows['variant'][0]} is not supported; "
+            f"the baseline form is {BASELINE_VARIANT}")
 
+    fields = {}   # {record: {name: value}}, "" for RunConfig's own fields
     try:
-        r2 = text["r_squared"].strip()
-        baseline = BaselineParams(
-            theta=float(text["theta"]),
-            phi=float(text["phi"]),
-            b0=float(text["b0"]),
-            r_squared=float(r2) if r2 else None,
-        )
-        variant = text["variant"]
-        if variant != BASELINE_VARIANT:
-            raise ParseError(
-                f"bad config {path}: variant = {variant} is not supported; "
-                f"the baseline form is {BASELINE_VARIANT}")
+        for text, field, read in rows.values():
+            if field is not None:
+                record, _, name = field.rpartition(".")
+                fields.setdefault(record, {})[name] = read(text)
         ensemble = tuple(
             ClimateModel(name=name, ccr=float(value))
             for name, value in parser["ensemble"].items()
         )
-        return RunConfig(
-            start_year=int(text["start_year"]),
-            e0_setting=text["e0"],
-            anchor_temp_degc=float(text["anchor_temp_degc"]),
-            anchor_model=text["anchor_model"],
-            baseline=baseline,
-            data_file=text["data"],
-            econ=EconParams(alpha=float(text["alpha"]), beta=float(text["beta"])),
-            deltas=_floats(text["deltas"]),
-            alpha_grid=_floats(text["alpha_grid"]),
-            beta_grid=_floats(text["beta_grid"]),
-            ensemble=ensemble,
-            tolerances=ToleranceConfig(root_tol=float(text["root_tol"])),
-            output_dir=text["directory"],
-            formats=tuple(text["formats"].split()),
-        )
+        return RunConfig(**fields.pop(""), ensemble=ensemble,
+                         **{record: RECORDS[record](**kw) for record, kw in fields.items()})
     except ValueError as exc:
         raise ParseError(f"bad config {path}: {exc}") from exc
+
+
+def _text(value) -> str:
+    """A field's text in a config file: a float by ``repr``, a tuple or
+    list as its items' texts joined by spaces, anything else by ``str``."""
+    if isinstance(value, (tuple, list)):
+        return " ".join(map(_text, value))
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _ini(sections: dict) -> str:
@@ -279,38 +294,21 @@ def _read_back(text: str) -> dict | None:
 
 def save_config(config: RunConfig, path: str) -> None:
     """Serialize as UTF-8, with full float precision and literal values,
-    each section's keys in :data:`SCHEMA`'s order, so a round trip is
-    exact: text that :func:`load_config` would not read back as written
-    (a model named ``#MIROC`` or ``MI=ROC``, a value with `` #`` in it,
-    space at either end or a newline at the end) is refused with
-    ValidationError naming its key, or its model, and no file is opened."""
-    fields = {
-        "start_year": str(config.start_year),
-        "e0": config.e0_setting,
-        "anchor_temp_degc": repr(config.anchor_temp_degc),
-        "anchor_model": config.anchor_model,
-        "variant": BASELINE_VARIANT,
-        "theta": repr(config.baseline.theta),
-        "phi": repr(config.baseline.phi),
-        "b0": repr(config.baseline.b0),
-        "data": config.data_file,
-        "alpha": repr(config.econ.alpha),
-        "beta": repr(config.econ.beta),
-        "deltas": " ".join(repr(d) for d in config.deltas),
-        "alpha_grid": " ".join(repr(a) for a in config.alpha_grid),
-        "beta_grid": " ".join(repr(b) for b in config.beta_grid),
-        "root_tol": repr(config.tolerances.root_tol),
-        "directory": config.output_dir,
-        "formats": " ".join(config.formats),
-    }
-    if config.baseline.r_squared is not None:
-        fields["r_squared"] = repr(config.baseline.r_squared)
+    in one loop over :data:`SCHEMA`'s rows, each key's text its field's
+    :func:`_text`, so a round trip is exact: text that :func:`load_config`
+    would not read back as written (a model named ``#MIROC`` or
+    ``MI=ROC``, a value with `` #`` in it, space at either end or a
+    newline at the end) is refused with ValidationError naming its key,
+    or its model, and no file is opened."""
     sections = {}
     for section, keys in SCHEMA.items():
         if keys is None:
-            sections[section] = {m.name: repr(m.ccr) for m in config.ensemble}
-        else:   # an unknown r_squared is not written
-            sections[section] = {key: fields[key] for key in keys if key in fields}
+            values = {m.name: m.ccr for m in config.ensemble}
+        else:
+            values = {key: default if field is None else attrgetter(field)(config)
+                      for key, (default, field, _) in keys.items()}
+        # an unknown r_squared is None, and is not written
+        sections[section] = {key: _text(v) for key, v in values.items() if v is not None}
     text = _ini(sections)
     if _read_back(text) != sections:
         # name the first key whose line does not read back after the

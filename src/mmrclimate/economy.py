@@ -23,6 +23,7 @@ positive and finite, or InvalidDiscount naming the rate.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 from .errors import InvalidDiscount, ValidationError
@@ -44,15 +45,27 @@ class EconParams:
                 f"alpha={self.alpha}, beta={self.beta}")
 
 
+# what an output cannot hold in a model name: CSV's delimiter and quote, a
+# path separator, XML's markup, and control characters but tab, LF and CR
+_UNWRITABLE = re.compile(r'[,"/\\<&\x00-\x08\x0b\x0c\x0e-\x1f\x7f-\x9f]')
+
+
 @dataclass(frozen=True)
 class ClimateModel:
     """A reduced-form climate model: its carbon-climate response ``ccr``
-    maps cumulative carbon (GtC) to temperature increase (degC)."""
+    maps cumulative carbon (GtC) to temperature increase (degC).  Its name
+    goes into CSV rows, SVG text and file names, so one holding ``,``,
+    ``"``, ``/``, ``\\``, ``<``, ``&`` or a control character other than
+    tab, LF and CR is refused with ValidationError naming the model."""
 
     name: str
     ccr: float
 
     def __post_init__(self):
+        bad = _UNWRITABLE.search(self.name)
+        if bad:
+            raise ValidationError(f"model name {self.name!r} holds {bad.group()!r}, "
+                                  "which an output file cannot hold")
         if not (math.isfinite(self.ccr) and self.ccr >= 0):
             raise ValidationError(
                 f"ccr must be nonnegative and finite, got {self.ccr}")

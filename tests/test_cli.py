@@ -2,6 +2,7 @@
 byte-for-byte determinism."""
 
 import csv
+import dataclasses
 import errno
 import importlib
 import io
@@ -9,7 +10,9 @@ import os
 import re
 import subprocess
 import sys
+import typing
 import warnings
+import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,7 +22,7 @@ import mmrclimate
 from mmrclimate import cli, report
 from mmrclimate.baseline import fit_baseline, load_emissions
 from mmrclimate.cli import main
-from mmrclimate.config import bundled_data_path, load_config, save_config
+from mmrclimate.config import SCHEMA, RunConfig, bundled_data_path, load_config, save_config
 from mmrclimate.control import char_roots, solve_optimal
 from mmrclimate.economy import ClimateModel
 from mmrclimate.errors import ValidationError
@@ -1012,6 +1015,62 @@ class TestConfigHandling:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "'HAD'" in err and "'had'" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["MI,ROC", 'MI"ROC', "../../escape", "MI\\ROC",
+                                      "MI<ROC", "MI&ROC", "MI\x01ROC", "MI\x7fROC"])
+    def test_model_name_an_output_cannot_hold_is_config_error(self, name, tmp_path,
+                                                              capsys):
+        # a comma split regret_matrix.csv's rows, & or U+0001 broke the
+        # heatmap's XML, and a / put solve's CSV outside the directory
+        text = Path(bundled_data_path("default_config.ini")).read_text()
+        path = tmp_path / "name.ini"
+        path.write_text(text.replace("MIROC = ", f"{name} = "), encoding="utf-8")
+        assert run(["regret-table"], str(tmp_path / "o"), str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert repr(name) in err
+        assert os.listdir(tmp_path) == ["name.ini"]
+
+    def test_model_names_with_other_punctuation_load(self, tmp_path, capsys):
+        names = {"GFDL": "HadGEM2-ES", "BCC": "CESM1(BGC)", "FIO": "ACCESS1.0",
+                 "IPSL": "MPI ESM"}
+        text = Path(bundled_data_path("default_config.ini")).read_text()
+        for old, new in names.items():
+            text = text.replace(f"\n{old} = ", f"\n{new} = ")
+        path = tmp_path / "names.ini"
+        path.write_text(text)
+        assert [m.name for m in load_config(str(path)).ensemble] == [
+            "HadGEM2-ES", "CESM1(BGC)", "ACCESS1.0", "HAD", "MPI ESM", "MIROC"]
+        out = tmp_path / "o"
+        assert run(["--no-timestamp", "regret-table"], str(out), str(path)) == 0
+        with open(out / "regret_matrix.csv", newline="") as fh:
+            assert {len(row) for row in csv.reader(fh)} == {1 + 43}
+        ET.parse(out / "regret_heatmap.svg")
+
+    def test_schema_rows_fill_every_field_once(self):
+        # a field that no row names would be left out of the file format
+        rows = [field for keys in SCHEMA.values() if keys is not None
+                for _, field, _ in keys.values() if field is not None]
+        hints = typing.get_type_hints(RunConfig)
+        fields = []
+        for field in dataclasses.fields(RunConfig):
+            record = hints[field.name]
+            if dataclasses.is_dataclass(record):
+                fields += [f"{field.name}.{f.name}" for f in dataclasses.fields(record)]
+            elif field.name != "ensemble":
+                fields.append(field.name)
+        assert sorted(rows) == sorted(fields)
+
+    def test_saved_lists_are_written_as_tuples_are(self, tmp_path):
+        config = load_config()
+        listed = replace(config, deltas=list(config.deltas),
+                         alpha_grid=list(config.alpha_grid),
+                         beta_grid=list(config.beta_grid), formats=list(config.formats))
+        save_config(config, str(tmp_path / "tuples.ini"))
+        save_config(listed, str(tmp_path / "lists.ini"))
+        assert ((tmp_path / "lists.ini").read_bytes()
+                == (tmp_path / "tuples.ini").read_bytes()
+                == Path(bundled_data_path("default_config.ini")).read_bytes())
 
     @pytest.mark.parametrize("value", ["%(beta)s", "%"])
     def test_percent_is_literal_not_substituted(self, tmp_path, capsys, value):

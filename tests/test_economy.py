@@ -1,6 +1,7 @@
 """Cost, damage, and the discounted total cost."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,8 +15,26 @@ from mmrclimate.economy import (
     discounted_total_cost,
     net_cumulative_emissions,
 )
-from mmrclimate.errors import DivergentIntegral, InvalidDiscount
+from mmrclimate.errors import DivergentIntegral, InvalidDiscount, ValidationError
 from mmrclimate.exppoly import ExpPoly
+
+
+class TestModelName:
+    """A model's name goes into CSV rows, SVG text and file names."""
+
+    REFUSED = [*',"/\\<&', *(chr(c) for c in (*range(0x20), *range(0x7f, 0xa0))
+                              if chr(c) not in "\t\n\r")]
+
+    @pytest.mark.parametrize("char", REFUSED)
+    def test_refuses_a_character_an_output_cannot_hold(self, char):
+        name = f"MI{char}ROC"
+        with pytest.raises(ValidationError, match=re.escape(repr(name))):
+            ClimateModel(name, 0.00244)
+
+    @pytest.mark.parametrize("name", ["HadGEM2-ES", "CESM1(BGC)", "ACCESS1.0", "MPI ESM",
+                                      "MI\tROC", "MI\nROC", "MI\rROC", "MIROC é"])
+    def test_keeps_every_other_name(self, name):
+        assert ClimateModel(name, 0.00244).name == name
 
 
 class TestQuadraticForms:
